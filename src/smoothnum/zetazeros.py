@@ -16,12 +16,8 @@ import numpy as np
 
 from .errors import ParseError, PoleError, RangeError, SingularityError
 
-# B_{2k} / (2k)! for k = 1..10; corrections through B_20.
-_BERN = [
-    8.3333333333333333e-02 / 2,
-    -1.3888888888888889e-03 / 2,  # placeholder, replaced below
-]
-# Write the exact rationals out instead of trusting hand-typed decimals.
+# B_{2k} / (2k)! for k = 1..10; corrections through B_20, from the
+# exact rationals rather than hand-typed decimals.
 _B2K = [
     (1, 6), (-1, 30), (1, 42), (-1, 30), (5, 66),
     (-691, 2730), (7, 6), (-3617, 510), (43867, 798), (-174611, 330),

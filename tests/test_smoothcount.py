@@ -6,7 +6,11 @@ rational alpha oracle live in tests/oracles.py.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,93 @@ def test_psi_exact_rough_tree_path_matches_direct(pt100k, monkeypatch):
     monkeypatch.setattr(smoothcount, "_SMOOTH_LIST_CAP", 50)
     got = [smoothcount.psi_exact(10**5, y, pt100k) for y in (31, 97, 1000)]
     assert got == want
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7])
+def test_psi_exact_node_chunk_does_not_change_counts(pt100k, monkeypatch, chunk):
+    # Tiny batches split every parent's children over many batches and
+    # deepen the stack; (10^6, 1000) leaves 158 of 168 primes rough.
+    points = [(10**5, 31), (10**5, 97), (10**5, 1000), (10**6, 1000)]
+    want = [smoothcount.psi_exact(x, y, pt100k) for x, y in points]
+    monkeypatch.setattr(smoothcount, "_NODE_CHUNK", chunk)
+    assert [smoothcount.psi_exact(x, y, pt100k) for x, y in points] == want
+
+
+@pytest.mark.parametrize("x, y", [(10**5, 293), (99_991, 317), (65_536, 251)])
+def test_psi_exact_mostly_rough_matches_enumeration(pt100k, gpf100k, x, y):
+    # y near sqrt(x): the growth stop leaves most primes to the tree.
+    top = int(np.searchsorted(pt100k.primes, y, side="right"))
+    _, first_rough = smoothcount._fold_list(pt100k.primes[:top], x)
+    assert first_rough < top // 2
+    assert smoothcount.psi_exact(x, y, pt100k) == oracles.psi_brute(x, y, gpf100k)
+
+
+def test_psi_exact_frozen_grid_counts(pt100k):
+    # The four cheapest beta0 = 0.8 points of the README verify-theorem1
+    # grid, as (int(x(y)), int(y)).
+    want = {
+        (226074, 500): 81635,
+        (734521, 694): 233049,
+        (2585571, 965): 706627,
+        (9914577, 1341): 2348652,
+    }
+    for (x, y), count in want.items():
+        assert smoothcount.psi_exact(x, y, pt100k) == count
+
+
+_MEMORY_CAP_CHILD = """
+import resource, sys
+import numpy as np
+from smoothnum import cli, primes, smoothcount, specfun
+from smoothnum.errors import ResourceError
+
+pt = primes.sieve(10**4)
+specfun.default_rho_table()
+np.ones((64, 64)) @ np.ones((64, 64))  # BLAS buffers, before the cap
+with open("/proc/self/statm") as f:
+    mapped = int(f.read().split()[0]) * resource.getpagesize()
+resource.setrlimit(resource.RLIMIT_AS, (mapped + (64 << 20), resource.RLIM_INFINITY))
+{body}
+"""
+
+
+def _run_under_memory_cap(body):
+    src = Path(smoothcount.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run(
+        [sys.executable, "-c", _MEMORY_CAP_CHILD.format(body=body)],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+
+
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs Linux address-space accounting"
+)
+def test_psi_exact_out_of_memory_is_resource_error():
+    # Under a 64 MB address-space cap the 8M-entry list cannot be built.
+    lib = _run_under_memory_cap(
+        "print(smoothcount.psi_exact(10**5, 31, pt))\n"
+        "try:\n"
+        "    smoothcount.psi_exact(10**12, 10**4, pt)\n"
+        "except ResourceError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert lib.returncode == 0, lib.stderr
+    assert lib.stdout.splitlines() == [
+        "6070",
+        "psi_exact(1000000000000, 10000) ran out of memory in the fold phase",
+    ]
+    psi = _run_under_memory_cap("sys.exit(cli.main(['psi', '--x', '1e12', '--y', '1e4']))")
+    assert psi.returncode == 4, psi.stderr
+    assert psi.stderr.startswith("smoothnum: ResourceError: psi_exact(")
+    # x(50) ~ 1718 fits; x(1341) ~ 1.3e11 needs a list of millions.
+    grid = _run_under_memory_cap(
+        "sys.exit(cli.main(['verify-theorem1', '--y-min', '50', '--y-max', '1341.348',"
+        " '--n-points', '2', '--beta0', '0.7', '--skip-infeasible']))"
+    )
+    assert grid.returncode == 0, grid.stderr
+    rows = grid.stdout.splitlines()
+    assert len(rows) == 2 and rows[1].split(",")[1] == "50"
 
 
 def test_psi_exact_resource_and_range_errors(pt100k, monkeypatch):
