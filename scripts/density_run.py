@@ -12,6 +12,7 @@ import os
 import sys
 
 from smoothnum import bias, zetazeros
+from smoothnum.errors import ParseError
 
 
 def main() -> int:
@@ -26,12 +27,11 @@ def main() -> int:
     )
     args = parser.parse_args()
 
-    with open(args.zeros, "r", encoding="utf-8") as handle:
-        tokens = handle.read().split()
-    if not tokens:
-        print("zero table is empty", file=sys.stderr)
+    try:
+        zeros = zetazeros.load_zeros(args.zeros)
+    except ParseError as exc:
+        print(exc, file=sys.stderr)
         return 2
-    zeros = zetazeros.load_zeros(args.zeros, height=float(tokens[-1]))
     if zeros.count < args.ordinates:
         print(f"zero table holds only {zeros.count} ordinates", file=sys.stderr)
         return 3

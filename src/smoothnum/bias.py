@@ -26,7 +26,7 @@ from .errors import DomainError, RangeError
 from .primes import PrimeTable
 from .smoothcount import psi_exact
 from .specfun import RhoTable, saddle
-from .zetazeros import ZeroList
+from .zetazeros import ZeroList, _pair_terms
 
 __all__ = [
     "BiasConfig",
@@ -34,7 +34,6 @@ __all__ = [
     "BiasPoint",
     "x_of_y",
     "compute_point",
-    "normalized_deviation",
     "model_rhs",
     "li_density",
     "empirical_log_density",
@@ -116,7 +115,7 @@ def compute_point(
     sd = saddle(x, y, table)
     psi = psi_exact(x, y, pt)
     lam = lambda_xy(x, y, table)
-    g = gfactor.g_value(sd.beta, y, pt).g_direct.real
+    g = gfactor.g_direct(sd.beta, y, pt).real
     scale = y ** (beta0 - 0.5) * math.log(y)
     deviation = (psi - lam) / lam * scale
     model = (
@@ -140,13 +139,6 @@ def compute_point(
     )
 
 
-def normalized_deviation(
-    y: float, beta0: float, pt: PrimeTable, table: RhoTable
-) -> float:
-    """(Psi(x(y), y) - Lambda(x(y), y)) / Lambda * y^(beta0-1/2) log y."""
-    return compute_point(y, beta0, pt, table).deviation
-
-
 def model_rhs(y: float, beta0: float, big_t: float, zeros: ZeroList) -> float:
     """Zero-sum model for the normalized deviation:
 
@@ -156,18 +148,12 @@ def model_rhs(y: float, beta0: float, big_t: float, zeros: ZeroList) -> float:
     Conjugate pairing is done symbolically, so the result is real by
     construction, not by cancellation.
     """
-    if big_t > zeros.height * (1 + 1e-12):
-        raise RangeError(
-            f"requested height {big_t:g} exceeds table completeness bound {zeros.height:g}"
-        )
-    g = zeros.gammas[zeros.gammas <= big_t]
+    g = zeros.up_to(big_t)
     const = 1.0 / (2.0 * beta0 - 1.0)
     if g.size == 0:
         return const
-    a = 0.5 - beta0
-    phase = g * math.log(y)
-    terms = 2.0 * (a * np.cos(phase) + g * np.sin(phase)) / (a * a + g * g)
-    return const - math.fsum(terms.tolist())
+    terms = _pair_terms(g, math.log(y), 0.5 - beta0)
+    return const - 2.0 * math.fsum(terms.tolist())
 
 
 def _phase_matrix(seed: int, j0: int, count: int, m: int) -> np.ndarray:
@@ -209,11 +195,7 @@ def li_density(
     argument phi, so the sampler draws R cos(theta) directly and never
     needs the sine half.
     """
-    if cfg.T > zeros.height * (1 + 1e-12):
-        raise RangeError(
-            f"requested height {cfg.T:g} exceeds table completeness bound {zeros.height:g}"
-        )
-    g = zeros.gammas[zeros.gammas <= cfg.T]
+    g = zeros.up_to(cfg.T)
     if calibration:
         const, a = 1.0, 0.5
     else:

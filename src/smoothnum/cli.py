@@ -75,31 +75,19 @@ def _rho_table(args) -> specfun.RhoTable:
     return specfun.build_rho_table(step=args.rho_step, u_max=args.u_max)
 
 
-def _load_zeros(args) -> zetazeros.ZeroList | None:
+def _load_zeros(args) -> tuple:
+    """The --zeros table and the zero-sum cutoff --T, which defaults to
+    the table height; (None, None) when no table is given."""
     if args.zeros is None:
-        return None
-    height = args.zeros_height
-    if height is None:
-        # Default to the last ordinate actually present in the file.
-        try:
-            with open(args.zeros, "r", encoding="utf-8") as handle:
-                lines = handle.read().split()
-        except OSError as exc:
-            raise ParseError(f"cannot read zero table: {exc}") from None
-        if not lines:
-            raise ParseError("zero table is empty")
-        try:
-            height = float(lines[-1])
-        except ValueError:
-            raise ParseError(f"not a number: {lines[-1]!r}") from None
-    return zetazeros.load_zeros(args.zeros, height=height)
+        return None, None
+    zeros = zetazeros.load_zeros(args.zeros, height=args.zeros_height)
+    return zeros, args.T if args.T is not None else zeros.height
 
 
-def _require_zeros(args) -> zetazeros.ZeroList:
-    zeros = _load_zeros(args)
-    if zeros is None:
+def _require_zeros(args) -> tuple:
+    if args.zeros is None:
         raise ParseError(f"command {args.command!r} needs --zeros PATH")
-    return zeros
+    return _load_zeros(args)
 
 
 def _open_out(path: str):
@@ -208,24 +196,21 @@ def _cmd_lambda(args) -> int:
 
 def _cmd_g(args) -> int:
     pt = primes.sieve(max(4, int(args.y)))
-    breakdown = gfactor.g_value(args.s, args.y, pt)
     if args.breakdown:
+        breakdown = gfactor.g_value(args.s, args.y, pt)
         print(f"log_g1 = {_fmt(breakdown.log_g1.real)}")
         print(f"log_g2 = {_fmt(breakdown.log_g2.real)}")
         print(f"g_factored = {_fmt(breakdown.g_factored.real)}")
         print(f"g_direct = {_fmt(breakdown.g_direct.real)}")
     else:
-        print(_fmt(breakdown.g_direct.real))
+        print(_fmt(gfactor.g_direct(args.s, args.y, pt).real))
     return 0
 
 
 def _grid_rows(args, beta0_list) -> list[dict]:
     table = _rho_table(args)
-    zeros = _load_zeros(args)
+    zeros, big_t = _load_zeros(args)
     ys = _log_grid(args.y_min, args.y_max, args.n_points)
-    big_t = None
-    if zeros is not None:
-        big_t = args.T if args.T is not None else zeros.height
     pt = primes.sieve(max(4, int(args.y_max))) if ys else primes.sieve(4)
     rows = []
     for beta0 in beta0_list:
@@ -283,12 +268,11 @@ def _cmd_bias_scan(args) -> int:
 
 def _cmd_verify_psiover(args) -> int:
     table = _rho_table(args)
-    zeros = _require_zeros(args)
-    big_t = args.T if args.T is not None else zeros.height
+    zeros, big_t = _require_zeros(args)
     pt = primes.sieve(max(4, int(args.y)))
     rhs = gfactor.psiover_rhs(args.x, args.y, big_t, zeros, pt, table)
     sd = specfun.saddle(args.x, args.y, table)
-    g = gfactor.g_value(sd.beta, args.y, pt).g_direct.real
+    g = gfactor.g_direct(sd.beta, args.y, pt).real
     print(f"psiover_rhs = {_fmt(rhs)}")
     print(f"g_beta = {_fmt(g)}")
     print(f"abs_diff = {_fmt(abs(rhs - g))}")
@@ -305,8 +289,7 @@ def _density_report(est: bias.DensityEstimate) -> None:
 
 
 def _cmd_li_density(args) -> int:
-    zeros = _require_zeros(args)
-    big_t = args.T if args.T is not None else zeros.height
+    zeros, big_t = _require_zeros(args)
     cfg = bias.BiasConfig(
         beta0=args.beta0, T=big_t, seed=args.seed, n_samples=args.n_samples
     )
@@ -315,7 +298,7 @@ def _cmd_li_density(args) -> int:
 
 
 def _cmd_calibrate_pi_li(args) -> int:
-    zeros = _require_zeros(args)
+    zeros, _ = _require_zeros(args)
     if zeros.count < args.ordinates:
         raise RangeError(
             f"zero table holds {zeros.count} ordinates, need {args.ordinates}"
@@ -344,7 +327,10 @@ _HANDLERS = {
 # parser construction / config precedence
 # ----------------------------------------------------------------------
 
-def _add_common(sub, *, zeros=False, grid=False, rho=False):
+def _add_common(sub, *, xy=False, zeros=False, grid=False, rho=False):
+    if xy:
+        sub.add_argument("--x", type=float, required=True)
+        sub.add_argument("--y", type=float, required=True)
     sub.add_argument(
         "--config",
         default=None,
@@ -418,14 +404,10 @@ def _build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     sub = subs.add_parser("psi", help="exact smooth-integer count")
-    sub.add_argument("--x", type=float, required=True)
-    sub.add_argument("--y", type=float, required=True)
-    _add_common(sub)
+    _add_common(sub, xy=True)
 
     sub = subs.add_parser("lambda", help="de Bruijn approximation Lambda(x,y)")
-    sub.add_argument("--x", type=float, required=True)
-    sub.add_argument("--y", type=float, required=True)
-    _add_common(sub, rho=True)
+    _add_common(sub, xy=True, rho=True)
 
     sub = subs.add_parser("g", help="correction factor G(s,y)")
     sub.add_argument("--s", type=float, required=True)
@@ -447,9 +429,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = subs.add_parser(
         "verify-psiover", help="zero-sum prediction for Psi/Lambda vs G(beta,y)"
     )
-    sub.add_argument("--x", type=float, required=True)
-    sub.add_argument("--y", type=float, required=True)
-    _add_common(sub, zeros=True, rho=True)
+    _add_common(sub, xy=True, zeros=True, rho=True)
 
     sub = subs.add_parser("bias-scan", help="normalized deviation along x(y)")
     sub.add_argument("--beta0", type=float, required=True)

@@ -221,15 +221,22 @@ def lambda_xy(x: float, y: float, table: RhoTable) -> float:
 
     Uses the atom sum when y^u = x stays below 1e6 and the
     integration-by-parts form beyond; both see x exactly rather than
-    the float round trip exp(u log y).
+    the float round trip exp(u log y).  A route that runs out of memory
+    raises ResourceError.
     """
     if y < 2 or x < y:
         raise DomainError("lambda_xy requires x >= y >= 2")
     u = math.log(x) / math.log(y)
-    if x <= AUTO_ATOM_CUTOFF:
-        res = lambda_atom_sum(u, y, table, _t_max=x)
-    else:
-        res = lambda_ibp(u, y, table, _t_hi=x / y, _pow_u=x)
+    route = "atom_sum" if x <= AUTO_ATOM_CUTOFF else "integration_by_parts"
+    try:
+        if route == "atom_sum":
+            res = lambda_atom_sum(u, y, table, _t_max=x)
+        else:
+            res = lambda_ibp(u, y, table, _t_hi=x / y, _pow_u=x)
+    except MemoryError as exc:
+        raise ResourceError(
+            f"lambda_xy({x}, {y}) ran out of memory in the {route} route"
+        ) from exc
     return x * res.value
 
 

@@ -9,8 +9,10 @@ where F is the transform-side normalization (see debruijn.f_transform),
 G1 carries the prime-counting error psi(y) - y (and hence the zeta-zero
 oscillations), and G2 the prime powers p^k <= y-free tail already
 isolated in primes.log_g2.  The product G = G1*G2 multiplies the de
-Bruijn main term; this module assembles it along two independent routes
-and evaluates the zero-sum prediction for the corrected ratio.
+Bruijn main term.  Production callers take the direct route, g_direct;
+g_value assembles the factored route beside it, for `g --breakdown` and
+the route-identity check of criterion 04.  The module also evaluates
+the zero-sum prediction for the corrected ratio.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ __all__ = [
     "GBreakdown",
     "log_g1",
     "log_g1_prime",
+    "g_direct",
     "g_value",
     "corrected_prediction",
     "psiover_rhs",
@@ -108,6 +111,12 @@ def log_g1_prime(s, y: float, pt: PrimeTable) -> complex:
     return sum_prime - f_prime
 
 
+def g_direct(s, y: float, pt: PrimeTable) -> complex:
+    """G(s,y) by the direct quotient exp(log zeta(s,y) - log F(s,y))."""
+    _check_args(s, y)
+    return cmath.exp(primes_mod.partial_zeta(pt, s, y) - f_transform(s, y))
+
+
 def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:
     """G(s,y) both ways: exp(log_g1 + log_g2) against the direct
     quotient exp(log zeta(s,y) - log F(s,y)).
@@ -117,17 +126,15 @@ def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:
     versus full per-prime -log(1-p^-s) expansions), so their agreement
     exercises the split identity rather than restating it.
     """
-    _check_args(s, y)
     lg1 = log_g1(s, y, pt)
     lg2 = primes_mod.log_g2(pt, s, y)
-    direct = primes_mod.partial_zeta(pt, s, y) - f_transform(s, y)
     return GBreakdown(
         s=complex(s),
         y=float(y),
         log_g1=lg1,
         log_g2=lg2,
         g_factored=cmath.exp(lg1 + lg2),
-        g_direct=cmath.exp(direct),
+        g_direct=g_direct(s, y, pt),
     )
 
 
@@ -143,7 +150,7 @@ def corrected_prediction(x: float, y: float, pt: PrimeTable, table: RhoTable) ->
     y_eff = min(float(y), float(x))
     sd = saddle(x, y_eff, table)
     lam = lambda_xy(x, y_eff, table)
-    g = g_value(sd.beta, y_eff, pt).g_direct.real
+    g = g_direct(sd.beta, y_eff, pt).real
     return lam * g
 
 

@@ -264,15 +264,20 @@ def _interp_log_rho(table: RhoTable, u: np.ndarray) -> np.ndarray:
     return np.sum(cardinal * table.log_rho[idx], axis=1)
 
 
-def _eval_log_rho(table: RhoTable, u):
-    arr = np.asarray(u, dtype=np.float64)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel().astype(np.float64)
+def _check_range(table: RhoTable, flat: np.ndarray) -> None:
+    """Reject arguments outside [0, u_max], up to a rounding slack."""
     slack = 1e-9 * max(1.0, table.u_max)
     if np.any(flat < -slack) or np.any(flat > table.u_max + slack):
         raise RangeError(
             f"rho table covers [0, {table.u_max:g}]; got values outside it"
         )
+
+
+def _eval_log_rho(table: RhoTable, u):
+    arr = np.asarray(u, dtype=np.float64)
+    scalar = arr.ndim == 0
+    flat = np.atleast_1d(arr).ravel().astype(np.float64)
+    _check_range(table, flat)
     clipped = np.clip(flat, 0.0, table.u_max)
     out = np.zeros_like(clipped)
     inner = clipped > 1.0
@@ -301,11 +306,7 @@ def rho_prime(table: RhoTable, u):
     arr = np.asarray(u, dtype=np.float64)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).ravel().astype(np.float64)
-    slack = 1e-9 * max(1.0, table.u_max)
-    if np.any(flat < -slack) or np.any(flat > table.u_max + slack):
-        raise RangeError(
-            f"rho table covers [0, {table.u_max:g}]; got values outside it"
-        )
+    _check_range(table, flat)
     out = np.zeros_like(flat)
     mask = flat > 1.0
     if np.any(mask):

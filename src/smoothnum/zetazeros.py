@@ -172,20 +172,32 @@ class ZeroList:
     def count(self) -> int:
         return int(self.gammas.size)
 
+    def up_to(self, big_t: float) -> np.ndarray:
+        """The ordinates 0 < gamma <= big_t; RangeError above the height."""
+        if big_t > self.height * (1 + 1e-12):
+            raise RangeError(
+                f"requested height {big_t:g} exceeds table completeness bound {self.height:g}"
+            )
+        return self.gammas[self.gammas <= big_t]
+
 
 FIRST_ORDINATE = 14.134725141734694
 
 
-def load_zeros(path, height: float) -> ZeroList:
+def load_zeros(path, height: float | None = None) -> ZeroList:
     """Read a plain-text zero table and truncate it at the given height.
 
-    The caller asserts the file is complete up to `height`; a
-    Riemann-von Mangoldt count check catches grossly inconsistent claims.
+    The caller asserts the file is complete up to `height`, which
+    defaults to the last ordinate in the file; a Riemann-von Mangoldt
+    count check catches grossly inconsistent claims.
     """
-    if height <= 0:
+    if height is not None and height <= 0:
         raise RangeError("height must be positive")
-    with open(path, "r", encoding="utf-8") as handle:
-        raw = handle.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = handle.read().splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read zero table: {exc}") from None
     values = []
     prev = 0.0
     for lineno, line in enumerate(raw, start=1):
@@ -207,6 +219,10 @@ def load_zeros(path, height: float) -> ZeroList:
         raise ParseError(
             f"first ordinate {values[0]} does not match the first zeta zero"
         )
+    if height is None:
+        if not values:
+            raise ParseError("zero table is empty")
+        height = values[-1]
     gammas = np.array(values, dtype=np.float64)
     gammas = gammas[gammas <= height]
     if gammas.size:
@@ -221,6 +237,16 @@ def load_zeros(path, height: float) -> ZeroList:
     return ZeroList(gammas=gammas, height=float(height))
 
 
+def _pair_terms(g: np.ndarray, log_y: float, a: float) -> np.ndarray:
+    """Re(e^(i gamma log y) / (a + i gamma)) for each ordinate gamma.
+
+    Each conjugate pair of zeros contributes twice this, which is why
+    sums built from it are real by construction, not by cancellation.
+    """
+    phase = g * log_y
+    return (np.cos(phase) * a + np.sin(phase) * g) / (a * a + g * g)
+
+
 def zero_sum(zeros: ZeroList, y: float, s0, big_t: float) -> complex:
     """Sum of y^rho / (rho - s0) over zeros with 0 < Im rho <= big_t,
     together with the conjugate pair of each.
@@ -228,24 +254,18 @@ def zero_sum(zeros: ZeroList, y: float, s0, big_t: float) -> complex:
     For real s0 each pair contributes 2 Re(y^rho/(rho-s0)), so the result
     is exactly real by construction.
     """
-    if big_t > zeros.height * (1 + 1e-12):
-        raise RangeError(
-            f"requested height {big_t:g} exceeds table completeness bound {zeros.height:g}"
-        )
+    g = zeros.up_to(big_t)
     if y <= 1:
         raise RangeError("zero_sum needs y > 1")
-    g = zeros.gammas[zeros.gammas <= big_t]
     if g.size == 0:
         return complex(0.0, 0.0)
     log_y = math.log(y)
     sqrt_y = math.sqrt(y)
-    phase = g * log_y
     s0 = complex(s0)
     if s0.imag == 0.0:
-        a = 0.5 - s0.real
-        denom = a * a + g * g
-        real_part = 2.0 * sqrt_y * np.sum((np.cos(phase) * a + np.sin(phase) * g) / denom)
+        real_part = 2.0 * sqrt_y * np.sum(_pair_terms(g, log_y, 0.5 - s0.real))
         return complex(real_part, 0.0)
+    phase = g * log_y
     up = np.exp(1j * phase) / (complex(0.5, 0.0) + 1j * g - s0)
     down = np.exp(-1j * phase) / (complex(0.5, 0.0) - 1j * g - s0)
     return complex(sqrt_y * (np.sum(up) + np.sum(down)))

@@ -35,7 +35,7 @@ def test_saddle_pinned_on_curve(rho_table):
 
 def test_normalized_deviation_frozen_value(pt100k, rho_table):
     # Regression pin at y=800, beta0=0.75 (exact Psi = 1203943 there).
-    dev = bias.normalized_deviation(800.0, 0.75, pt100k, rho_table)
+    dev = bias.compute_point(800.0, 0.75, pt100k, rho_table).deviation
     assert dev == pytest.approx(0.8894134582878971, rel=1e-12)
 
 
@@ -68,6 +68,7 @@ def test_model_rhs_is_float(zeros10k):
     val = bias.model_rhs(1234.5, 0.75, 5000.0, zeros10k)
     assert isinstance(val, float)
     assert math.isfinite(val)
+    assert val == 2.0937421198648614  # frozen bit for bit
 
 
 def test_model_rhs_oscillation_averages_out(zeros10k):

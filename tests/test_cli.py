@@ -134,6 +134,19 @@ def test_parse_error_is_line_numbered(tmp_path, capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("height", [[], ["--zeros-height", "100"]])
+@pytest.mark.parametrize("command", [
+    ["li-density", "--beta0", "0.75", "--n-samples", "1000"],
+    ["verify-psiover", "--x", "1e8", "--y", "1000"],
+])
+def test_unreadable_zero_table_is_parse_error(tmp_path, capsys, command, height):
+    for path in (tmp_path / "missing.txt", tmp_path):
+        rc = main(command + ["--zeros", str(path)] + height)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("smoothnum: ParseError: cannot read zero table:")
+
+
 # ----------------------------------------------------------------------
 # grid commands, CSV contract
 # ----------------------------------------------------------------------

@@ -147,12 +147,13 @@ def test_psiover_rhs_agrees_with_g(pt100k, rho_table, zeros10k):
     # Both forms approximate the same correction; the corollary's error
     # envelope 3 y^(1/2-beta)/log y comfortably covers the gap.
     y = 1e4
-    for u in (1.8, 2.5):
+    for u, frozen in ((1.8, 1.0046571418662664), (2.5, 1.009279958141757)):
         x = y**u
         beta = specfun.saddle(x, y, rho_table).beta
         rhs = gfactor.psiover_rhs(x, y, 1e4, zeros10k, pt100k, rho_table)
         g = gfactor.g_value(beta, y, pt100k).g_direct.real
         assert abs(rhs - g) <= 3.0 * y ** (0.5 - beta) / math.log(y), f"u={u}"
+        assert rhs == frozen  # bit for bit
 
 
 def test_psiover_rhs_rejects_beta_near_half(pt100k, rho_table, zeros10k):

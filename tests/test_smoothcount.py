@@ -171,6 +171,26 @@ def test_psi_exact_out_of_memory_is_resource_error():
     assert len(rows) == 2 and rows[1].split(",")[1] == "50"
 
 
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs Linux address-space accounting"
+)
+def test_lambda_out_of_memory_is_resource_error():
+    # The atom-sum route at x = 4.4e5 allocates 7 MiB blocks, which do
+    # not all fit under the cap.
+    lib = _run_under_memory_cap(
+        "from smoothnum import debruijn\n"
+        "try:\n"
+        "    debruijn.lambda_xy(4.4e5, 200.0, specfun.default_rho_table())\n"
+        "except ResourceError as exc:\n"
+        "    print(exc)\n"
+    )
+    assert lib.returncode == 0, lib.stderr
+    assert lib.stdout == "lambda_xy(440000.0, 200.0) ran out of memory in the atom_sum route\n"
+    cli_run = _run_under_memory_cap("sys.exit(cli.main(['lambda', '--x', '4.4e5', '--y', '200']))")
+    assert cli_run.returncode == 4, cli_run.stderr
+    assert cli_run.stderr.startswith("smoothnum: ResourceError: lambda_xy(")
+
+
 def test_psi_exact_resource_and_range_errors(pt100k, monkeypatch):
     with pytest.raises(ResourceError):
         smoothcount.psi_exact(2 * 10**12, 100, pt100k)

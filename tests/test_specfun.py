@@ -207,8 +207,14 @@ def test_log_rho_range_errors(rho_table):
         specfun.log_rho(rho_table, -0.1)
     with pytest.raises(RangeError):
         specfun.log_rho(rho_table, 64.0001)
+    with pytest.raises(RangeError):
+        specfun.rho_prime(rho_table, -0.1)
+    with pytest.raises(RangeError):
+        specfun.rho_prime(rho_table, np.array([2.0, 64.0001]))
     # Values inside the snap slack are clipped, not rejected.
     assert specfun.rho(rho_table, -1e-12) == 1.0
+    assert specfun.rho_prime(rho_table, -1e-12) == 0.0
+    assert specfun.rho_prime(rho_table, 64.0 + 1e-9) < 0.0
 
 
 # ----------------------------------------------------------------------

@@ -185,6 +185,27 @@ def test_load_zeros_count_consistency_check(tmp_path, zeros10k):
         zetazeros.load_zeros(path, height=1e4)
 
 
+def test_load_zeros_default_height_is_last_ordinate(tmp_path, zeros10k):
+    full = zetazeros.load_zeros(ZEROS_PATH)
+    last = zetazeros.load_zeros(ZEROS_PATH, height=float(full.gammas[-1]))
+    assert full.height == last.height == float(full.gammas[-1])
+    assert np.array_equal(full.gammas, last.gammas)
+    # The count check still runs: the first 100 ordinates plus one at
+    # 9924.4 cannot be complete up to that last ordinate.
+    sparse = tmp_path / "sparse.txt"
+    gammas = list(zeros10k.gammas[:100]) + [zeros10k.gammas[-100]]
+    sparse.write_text("\n".join(f"{float(g)!r}" for g in gammas) + "\n")
+    with pytest.raises(ParseError, match="were expected"):
+        zetazeros.load_zeros(sparse)
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    with pytest.raises(ParseError, match="zero table is empty"):
+        zetazeros.load_zeros(empty)
+    for unreadable in (tmp_path / "missing.txt", tmp_path):
+        with pytest.raises(ParseError, match="cannot read zero table"):
+            zetazeros.load_zeros(unreadable)
+
+
 def test_load_zeros_bad_height():
     with pytest.raises(RangeError):
         zetazeros.load_zeros(ZEROS_PATH, height=0.0)
@@ -210,6 +231,8 @@ def test_zero_sum_exactly_real_for_real_s0(zeros10k):
     for s0 in (0.0, 0.7, -0.3):
         val = zetazeros.zero_sum(zeros10k, 1234.5, s0, 5000.0)
         assert val.imag == 0.0
+    # Frozen bit for bit.
+    assert zetazeros.zero_sum(zeros10k, 1234.5, 0.7, 5000.0).real == -3.2818859388110138
 
 
 def test_zero_sum_matches_mpmath_brute(zeros10k):
