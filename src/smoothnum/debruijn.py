@@ -3,14 +3,18 @@
 lambda_y(u) is the Stieltjes integral of rho(u - log t/log y) against
 d(floor(t)/t).  Two independent evaluations are provided:
 
-* ``lambda_atom_sum`` -- the measure split into unit atoms at integers
-  plus the density -floor(t)/t^2 dt;
 * ``lambda_ibp``      -- integration by parts, leaving rho(u) plus an
   integral against the sawtooth {t}/t^2 and the exact endpoint atom
-  -{y^u} y^{-u} coming from the unit jump of rho at 0.
+  -{y^u} y^{-u} coming from the unit jump of rho at 0.  This is the
+  production route behind ``lambda_xy``; its cost does not grow with x.
+* ``lambda_atom_sum`` -- the measure split into unit atoms at integers
+  plus the density -floor(t)/t^2 dt.  Its cost is linear in y^u, so it
+  serves as the cross-check of the other route.
 
 Both integrals are split at the integers, where the integrands kink, so
-each piece is a smooth product handled by short Gauss rules.
+each unit piece is a smooth product handled by short Gauss rules; the
+sawtooth integral only up to t = _EM_START.  Beyond it, Euler-Maclaurin
+leaves Gauss panels in u - log t/log y between the kinks t = y^(u-k).
 """
 
 import math
@@ -26,10 +30,10 @@ from . import specfun
 from .specfun import EULER_GAMMA, RhoTable, big_i, k_factor, saddle
 from .zetazeros import log_zeta_times_s_minus_1
 
-AUTO_ATOM_CUTOFF = 10**6  # lambda_xy switches methods above this y^u
-IBP_PIECE_CUTOFF = 10**6  # truncation point N* of the sawtooth integral
-
 _CHUNK = 1 << 17
+_EM_START = 1024  # unit pieces of the sawtooth integral below, Euler-Maclaurin above
+_PANELS_PER_UNIT = 2  # Gauss panels per unit of v in the Euler-Maclaurin tail
+_PANEL_NODES = 20
 
 
 @dataclass(frozen=True)
@@ -107,7 +111,7 @@ def _integrate_pieces(f, t_hi: float, n_gl: int = 7, kinks=()) -> float:
         length = np.asarray(b_list) - a
         t = a[:, None] + length[:, None] * xg
         vals = f(t.ravel(), np.repeat(np.asarray(n_list, dtype=np.float64), n_gl))
-        totals.append(float(np.sum((vals.reshape(t.shape) @ wg) * length)))
+        totals.append(float(np.sum(np.sum(vals.reshape(t.shape) * wg, axis=1) * length)))
 
     special_ns = np.fromiter(special.keys(), dtype=np.int64)
     for lo in range(16, n_full, _CHUNK):
@@ -118,7 +122,7 @@ def _integrate_pieces(f, t_hi: float, n_gl: int = 7, kinks=()) -> float:
             continue
         t = nn[:, None] + xg
         vals = f(t.ravel(), np.repeat(nn, n_gl))
-        totals.append(float(np.sum(vals.reshape(t.shape) @ wg)))
+        totals.append(float(np.sum(np.sum(vals.reshape(t.shape) * wg, axis=1))))
     return math.fsum(totals)
 
 
@@ -175,6 +179,86 @@ def lambda_atom_sum(u: float, y: float, table: RhoTable, *, _t_max=None) -> Lamb
     return LambdaResult(value=atom_part - integral, method="atom_sum", est_error=0.0)
 
 
+def _rho_derivatives(table: RhoTable, v: np.ndarray, branch: np.ndarray) -> tuple:
+    """rho', rho'' and rho''' at v on the branch v in [branch, branch + 1].
+
+    Built from table values of rho through v rho'(v) = -rho(v-1) and its
+    derivatives rho' + v rho'' = -rho'(v-1), 2 rho'' + v rho''' =
+    -rho''(v-1).  The branch decides which side of an integer v is
+    meant, so the kinks at integer v are one-sided without nudging v.
+    """
+    shift = np.arange(3)
+    w = v[:, None] - shift
+    live = branch[:, None] - shift >= 1  # rho is constant on [0, 1]
+    safe_w = np.where(live, w, 1.0)
+    d1 = np.where(live, -specfun.rho(table, np.maximum(w - 1.0, 0.0)) / safe_w, 0.0)
+    d2 = np.where(live[:, :2], -(d1[:, :2] + d1[:, 1:]) / safe_w[:, :2], 0.0)
+    d3 = -(2.0 * d2[:, 0] + d2[:, 1]) / v
+    return d1[:, 0], d2[:, 0], d3
+
+
+def _sawtooth_tail(u: float, log_y: float, t_hi: float, table: RhoTable) -> tuple:
+    """(integral, error bound) of f(t){t} over [_EM_START, t_hi], where
+    f(t) = -rho'(v)/t^2, v = u - log t/log y and t_hi = y^(u-1) (v = 1).
+
+    Between consecutive kinks t = y^(u-k) f is smooth, and with periodic
+    Bernoulli functions B~k,
+
+        integral f{t} = 1/2 integral f + [f B~2/2 - f' B~3/6 + f'' B~4/24]
+                        - integral f''' B~4/24.
+
+    The plain integral is taken as Gauss panels in v, where it reads
+    log y * integral -rho'(v) exp(-(u - v) log y) dv.  The last term is
+    dropped.  With |B~4| <= 1/30 and |f'''| bounded through the delay
+    equation by rho(v-1), ..., rho(v-4), it is bounded panel by panel;
+    the sum of those bounds is returned beside the integral.
+    """
+    v_start = u - math.log(_EM_START) / log_y
+    if v_start <= 1.0:
+        return 0.0, 0.0
+    # Segments [k, min(k + 1, v_start)] for k = 1 .. ceil(v_start) - 1;
+    # f' and f'' jump across their integer ends.
+    lo = np.arange(1.0, math.ceil(v_start))
+    hi = np.minimum(lo + 1.0, v_start)
+
+    # 1/2 integral f, as panels [a, a + width] in v.
+    n_panels = np.ceil((hi - lo) * _PANELS_PER_UNIT).astype(np.int64)
+    first = np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
+    width = np.repeat((hi - lo) / n_panels, n_panels)
+    a = np.repeat(lo, n_panels) + (np.arange(first.size) - first) * width
+    xg, wg = gauss_legendre(_PANEL_NODES)
+    v = a[:, None] + width[:, None] * xg
+    vals = -specfun.rho_prime(table, v.ravel()).reshape(v.shape) * np.exp(-(u - v) * log_y)
+    half_plain = 0.5 * log_y * float(np.sum(np.sum(vals * wg, axis=1) * width))
+
+    # Endpoint terms F(t(lo)) - F(t(hi)), each on its segment's branch;
+    # t is exact at both ends of the range and shared at interior kinks.
+    ends_v = np.concatenate([lo, hi])
+    ends_t = np.exp((u - ends_v) * log_y)
+    ends_t[0] = t_hi
+    ends_t[-1] = float(_EM_START)
+    d1, d2, d3 = _rho_derivatives(table, ends_v, np.concatenate([lo, lo]))
+    g0, g1, g2 = -d1, -d2, -d3  # f = g(v)/t^2 with g = -rho'
+    f0 = g0 / ends_t**2
+    f1 = -(g1 / log_y + 2.0 * g0) / ends_t**3
+    f2 = (g2 / log_y**2 + 5.0 * g1 / log_y + 6.0 * g0) / ends_t**4
+    s = ends_t - np.floor(ends_t)
+    b2 = s * s - s + 1.0 / 6.0
+    b3 = s * (s - 0.5) * (s - 1.0)
+    b4 = s * s * (s - 1.0) ** 2 - 1.0 / 30.0
+    big_f = f0 * b2 / 2.0 - f1 * b3 / 6.0 + f2 * b4 / 24.0
+    endpoint = float(np.sum(big_f[: lo.size]) - np.sum(big_f[lo.size :]))
+
+    # |f'''| <= t^-5 (24 rho(v-1) + 52 rho(v-2)/L + 54 rho(v-3)/L^2
+    # + 24 rho(v-4)/L^3), each rho largest at the panel's low-v end.
+    shift = np.arange(1.0, 5.0)
+    coef = np.array([24.0, 52.0, 54.0, 24.0]) / log_y ** (shift - 1.0)
+    h3 = np.sum(specfun.rho(table, np.maximum(a[:, None] - shift, 0.0)) * coef, axis=1)
+    t4 = np.exp(-4.0 * (u - a - width) * log_y) - np.exp(-4.0 * (u - a) * log_y)
+    bound = float(np.sum(h3 * t4)) / (4.0 * 720.0)
+    return half_plain + endpoint, bound
+
+
 def lambda_ibp(
     u: float, y: float, table: RhoTable, *, _t_hi=None, _pow_u=None
 ) -> LambdaResult:
@@ -186,21 +270,25 @@ def lambda_ibp(
     The last term is the atom contributed by the unit jump of rho at 0
     (t = y^u); it is kept exactly, which makes the route agree with the
     atom sum to quadrature accuracy and reproduces lambda_y(1) =
-    floor(y)/y.  The sawtooth integral is truncated at
-    N* = min(y^(u-1), 1e6); the dropped tail is below
-    sup|rho'| / (N* log y) with sup|rho'| <= 1, reported in est_error.
+    floor(y)/y.  The sawtooth integral is summed over unit pieces up to
+    t = _EM_START and by Euler-Maclaurin beyond (_sawtooth_tail), so the
+    cost grows with u but not with y^u.  est_error bounds the dropped
+    Euler-Maclaurin remainder (0 when y^(u-1) <= _EM_START); quadrature
+    rounding is not counted.
     """
     log_y = _validate(u, y)
-    t_hi_exact = float(y ** (u - 1.0) if _t_hi is None else _t_hi) if u > 1 else 0.0
-    t_hi = min(t_hi_exact, IBP_PIECE_CUTOFF)
+    t_hi = float(y ** (u - 1.0) if _t_hi is None else _t_hi) if u > 1 else 0.0
+    t_split = min(t_hi, _EM_START)
 
     def sawtooth(t, floor_t):
         args = u - np.log(t) / log_y
         return -specfun.rho_prime(table, args) * (t - floor_t) / (t * t)
 
-    integral = (
-        _integrate_pieces(sawtooth, t_hi, kinks=_rho_arg_kinks(u, y, t_hi, 2)) / log_y
-    )
+    integral = _integrate_pieces(sawtooth, t_split, kinks=_rho_arg_kinks(u, y, t_split, 2))
+    tail, est = 0.0, 0.0
+    if t_hi > t_split:
+        tail, est = _sawtooth_tail(u, log_y, t_hi, table)
+    integral = (integral + tail) / log_y
 
     # Endpoint atom {y^u} y^-u; underflows to rounding noise once y^u
     # has no representable fractional part.
@@ -211,32 +299,24 @@ def lambda_ibp(
         t_pow = float(y**u if _pow_u is None else _pow_u)
         boundary = (t_pow - _snap_floor(t_pow)) / t_pow
 
-    est = 0.0 if t_hi_exact <= IBP_PIECE_CUTOFF else 1.0 / (t_hi * log_y)
     value = specfun.rho(table, u) + integral - boundary
-    return LambdaResult(value=value, method="integration_by_parts", est_error=est)
+    return LambdaResult(value=value, method="integration_by_parts", est_error=est / log_y)
 
 
 def lambda_xy(x: float, y: float, table: RhoTable) -> float:
     """Lambda(x, y) = x * lambda_y(log x / log y), for x >= y >= 2.
 
-    Uses the atom sum when y^u = x stays below 1e6 and the
-    integration-by-parts form beyond; both see x exactly rather than
-    the float round trip exp(u log y).  A route that runs out of memory
-    raises ResourceError.
+    Always the integration-by-parts route, handed x exactly rather than
+    the float round trip exp(u log y); its cost does not grow with x.
+    Running out of memory raises ResourceError.
     """
     if y < 2 or x < y:
         raise DomainError("lambda_xy requires x >= y >= 2")
     u = math.log(x) / math.log(y)
-    route = "atom_sum" if x <= AUTO_ATOM_CUTOFF else "integration_by_parts"
     try:
-        if route == "atom_sum":
-            res = lambda_atom_sum(u, y, table, _t_max=x)
-        else:
-            res = lambda_ibp(u, y, table, _t_hi=x / y, _pow_u=x)
+        res = lambda_ibp(u, y, table, _t_hi=x / y, _pow_u=x)
     except MemoryError as exc:
-        raise ResourceError(
-            f"lambda_xy({x}, {y}) ran out of memory in the {route} route"
-        ) from exc
+        raise ResourceError(f"lambda_xy({x}, {y}) ran out of memory") from exc
     return x * res.value
 
 

@@ -75,28 +75,82 @@ def test_lambda_domain_errors(rho_table):
 
 
 def test_ibp_est_error_semantics(rho_table, monkeypatch):
-    # No truncation: est_error = 0 (the endpoint atom is exact).
+    # All unit pieces (y^(u-1) <= _EM_START): est_error = 0, the
+    # endpoint atom being exact.
     full = debruijn.lambda_ibp(2.0, 100.0, rho_table)
     assert full.est_error == 0.0
-    # Force truncation and check the advertised tail bound.
-    monkeypatch.setattr(debruijn, "IBP_PIECE_CUTOFF", 10**4)
-    cut = debruijn.lambda_ibp(3.0, 200.0, rho_table)  # y^(u-1) = 4e4 > 1e4
-    assert cut.est_error == pytest.approx(1.0 / (1e4 * math.log(200.0)), rel=1e-12)
-    # The truncated value still agrees with the untruncated one to the bound.
-    untruncated = debruijn.lambda_ibp(3.0, 200.0, rho_table, _t_hi=4e4)
-    assert abs(cut.value - untruncated.value) <= cut.est_error
+    # Euler-Maclaurin tail beyond _EM_START: est_error bounds the dropped
+    # remainder, hence the gap to the explicit unit-piece sum.
+    tail = debruijn.lambda_ibp(3.0, 200.0, rho_table, _t_hi=4e4)
+    assert 0.0 < tail.est_error < 1e-12 * tail.value
+    monkeypatch.setattr(debruijn, "_EM_START", 10**5)
+    explicit = debruijn.lambda_ibp(3.0, 200.0, rho_table, _t_hi=4e4)
+    assert explicit.est_error == 0.0
+    assert abs(tail.value - explicit.value) <= tail.est_error
 
 
-def test_lambda_ratio_to_rho_bound(rho_table, monkeypatch):
-    # |lambda_y(u)/rho(u) - 1| <= 5 log(u+1)/log y.  The sawtooth
-    # integral is truncated at 1e5 here; the dropped tail is orders of
-    # magnitude below the bound being checked.
-    monkeypatch.setattr(debruijn, "IBP_PIECE_CUTOFF", 10**5)
+def test_lambda_ratio_to_rho_bound(rho_table):
+    # |lambda_y(u)/rho(u) - 1| <= 5 log(u+1)/log y.
     for y in (1e3, 1e4):
         for u in (2.0, 4.0, 7.0, 10.0):
             lam = debruijn.lambda_ibp(u, y, rho_table).value
             ratio = abs(lam / specfun.rho(rho_table, u) - 1.0)
             assert ratio <= 5.0 * math.log(u + 1.0) / math.log(y), f"u={u} y={y}"
+
+
+# ----------------------------------------------------------------------
+# the Euler-Maclaurin tail of lambda_ibp
+# ----------------------------------------------------------------------
+
+# (x, y): y^(u-1) = x/y from 10^6 to 10^8.  [_EM_START, x/y] lies inside
+# one rho branch at (1e10, 1e4), crosses one kink at (1e9, 1e2) and
+# (1e11, 1e3), two at (3e8, 50) and (1e8, 30), and three at (2e7, 10).
+TAIL_POINTS = [(1e9, 1e2), (1e11, 1e3), (1e10, 1e4), (3e8, 50.0), (1e8, 30.0), (2e7, 10.0)]
+
+
+@pytest.mark.parametrize("x, y", TAIL_POINTS)
+def test_em_tail_matches_unit_pieces(rho_table, monkeypatch, x, y):
+    u = math.log(x) / math.log(y)
+    v_start = u - math.log(debruijn._EM_START) / math.log(y)
+    assert v_start > 1.0
+    tail = debruijn.lambda_ibp(u, y, rho_table, _t_hi=x / y, _pow_u=x).value
+    monkeypatch.setattr(debruijn, "_EM_START", 2 * x / y)
+    explicit = debruijn.lambda_ibp(u, y, rho_table, _t_hi=x / y, _pow_u=x).value
+    assert tail == pytest.approx(explicit, rel=1e-13)
+
+
+@pytest.mark.parametrize("x, y", TAIL_POINTS + [(1e15, 1e2), (1e30, 1e3), (1e30, 1e10)])
+def test_em_split_point_is_immaterial(rho_table, monkeypatch, x, y):
+    at_default = debruijn.lambda_xy(x, y, rho_table)
+    for n0 in (debruijn._EM_START // 4, debruijn._EM_START * 4):
+        with monkeypatch.context() as m:
+            m.setattr(debruijn, "_EM_START", n0)
+            assert debruijn.lambda_xy(x, y, rho_table) == pytest.approx(at_default, rel=1e-14)
+
+
+def test_lambda_cost_flat_in_x(rho_table, monkeypatch):
+    # Counted in rho' evaluations: the unit pieces stop at _EM_START, and
+    # the tail costs a few panels per unit of u.
+    evaluated = []
+    rho_prime = specfun.rho_prime
+
+    def counting(table, u):
+        evaluated.append(np.size(u))
+        return rho_prime(table, u)
+
+    monkeypatch.setattr(specfun, "rho_prime", counting)
+    counts = {}
+    for x in (1e7, 1e9, 1e30):
+        evaluated.clear()
+        debruijn.lambda_xy(x, 1e3, rho_table)
+        counts[x] = sum(evaluated)
+    assert 0 < counts[1e9] <= 2 * counts[1e7]
+    assert counts[1e30] <= 2 * counts[1e9]
+
+
+def test_lambda_xy_far_beyond_unit_pieces(rho_table):
+    lam = debruijn.lambda_xy(1e30, 1e10, rho_table)
+    assert math.isfinite(lam) and lam > 0
 
 
 # ----------------------------------------------------------------------
@@ -115,7 +169,8 @@ def test_lambda_xy_magnitude(rho_table):
 
 
 def test_lambda_xy_method_consistency_at_crossover(rho_table):
-    # x just above the auto cutoff: both routes must agree.
+    # x = 10^6.5, so the IBP route sums unit pieces up to _EM_START and
+    # takes the Euler-Maclaurin tail beyond; both routes must agree.
     x, y = 1e4 * math.sqrt(10.0), 100.0
     u = math.log(x) / math.log(y)
     atom = debruijn.lambda_atom_sum(u, y, rho_table, _t_max=x)
@@ -227,13 +282,11 @@ def test_buchstab_domain_error(rho_table):
 # the Laplace-transform identity
 # ----------------------------------------------------------------------
 
-def test_lambda_laplace_transform_identity(rho_table, monkeypatch):
+def test_lambda_laplace_transform_identity(rho_table):
     # integral of exp(-s u) lambda_y(u) du equals rho_hat(s) K(s/log y).
     # [0, 1] is integrated exactly piecewise (lambda = floor(t)/t there);
     # [1, 12] by Simpson per unit window; the remaining tail is below
-    # 1e-9.  The sawtooth cutoff is lowered to keep the runtime modest;
-    # its truncation error enters far below the 1e-4 tolerance.
-    monkeypatch.setattr(debruijn, "IBP_PIECE_CUTOFF", 10**4)
+    # 1e-9.
     y = 100.0
     log_y = math.log(y)
 

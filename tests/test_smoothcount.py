@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from smoothnum import primes, smoothcount
+from smoothnum import cli, debruijn, primes, smoothcount, specfun
 from smoothnum.errors import DomainError, RangeError, ResourceError
 
 
@@ -127,16 +127,17 @@ specfun.default_rho_table()
 np.ones((64, 64)) @ np.ones((64, 64))  # BLAS buffers, before the cap
 with open("/proc/self/statm") as f:
     mapped = int(f.read().split()[0]) * resource.getpagesize()
-resource.setrlimit(resource.RLIMIT_AS, (mapped + (64 << 20), resource.RLIM_INFINITY))
+resource.setrlimit(resource.RLIMIT_AS, (mapped + ({headroom_mib} << 20), resource.RLIM_INFINITY))
 {body}
 """
 
 
-def _run_under_memory_cap(body):
+def _run_under_memory_cap(body, headroom_mib=64):
     src = Path(smoothcount.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    child = _MEMORY_CAP_CHILD.format(body=body, headroom_mib=headroom_mib)
     return subprocess.run(
-        [sys.executable, "-c", _MEMORY_CAP_CHILD.format(body=body)],
+        [sys.executable, "-c", child],
         capture_output=True, text=True, env=env, timeout=300,
     )
 
@@ -174,21 +175,29 @@ def test_psi_exact_out_of_memory_is_resource_error():
 @pytest.mark.skipif(
     not os.path.exists("/proc/self/statm"), reason="needs Linux address-space accounting"
 )
-def test_lambda_out_of_memory_is_resource_error():
-    # The atom-sum route at x = 4.4e5 allocates 7 MiB blocks, which do
-    # not all fit under the cap.
-    lib = _run_under_memory_cap(
-        "from smoothnum import debruijn\n"
-        "try:\n"
-        "    debruijn.lambda_xy(4.4e5, 200.0, specfun.default_rho_table())\n"
-        "except ResourceError as exc:\n"
-        "    print(exc)\n"
+@pytest.mark.parametrize("headroom_mib", [16, 32])
+def test_lambda_under_tight_memory_cap_never_dies_in_blas(headroom_mib):
+    # Lambda's quadrature reduces with numpy sums, not BLAS matvecs: an
+    # OpenBLAS buffer that cannot be allocated aborts the process with
+    # exit 1 and no smoothnum error line.
+    run = _run_under_memory_cap(
+        "sys.exit(cli.main(['lambda', '--x', '2e6', '--y', '200']))", headroom_mib
     )
-    assert lib.returncode == 0, lib.stderr
-    assert lib.stdout == "lambda_xy(440000.0, 200.0) ran out of memory in the atom_sum route\n"
-    cli_run = _run_under_memory_cap("sys.exit(cli.main(['lambda', '--x', '4.4e5', '--y', '200']))")
-    assert cli_run.returncode == 4, cli_run.stderr
-    assert cli_run.stderr.startswith("smoothnum: ResourceError: lambda_xy(")
+    assert run.returncode in (0, 4), run.stderr
+    assert "OpenBLAS" not in run.stderr
+
+
+def test_lambda_out_of_memory_is_resource_error(monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(debruijn, "_integrate_pieces", out_of_memory)
+    with pytest.raises(ResourceError) as info:
+        debruijn.lambda_xy(4.4e5, 200.0, specfun.default_rho_table())
+    assert str(info.value) == "lambda_xy(440000.0, 200.0) ran out of memory"
+    assert isinstance(info.value.__cause__, MemoryError)
+    assert cli.main(["lambda", "--x", "4.4e5", "--y", "200"]) == 4
+    assert capsys.readouterr().err.startswith("smoothnum: ResourceError: lambda_xy(")
 
 
 def test_psi_exact_resource_and_range_errors(pt100k, monkeypatch):
