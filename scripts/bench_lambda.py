@@ -3,11 +3,11 @@
 Each revision runs in its own child process: "." is this checkout's
 src/, anything else is a git revision whose src/ is extracted first.
 Per point the child builds the rho table, makes one warm-up call, then
-times --repeats calls of debruijn.lambda_xy and keeps the median; it
-also counts the rho' evaluations of one call.  The points are the
-benchmark's prediction-sweep grid at seed 0.  The --far-x points, at
-y = x^(1/3), run at the last revision only; there the signed criterion-05
-deviation Lambda / (x rho(3) K(-xi(3)/log y)) - 1 is recorded too.
+times REPEATS calls of debruijn.lambda_xy and keeps the median; it also
+counts the rho' evaluations of one call.  The points are the benchmark's
+prediction-sweep grid at seed 0.  The FAR_X points, at y = x^(1/3), run
+at the last revision only; there the signed criterion-05 deviation
+Lambda / (x rho(3) K(-xi(3)/log y)) - 1 is recorded too.
 
     python scripts/bench_lambda.py --rev 990de1c --rev . --out BENCH_lambda.json
 """
@@ -24,9 +24,11 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+REPEATS = 5
+FAR_X = (1e20, 1e25, 1e30)
 
 
-def _child(points: list, far: list, repeats: int) -> dict:
+def _child(points: list, far: list) -> dict:
     import math
     import resource
     import statistics
@@ -47,7 +49,7 @@ def _child(points: list, far: list, repeats: int) -> dict:
     def measure(x, y):
         lam = debruijn.lambda_xy(x, y, table)
         times = []
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             start = time.perf_counter()
             debruijn.lambda_xy(x, y, table)
             times.append(time.perf_counter() - start)
@@ -117,37 +119,32 @@ def _machine() -> dict:
     }
 
 
-def _floats(text: str) -> list:
-    return [float(v) for v in text.split(",") if v]
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(
         description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
     )
     parser.add_argument("--rev", action="append", default=None,
                         help='revision to time, repeatable; "." is the working tree')
-    parser.add_argument("--repeats", type=int, default=5)
-    parser.add_argument("--sweep-x", default="1e6,1e7,1e9,1e11,1e13,1e15")
-    parser.add_argument("--sweep-y", default="1e2,1e3,1e4")
-    parser.add_argument("--far-x", default="1e20,1e25,1e30")
     parser.add_argument("--out", default="BENCH_lambda.json")
     parser.add_argument("--child", help=argparse.SUPPRESS)
     args = parser.parse_args()
 
     if args.child:
         spec = json.loads(args.child)
-        json.dump(_child(spec["points"], spec["far"], spec["repeats"]), sys.stdout)
+        json.dump(_child(spec["points"], spec["far"]), sys.stdout)
         return 0
 
+    sys.path[:0] = [str(ROOT), str(ROOT / "src")]
+    from perfbench.workloads import SWEEP_X, SWEEP_Y
+
     revs = args.rev or ["."]
-    points = [(x, y) for y in _floats(args.sweep_y) for x in _floats(args.sweep_x)]
+    points = [(x, y) for y in SWEEP_Y for x in SWEEP_X]
     runs = []
     with tempfile.TemporaryDirectory() as scratch:
         for i, rev in enumerate(revs):
             src, commit = _src_of(rev, Path(scratch))
-            far = _floats(args.far_x) if i == len(revs) - 1 else []
-            spec = json.dumps({"points": points, "far": far, "repeats": args.repeats})
+            far = list(FAR_X) if i == len(revs) - 1 else []
+            spec = json.dumps({"points": points, "far": far})
             env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
             child = subprocess.run(
                 [sys.executable, __file__, "--child", spec],

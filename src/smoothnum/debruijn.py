@@ -239,9 +239,10 @@ def _sawtooth_tail(u: float, log_y: float, t_hi: float, table: RhoTable) -> tupl
     ends_t[-1] = float(_EM_START)
     d1, d2, d3 = _rho_derivatives(table, ends_v, np.concatenate([lo, lo]))
     g0, g1, g2 = -d1, -d2, -d3  # f = g(v)/t^2 with g = -rho'
-    f0 = g0 / ends_t**2
-    f1 = -(g1 / log_y + 2.0 * g0) / ends_t**3
-    f2 = (g2 / log_y**2 + 5.0 * g1 / log_y + 6.0 * g0) / ends_t**4
+    inv_t = 1.0 / ends_t  # its powers underflow quietly; those of t overflow
+    f0 = g0 * inv_t**2
+    f1 = -(g1 / log_y + 2.0 * g0) * inv_t**3
+    f2 = (g2 / log_y**2 + 5.0 * g1 / log_y + 6.0 * g0) * inv_t**4
     s = ends_t - np.floor(ends_t)
     b2 = s * s - s + 1.0 / 6.0
     b3 = s * (s - 0.5) * (s - 1.0)

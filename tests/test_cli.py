@@ -9,6 +9,7 @@ import json
 import math
 import shutil
 import subprocess
+import warnings
 
 import pytest
 
@@ -50,6 +51,17 @@ def test_lambda_matches_library(capsys):
     out = capsys.readouterr().out
     expected = debruijn.lambda_xy(1000.0, 100.0, specfun.default_rho_table())
     assert out == format(expected, ".17g") + "\n"
+
+
+def test_lambda_far_x_is_quiet(capsys):
+    # x/y = 1e90: the powers of t in the sawtooth tail's endpoint terms
+    # must underflow to 0, not overflow with a numpy warning on stderr.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["lambda", "--x", "1e100", "--y", "1e10"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert 0.0 < float(captured.out) < 1e100
 
 
 def test_g_breakdown(capsys):
