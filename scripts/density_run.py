@@ -12,7 +12,7 @@ import os
 import sys
 
 from smoothnum import bias, zetazeros
-from smoothnum.errors import ParseError
+from smoothnum.errors import ParseError, RangeError
 
 
 def main() -> int:
@@ -29,13 +29,13 @@ def main() -> int:
 
     try:
         zeros = zetazeros.load_zeros(args.zeros)
+        big_t = zeros.leading_height(args.ordinates)
     except ParseError as exc:
         print(exc, file=sys.stderr)
         return 2
-    if zeros.count < args.ordinates:
-        print(f"zero table holds only {zeros.count} ordinates", file=sys.stderr)
+    except RangeError as exc:
+        print(exc, file=sys.stderr)
         return 3
-    big_t = float(zeros.gammas[args.ordinates - 1]) * (1 + 1e-12)
 
     cfg = bias.BiasConfig(beta0=0.75, T=big_t, seed=args.seed, n_samples=args.n_samples)
     cal = bias.li_density(cfg, zeros, calibration=True)

@@ -16,7 +16,7 @@ uniform phases (the linear-independence heuristic).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,13 +46,12 @@ _CHUNK_SAMPLES = 4096
 @dataclass(frozen=True)
 class BiasConfig:
     """Parameters of a density run: curve exponent, zero-height cutoff,
-    RNG seed, sample count, and (for grid scans) the y values."""
+    RNG seed and sample count."""
 
     beta0: float
     T: float
     seed: int
     n_samples: int
-    y_grid: tuple = field(default_factory=tuple)
 
     def __post_init__(self):
         if not 0.5 < self.beta0 < 1.0:

@@ -37,32 +37,21 @@ EXIT_CODES = {
     SingularityError: 7,
 }
 
-CSV_COLUMNS = [
-    "x",
-    "y",
-    "u",
-    "beta",
-    "psi_exact",
-    "lambda",
-    "g_beta",
-    "ratio_uncorrected",
-    "ratio_corrected",
-    "model_rhs",
-    "normalized_deviation",
-]
-
-_DEFAULTS = {
-    "rho_step": 1.0 / 512.0,
-    "u_max": 64.0,
-    "zeros_height": None,
-    "T": None,
-    "seed": 42,
-    "n_samples": 1_000_000,
-    "ordinates": 1000,
-    "n_points": 8,
-    "out": "-",
-    "plot": None,
+# CSV column -> BiasPoint field, in column order
+_CSV_FIELDS = {
+    "x": "x",
+    "y": "y",
+    "u": "u",
+    "beta": "beta",
+    "psi_exact": "psi",
+    "lambda": "lam",
+    "g_beta": "g",
+    "ratio_uncorrected": "ratio_uncorrected",
+    "ratio_corrected": "ratio_corrected",
+    "model_rhs": "model",
+    "normalized_deviation": "deviation",
 }
+CSV_COLUMNS = list(_CSV_FIELDS)
 
 
 def _fmt(value) -> str:
@@ -70,24 +59,27 @@ def _fmt(value) -> str:
 
 
 def _rho_table(args) -> specfun.RhoTable:
-    if args.rho_step == _DEFAULTS["rho_step"] and args.u_max == _DEFAULTS["u_max"]:
+    if (args.rho_step, args.u_max) == (
+        _OPTIONS["rho-step"]["default"], _OPTIONS["u-max"]["default"]
+    ):
         return specfun.default_rho_table()
     return specfun.build_rho_table(step=args.rho_step, u_max=args.u_max)
 
 
-def _load_zeros(args) -> tuple:
-    """The --zeros table and the zero-sum cutoff --T, which defaults to
-    the table height; (None, None) when no table is given."""
+def _load_zeros(args, required: bool = False) -> zetazeros.ZeroList | None:
+    """The --zeros table; None when none is given and none is required."""
     if args.zeros is None:
-        return None, None
-    zeros = zetazeros.load_zeros(args.zeros, height=args.zeros_height)
-    return zeros, args.T if args.T is not None else zeros.height
+        if required:
+            raise ParseError(f"command {args.command!r} needs --zeros PATH")
+        return None
+    return zetazeros.load_zeros(args.zeros, height=args.zeros_height)
 
 
-def _require_zeros(args) -> tuple:
-    if args.zeros is None:
-        raise ParseError(f"command {args.command!r} needs --zeros PATH")
-    return _load_zeros(args)
+def _cutoff(args, zeros: zetazeros.ZeroList | None) -> float | None:
+    """The zero-sum cutoff --T, which defaults to the table height."""
+    if zeros is None:
+        return None
+    return zeros.height if args.T is None else args.T
 
 
 def _open_out(path: str):
@@ -96,7 +88,8 @@ def _open_out(path: str):
     return open(path, "w", encoding="ascii", newline=""), True
 
 
-def _write_csv(path: str, rows: list[dict]) -> None:
+def _write_csv(path: str, rows: list[dict]) -> list[dict]:
+    """Write the rows sorted by (y, x) and return them in that order."""
     rows = sorted(rows, key=lambda r: (r["y"], r["x"]))
     handle, owned = _open_out(path)
     try:
@@ -107,48 +100,29 @@ def _write_csv(path: str, rows: list[dict]) -> None:
     finally:
         if owned:
             handle.close()
+    return rows
 
 
 def _point_row(point: bias.BiasPoint) -> dict:
-    return {
-        "x": point.x,
-        "y": point.y,
-        "u": point.u,
-        "beta": point.beta,
-        "psi_exact": float(point.psi),
-        "lambda": point.lam,
-        "g_beta": point.g,
-        "ratio_uncorrected": point.ratio_uncorrected,
-        "ratio_corrected": point.ratio_corrected,
-        "model_rhs": point.model,
-        "normalized_deviation": point.deviation,
-    }
+    return {column: float(getattr(point, name)) for column, name in _CSV_FIELDS.items()}
 
 
 def _log_grid(y_min: float, y_max: float, n: int) -> list[float]:
     if n < 0:
         raise RangeError(f"need n_points >= 0, got {n}")
-    if n == 0:
-        return []
-    if n == 1:
-        return [y_min]
-    if not 2.0 <= y_min <= y_max:
+    if n > 0 and not 2.0 <= y_min <= y_max:
         raise RangeError(f"need 2 <= y_min <= y_max, got [{y_min:g}, {y_max:g}]")
+    if n <= 1:
+        return [y_min] * n
     ratio = (y_max / y_min) ** (1.0 / (n - 1))
     grid = [y_min * ratio**i for i in range(n)]
     grid[-1] = y_max  # rounding must not push the endpoint past the sieve
     return grid
 
 
-def _emit_plot(prefix: str, series: dict[str, list[tuple]], xlabel: str, ylabel: str) -> None:
-    """Write two-column .dat files plus a small matplotlib script."""
-    names = []
-    for name, pairs in series.items():
-        dat = f"{prefix}_{name}.dat"
-        with open(dat, "w", encoding="ascii") as handle:
-            for xv, yv in pairs:
-                handle.write(f"{_fmt(xv)} {_fmt(yv)}\n")
-        names.append((name, dat))
+def _emit_plot(prefix: str, rows: list[dict], columns, ylabel: str) -> None:
+    """Write a two-column (y, column) .dat file per column plus a small
+    matplotlib script."""
     script = [
         "#!/usr/bin/env python3",
         "import matplotlib",
@@ -158,22 +132,21 @@ def _emit_plot(prefix: str, series: dict[str, list[tuple]], xlabel: str, ylabel:
         "",
         "fig, ax = plt.subplots(figsize=(7, 4.5))",
     ]
-    for name, dat in names:
+    for name in columns:
+        dat = f"{prefix}_{name}.dat"
+        with open(dat, "w", encoding="ascii") as handle:
+            handle.writelines(f"{_fmt(r['y'])} {_fmt(r[name])}\n" for r in rows)
         script.append(f'data = np.loadtxt("{dat}")')
-        script.append(
-            f'ax.plot(data[:, 0], data[:, 1], marker="o", label="{name}")'
-        )
-    script.extend(
-        [
-            'ax.set_xscale("log")',
-            f'ax.set_xlabel("{xlabel}")',
-            f'ax.set_ylabel("{ylabel}")',
-            "ax.legend()",
-            "fig.tight_layout()",
-            f'fig.savefig("{prefix}.png", dpi=150)',
-            f'print("wrote {prefix}.png")',
-        ]
-    )
+        script.append(f'ax.plot(data[:, 0], data[:, 1], marker="o", label="{name}")')
+    script += [
+        'ax.set_xscale("log")',
+        'ax.set_xlabel("y")',
+        f'ax.set_ylabel("{ylabel}")',
+        "ax.legend()",
+        "fig.tight_layout()",
+        f'fig.savefig("{prefix}.png", dpi=150)',
+        f'print("wrote {prefix}.png")',
+    ]
     with open(f"{prefix}_plot.py", "w", encoding="ascii") as handle:
         handle.write("\n".join(script) + "\n")
 
@@ -209,7 +182,8 @@ def _cmd_g(args) -> int:
 
 def _grid_rows(args, beta0_list) -> list[dict]:
     table = _rho_table(args)
-    zeros, big_t = _load_zeros(args)
+    zeros = _load_zeros(args)
+    big_t = _cutoff(args, zeros)
     ys = _log_grid(args.y_min, args.y_max, args.n_points)
     pt = primes.sieve(max(4, int(args.y_max))) if ys else primes.sieve(4)
     rows = []
@@ -229,48 +203,33 @@ def _grid_rows(args, beta0_list) -> list[dict]:
 
 def _cmd_verify_theorem1(args) -> int:
     try:
-        beta0_list = [float(tok) for tok in str(args.beta0).split(",") if tok]
+        beta0_list = [float(tok) for tok in args.beta0.split(",") if tok]
     except ValueError:
         raise ParseError(f"--beta0 expects comma-separated floats, got {args.beta0!r}") from None
     if not beta0_list:
         raise ParseError("--beta0 expects at least one value")
-    rows = _grid_rows(args, beta0_list)
-    _write_csv(args.out, rows)
+    rows = _write_csv(args.out, _grid_rows(args, beta0_list))
     if args.plot:
-        ordered = sorted(rows, key=lambda r: (r["y"], r["x"]))
-        _emit_plot(
-            args.plot,
-            {
-                "ratio_uncorrected": [(r["y"], r["ratio_uncorrected"]) for r in ordered],
-                "ratio_corrected": [(r["y"], r["ratio_corrected"]) for r in ordered],
-            },
-            xlabel="y",
-            ylabel="Psi over prediction",
-        )
+        columns = ("ratio_uncorrected", "ratio_corrected")
+        _emit_plot(args.plot, rows, columns, "Psi over prediction")
     return 0
 
 
 def _cmd_bias_scan(args) -> int:
-    rows = _grid_rows(args, [args.beta0])
-    _write_csv(args.out, rows)
+    rows = _write_csv(args.out, _grid_rows(args, [args.beta0]))
     if args.plot:
-        ordered = sorted(rows, key=lambda r: (r["y"], r["x"]))
-        series = {
-            "normalized_deviation": [
-                (r["y"], r["normalized_deviation"]) for r in ordered
-            ]
-        }
-        if not all(math.isnan(r["model_rhs"]) for r in ordered):
-            series["model_rhs"] = [(r["y"], r["model_rhs"]) for r in ordered]
-        _emit_plot(args.plot, series, xlabel="y", ylabel="normalized deviation")
+        columns = ["normalized_deviation"]
+        if not all(math.isnan(r["model_rhs"]) for r in rows):
+            columns.append("model_rhs")
+        _emit_plot(args.plot, rows, columns, "normalized deviation")
     return 0
 
 
 def _cmd_verify_psiover(args) -> int:
     table = _rho_table(args)
-    zeros, big_t = _require_zeros(args)
+    zeros = _load_zeros(args, required=True)
     pt = primes.sieve(max(4, int(args.y)))
-    rhs = gfactor.psiover_rhs(args.x, args.y, big_t, zeros, pt, table)
+    rhs = gfactor.psiover_rhs(args.x, args.y, _cutoff(args, zeros), zeros, pt, table)
     sd = specfun.saddle(args.x, args.y, table)
     g = gfactor.g_direct(sd.beta, args.y, pt).real
     print(f"psiover_rhs = {_fmt(rhs)}")
@@ -289,199 +248,148 @@ def _density_report(est: bias.DensityEstimate) -> None:
 
 
 def _cmd_li_density(args) -> int:
-    zeros, big_t = _require_zeros(args)
+    zeros = _load_zeros(args, required=True)
     cfg = bias.BiasConfig(
-        beta0=args.beta0, T=big_t, seed=args.seed, n_samples=args.n_samples
+        beta0=args.beta0, T=_cutoff(args, zeros), seed=args.seed, n_samples=args.n_samples
     )
     _density_report(bias.li_density(cfg, zeros))
     return 0
 
 
 def _cmd_calibrate_pi_li(args) -> int:
-    zeros, _ = _require_zeros(args)
-    if zeros.count < args.ordinates:
-        raise RangeError(
-            f"zero table holds {zeros.count} ordinates, need {args.ordinates}"
-        )
-    big_t = float(zeros.gammas[args.ordinates - 1]) * (1 + 1e-12)
-    cfg = bias.BiasConfig(
-        beta0=0.75, T=big_t, seed=args.seed, n_samples=args.n_samples
-    )
+    zeros = _load_zeros(args, required=True)
+    big_t = zeros.leading_height(args.ordinates)
+    cfg = bias.BiasConfig(beta0=0.75, T=big_t, seed=args.seed, n_samples=args.n_samples)
     _density_report(bias.li_density(cfg, zeros, calibration=True))
     return 0
 
 
-_HANDLERS = {
-    "psi": _cmd_psi,
-    "lambda": _cmd_lambda,
-    "g": _cmd_g,
-    "verify-theorem1": _cmd_verify_theorem1,
-    "verify-psiover": _cmd_verify_psiover,
-    "bias-scan": _cmd_bias_scan,
-    "li-density": _cmd_li_density,
-    "calibrate-pi-li": _cmd_calibrate_pi_li,
+# ----------------------------------------------------------------------
+# option and subcommand tables, config precedence
+# ----------------------------------------------------------------------
+
+# option name -> add_argument kwargs; the flag is "--" + name
+_OPTIONS = {
+    "x": dict(type=float, required=True),
+    "y": dict(type=float, required=True),
+    "s": dict(type=float, required=True),
+    "breakdown": dict(action="store_true", help="print all four fields"),
+    "beta0": dict(type=float, required=True),
+    "seed": dict(type=int, default=42, help="RNG seed (default: %(default)s)"),
+    "n-samples": dict(
+        type=int, default=1_000_000, help="Monte Carlo sample count (default: %(default)s)"
+    ),
+    "ordinates": dict(
+        type=int, default=1000, help="number of leading ordinates to use (default: %(default)s)"
+    ),
+    # SUPPRESS, so that a subcommand does not reset a top-level --config
+    "config": dict(
+        default=argparse.SUPPRESS,
+        help="JSON file of defaults (flags given on the command line win)",
+    ),
+    "rho-step": dict(
+        type=float,
+        default=1.0 / 512.0,
+        help="grid step of the Dickman table (default: %(default)s)",
+    ),
+    "u-max": dict(
+        type=float, default=64.0, help="upper end of the Dickman table (default: %(default)s)"
+    ),
+    "zeros": dict(help="path to a zero-ordinate table"),
+    "zeros-height": dict(
+        type=float, help="claimed completeness height (default: last ordinate in file)"
+    ),
+    "T": dict(type=float, help="zero-sum cutoff height (default: table height)"),
+    "y-min": dict(type=float, required=True),
+    "y-max": dict(type=float, required=True),
+    "n-points": dict(type=int, default=8, help="log-spaced grid size (default: %(default)s)"),
+    "out": dict(default="-", help="CSV destination, '-' for stdout (default: %(default)s)"),
+    "plot": dict(help="prefix for .dat series and a generated matplotlib script"),
+    "skip-infeasible": dict(
+        action="store_true",
+        help="drop grid points whose exact count exceeds the resource envelope",
+    ),
+}
+_RHO = ("rho-step", "u-max")
+_ZEROS = ("zeros", "zeros-height", "T")
+_GRID = ("y-min", "y-max", "n-points", "out", "plot", "skip-infeasible")
+# verify-theorem1 takes a comma-separated list under the same flag
+_BETA0_LIST = (
+    "beta0",
+    dict(default="0.7,0.8", help="comma-separated saddle exponents (default: %(default)s)"),
+)
+
+# subcommand -> (handler, help, options in --help order); an option is a
+# name in _OPTIONS or a (name, kwargs) pair of its own
+_COMMANDS = {
+    "psi": (_cmd_psi, "exact smooth-integer count", ("x", "y", "config")),
+    "lambda": (_cmd_lambda, "de Bruijn approximation Lambda(x,y)", ("x", "y", "config", *_RHO)),
+    "g": (_cmd_g, "correction factor G(s,y)", ("s", "y", "breakdown", "config")),
+    "verify-theorem1": (
+        _cmd_verify_theorem1,
+        "grid comparison of Psi against Lambda and Lambda*G",
+        (_BETA0_LIST, "config", *_RHO, *_ZEROS, *_GRID),
+    ),
+    "verify-psiover": (
+        _cmd_verify_psiover,
+        "zero-sum prediction for Psi/Lambda vs G(beta,y)",
+        ("x", "y", "config", *_RHO, *_ZEROS),
+    ),
+    "bias-scan": (
+        _cmd_bias_scan,
+        "normalized deviation along x(y)",
+        ("beta0", "config", *_RHO, *_ZEROS, *_GRID),
+    ),
+    "li-density": (
+        _cmd_li_density,
+        "Monte Carlo logarithmic density",
+        ("beta0", "seed", "n-samples", "config", *_ZEROS),
+    ),
+    "calibrate-pi-li": (
+        _cmd_calibrate_pi_li,
+        "pi-vs-Li density calibration of the sampler",
+        ("seed", "n-samples", "ordinates", "config", "zeros", "zeros-height"),
+    ),
 }
 
 
-# ----------------------------------------------------------------------
-# parser construction / config precedence
-# ----------------------------------------------------------------------
-
-def _add_common(sub, *, xy=False, zeros=False, grid=False, rho=False):
-    if xy:
-        sub.add_argument("--x", type=float, required=True)
-        sub.add_argument("--y", type=float, required=True)
-    sub.add_argument(
-        "--config",
-        default=None,
-        help="JSON file of defaults (flags given on the command line win)",
+def _options(command: str) -> dict:
+    """The options of `command`: name -> add_argument kwargs, in --help order."""
+    return dict(
+        opt if isinstance(opt, tuple) else (opt, _OPTIONS[opt]) for opt in _COMMANDS[command][2]
     )
-    if rho:
-        sub.add_argument(
-            "--rho-step",
-            type=float,
-            default=_DEFAULTS["rho_step"],
-            help="grid step of the Dickman table (default: %(default)s)",
-        )
-        sub.add_argument(
-            "--u-max",
-            type=float,
-            default=_DEFAULTS["u_max"],
-            help="upper end of the Dickman table (default: %(default)s)",
-        )
-    if zeros:
-        sub.add_argument("--zeros", default=None, help="path to a zero-ordinate table")
-        sub.add_argument(
-            "--zeros-height",
-            type=float,
-            default=_DEFAULTS["zeros_height"],
-            help="claimed completeness height (default: last ordinate in file)",
-        )
-        sub.add_argument(
-            "--T",
-            type=float,
-            default=_DEFAULTS["T"],
-            help="zero-sum cutoff height (default: table height)",
-        )
-    if grid:
-        sub.add_argument("--y-min", type=float, required=True)
-        sub.add_argument("--y-max", type=float, required=True)
-        sub.add_argument(
-            "--n-points",
-            type=int,
-            default=_DEFAULTS["n_points"],
-            help="log-spaced grid size (default: %(default)s)",
-        )
-        sub.add_argument(
-            "--out",
-            default=_DEFAULTS["out"],
-            help="CSV destination, '-' for stdout (default: %(default)s)",
-        )
-        sub.add_argument(
-            "--plot",
-            default=_DEFAULTS["plot"],
-            help="prefix for .dat series and a generated matplotlib script",
-        )
-        sub.add_argument(
-            "--skip-infeasible",
-            action="store_true",
-            help="drop grid points whose exact count exceeds the resource envelope",
-        )
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="smoothnum",
         allow_abbrev=False,
         description="Smooth-number counts, de Bruijn approximations, "
         "zeta-zero corrections, and bias experiments.",
+        exit_on_error=exit_on_error,
     )
-    parser.add_argument(
-        "--config",
-        default=None,
-        help="JSON file of defaults (flags given on the command line win)",
-    )
+    parser.add_argument("--config", **_OPTIONS["config"])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    sub = subs.add_parser("psi", help="exact smooth-integer count")
-    _add_common(sub, xy=True)
-
-    sub = subs.add_parser("lambda", help="de Bruijn approximation Lambda(x,y)")
-    _add_common(sub, xy=True, rho=True)
-
-    sub = subs.add_parser("g", help="correction factor G(s,y)")
-    sub.add_argument("--s", type=float, required=True)
-    sub.add_argument("--y", type=float, required=True)
-    sub.add_argument("--breakdown", action="store_true", help="print all four fields")
-    _add_common(sub)
-
-    sub = subs.add_parser(
-        "verify-theorem1",
-        help="grid comparison of Psi against Lambda and Lambda*G",
-    )
-    sub.add_argument(
-        "--beta0",
-        default="0.7,0.8",
-        help="comma-separated saddle exponents (default: %(default)s)",
-    )
-    _add_common(sub, zeros=True, grid=True, rho=True)
-
-    sub = subs.add_parser(
-        "verify-psiover", help="zero-sum prediction for Psi/Lambda vs G(beta,y)"
-    )
-    _add_common(sub, xy=True, zeros=True, rho=True)
-
-    sub = subs.add_parser("bias-scan", help="normalized deviation along x(y)")
-    sub.add_argument("--beta0", type=float, required=True)
-    _add_common(sub, zeros=True, grid=True, rho=True)
-
-    sub = subs.add_parser("li-density", help="Monte Carlo logarithmic density")
-    sub.add_argument("--beta0", type=float, required=True)
-    sub.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="RNG seed (default: %(default)s)")
-    sub.add_argument(
-        "--n-samples",
-        type=int,
-        default=_DEFAULTS["n_samples"],
-        help="Monte Carlo sample count (default: %(default)s)",
-    )
-    _add_common(sub, zeros=True)
-
-    sub = subs.add_parser(
-        "calibrate-pi-li", help="pi-vs-Li density calibration of the sampler"
-    )
-    sub.add_argument("--seed", type=int, default=_DEFAULTS["seed"], help="RNG seed (default: %(default)s)")
-    sub.add_argument(
-        "--n-samples",
-        type=int,
-        default=_DEFAULTS["n_samples"],
-        help="Monte Carlo sample count (default: %(default)s)",
-    )
-    sub.add_argument(
-        "--ordinates",
-        type=int,
-        default=_DEFAULTS["ordinates"],
-        help="number of leading ordinates to use (default: %(default)s)",
-    )
-    _add_common(sub, zeros=True)
-
+    for command, (_, text, _) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=text, exit_on_error=exit_on_error)
+        for name, kwargs in _options(command).items():
+            sub.add_argument("--" + name, **kwargs)
     return parser
 
 
-def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
+def _parse_args(argv: list[str]) -> argparse.Namespace:
     """flags > config-file values > built-in defaults.
 
-    A flag counts as "given" when its literal token appears on the
-    command line (abbreviations are disabled); every other config key
-    simply replaces the parsed default.
+    Each config entry becomes the flag it names, placed right after the
+    subcommand: argparse parses it as it would the flag, and a flag typed
+    on the command line comes later and wins.  true stands for the bare
+    flag and false for no flag, which is how store_true options are set.
     """
-    probe = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
-    probe.add_argument("--config", default=None)
-    pre, _ = probe.parse_known_args(argv)
-    args = parser.parse_args(argv)
-    if pre.config is None:
+    args = _build_parser().parse_args(argv)
+    if getattr(args, "config", None) is None:
         return args
     try:
-        with open(pre.config, "r", encoding="utf-8") as handle:
+        with open(args.config, "r", encoding="utf-8") as handle:
             overrides = json.load(handle)
     except OSError as exc:
         raise ParseError(f"cannot read config: {exc}") from None
@@ -489,24 +397,31 @@ def _apply_config(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.
         raise ParseError(f"config is not valid JSON: {exc}") from None
     if not isinstance(overrides, dict):
         raise ParseError("config must be a JSON object")
-    known = set(vars(args))
+    declared = _options(args.command)
+    tokens = []
     for key, value in overrides.items():
-        dest = key.replace("-", "_")
-        if dest not in known:
+        name = key.replace("_", "-")
+        if name not in declared:
             raise ParseError(f"config key {key!r} is not a recognized option")
-        flag = "--" + dest.replace("_", "-")
-        if any(tok == flag or tok.startswith(flag + "=") for tok in argv):
-            continue
-        setattr(args, dest, value)
-    return args
+        if not isinstance(value, (str, int, float)):
+            raise ParseError(f"config key {key!r} needs a string, number or boolean")
+        if value is not False:
+            tokens.append(f"--{name}" if value is True else f"--{name}={value}")
+    at = 0
+    while argv[at] != args.command:  # skip the top-level --config and its path
+        at += 2 if argv[at] == "--config" else 1
+    argv = argv[: at + 1] + tokens + argv[at + 1 :]
+    try:
+        return _build_parser(exit_on_error=False).parse_args(argv)
+    except argparse.ArgumentError as exc:
+        raise ParseError(f"config: {exc}") from None
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        parser = _build_parser()
-        args = _apply_config(parser, argv)
-        return _HANDLERS[args.command](args)
+        args = _parse_args(argv)
+        return _COMMANDS[args.command][0](args)
     except SmoothnumError as exc:
         print(f"smoothnum: {type(exc).__name__}: {exc}", file=sys.stderr)
         for cls, code in EXIT_CODES.items():

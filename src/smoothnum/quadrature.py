@@ -36,12 +36,3 @@ def adaptive_complex(f, tol_rel: float = 1e-13, max_depth: int = 28):
         return recurse(a, mid, left, depth + 1) + recurse(mid, b, right, depth + 1)
 
     return recurse(0.0, 1.0, whole, 0)
-
-
-def piecewise_nodes(edges: np.ndarray, order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss nodes/weights for every panel [edges[i], edges[i+1]], flattened."""
-    x, w = gauss_legendre(order)
-    widths = np.diff(edges)
-    nodes = edges[:-1, None] + widths[:, None] * x[None, :]
-    weights = widths[:, None] * w[None, :]
-    return nodes.ravel(), weights.ravel()

@@ -180,6 +180,15 @@ class ZeroList:
             )
         return self.gammas[self.gammas <= big_t]
 
+    def leading_height(self, n: int) -> float:
+        """A cutoff T just above the n-th ordinate, so up_to(T) keeps the
+        first n; RangeError unless 1 <= n <= count."""
+        if n < 1:
+            raise RangeError(f"need at least one ordinate, got {n}")
+        if n > self.count:
+            raise RangeError(f"zero table holds {self.count} ordinates, need {n}")
+        return float(self.gammas[n - 1]) * (1 + 1e-12)
+
 
 FIRST_ORDINATE = 14.134725141734694
 

@@ -320,6 +320,64 @@ def test_config_invalid_json(tmp_path, capsys):
     assert "not valid JSON" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("command, config", [
+    (["li-density", "--beta0", "0.75", "--zeros", ZEROS, "--T", "240"], {"seed": "x"}),
+    (["li-density", "--beta0", "0.75", "--zeros", ZEROS, "--T", "240"], {"n-samples": 2000.5}),
+    (["psi", "--x", "10", "--y", "3"], {"command": "lambda"}),
+    (["psi", "--x", "10", "--y", "3"], {"x": None}),
+    (["verify-theorem1", "--y-min", "500", "--y-max", "500", "--n-points", "0"],
+     {"skip-infeasible": "yes"}),
+])
+def test_config_value_is_parsed_like_its_flag(tmp_path, capsys, command, config):
+    # A config entry goes through the option's own argparse type, and only
+    # options of the chosen subcommand are keys; a bad entry is exit 2.
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert main(command + ["--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("smoothnum: ParseError:")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("top_level", [False, True])
+def test_config_boolean_sets_store_true_flag(tmp_path, capsys, top_level):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"skip-infeasible": True}))
+    out = tmp_path / "grid.csv"
+    args = ["verify-theorem1", "--y-min", "500", "--y-max", "2000", "--n-points", "2",
+            "--beta0", "0.7", "--out", str(out)]
+    flag = ["--config", str(cfg)]
+    assert main(flag + args if top_level else args + flag) == 0
+    assert [float(r[1]) for r in _cells(out)] == [500.0]  # y = 2000 skipped
+    cfg.write_text(json.dumps({"skip-infeasible": False}))
+    assert main(flag + args if top_level else args + flag) == 4
+
+
+def test_calibrate_has_no_cutoff_flag(capsys):
+    # T comes from --ordinates; a --T flag would be silently ignored.
+    with pytest.raises(SystemExit) as exc:
+        main(["calibrate-pi-li", "--ordinates", "10", "--n-samples", "1000",
+              "--zeros", ZEROS, "--T", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --T 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["calibrate-pi-li", "--ordinates", "0", "--n-samples", "1000", "--zeros", ZEROS],
+    ["calibrate-pi-li", "--ordinates", "-3", "--n-samples", "1000", "--zeros", ZEROS],
+    ["verify-theorem1", "--y-min", "1", "--y-max", "1", "--n-points", "1"],
+    ["verify-theorem1", "--y-min", "50", "--y-max", "40", "--n-points", "1"],
+])
+def test_out_of_range_counts_are_range_errors(capsys, argv):
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("smoothnum: RangeError:")
+    if argv[0] == "verify-theorem1":
+        assert "need 2 <= y_min <= y_max" in err
+
+
+
 # ----------------------------------------------------------------------
 # installed entry point
 # ----------------------------------------------------------------------

@@ -206,6 +206,16 @@ def test_load_zeros_default_height_is_last_ordinate(tmp_path, zeros10k):
             zetazeros.load_zeros(unreadable)
 
 
+def test_leading_height_keeps_first_n(zeros10k):
+    for n in (1, 1000, zeros10k.count):
+        big_t = zeros10k.leading_height(n)
+        assert big_t == float(zeros10k.gammas[n - 1]) * (1 + 1e-12)
+        assert zeros10k.up_to(big_t).size == n
+    for n in (0, -3, zeros10k.count + 1):
+        with pytest.raises(RangeError):
+            zeros10k.leading_height(n)
+
+
 def test_load_zeros_bad_height():
     with pytest.raises(RangeError):
         zetazeros.load_zeros(ZEROS_PATH, height=0.0)
