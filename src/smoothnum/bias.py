@@ -16,13 +16,16 @@ uniform phases (the linear-independence heuristic).
 from __future__ import annotations
 
 import math
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import gfactor
 from .debruijn import lambda_xy
-from .errors import DomainError, RangeError
+from .errors import DomainError, RangeError, ResourceError
 from .primes import PrimeTable
 from .smoothcount import psi_exact
 from .specfun import RhoTable, saddle
@@ -40,7 +43,9 @@ __all__ = [
     "sign_agreement",
 ]
 
-_CHUNK_SAMPLES = 4096
+# Phase-buffer bytes per worker thread.  A chunk is as many samples as
+# fit, so li_density holds workers x this for any number of ordinates.
+_CHUNK_BYTES = 8 << 20
 
 
 @dataclass(frozen=True)
@@ -155,21 +160,42 @@ def model_rhs(y: float, beta0: float, big_t: float, zeros: ZeroList) -> float:
     return const - 2.0 * math.fsum(terms.tolist())
 
 
-def _phase_matrix(seed: int, j0: int, count: int, m: int) -> np.ndarray:
-    """Uniform [0, 2pi) phases for samples j0 .. j0+count-1, m per sample.
+def _worker_count(n_chunks: int) -> int:
+    """Threads for li_density: one per CPU the process may run on, and no
+    more than there are chunks."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    return min(cpus, n_chunks)
+
+
+def _chunk_buffer(rows: int, width: int) -> np.ndarray:
+    """One worker's phase buffer."""
+    return np.empty((rows, width))
+
+
+def _chunk_sums(seed: int, j0: int, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """sum_g w[g] cos(theta_jg) for samples j = j0 .. j0+len(buf)-1.
 
     Sample j owns counter blocks [j*bps, (j+1)*bps) of a Philox stream
-    keyed by the seed (4 words per block, bps = ceil(m/4)), so the values
-    drawn for a given j never depend on chunking or evaluation order.
+    keyed by the seed (4 words per block, bps = ceil(m/4)); its phases
+    are 2pi (word >> 11) 2^-53 for the first m = len(w) words.  buf has
+    shape (count, 4*bps) and is overwritten.  Every step is elementwise
+    or a numpy row reduction over one sample's m terms, so a sample's sum
+    never depends on chunking, evaluation order or a BLAS library.
     """
-    bps = max(1, -(-m // 4))
+    m, bps = w.size, buf.shape[1] // 4
     bit_gen = np.random.Philox(
         key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64),
         counter=np.array([j0 * bps, 0, 0, 0], dtype=np.uint64),
     )
-    raw = bit_gen.random_raw(count * bps * 4)
-    uniform = (raw >> np.uint64(11)) * (2.0 ** -53)
-    return 2.0 * math.pi * uniform.reshape(count, bps * 4)[:, :m]
+    np.random.Generator(bit_gen).random(out=buf)
+    np.multiply(buf, 2.0 * math.pi, out=buf)
+    np.cos(buf, out=buf)
+    terms = buf[:, :m]
+    np.multiply(terms, w, out=terms)
+    return np.add.reduce(terms, axis=1)
 
 
 def li_density(
@@ -181,9 +207,11 @@ def li_density(
         X = 1/(2 beta0 - 1)
             - sum_{0 < gamma <= T} 2 Re( e^(i theta) / (1/2 - beta0 + i gamma) )
 
-    density = P(X > 0) estimated over cfg.n_samples draws; the stream is
-    counter-based per sample, so results are bit-identical for a fixed
-    (seed, n, T, beta0) regardless of chunking or thread count.
+    density = P(X > 0) estimated over cfg.n_samples draws.  The stream is
+    counter-based per sample and each sample's sum comes from
+    elementwise numpy steps and a row reduction (_chunk_sums), so the
+    result for a fixed (seed, n, T, beta0) is bit-identical by
+    construction, whatever the chunk size or the number of threads.
 
     With calibration=True the weights switch to the pi-vs-Li race
     (2 Re(e^(i theta)/rho), constant term 1), whose known density
@@ -193,6 +221,10 @@ def li_density(
     with R = 2/|a + i gamma|; a uniform theta absorbs the weight's
     argument phi, so the sampler draws R cos(theta) directly and never
     needs the sine half.
+
+    Chunks run on one thread per CPU in the process's affinity set, each
+    with one _CHUNK_BYTES buffer and an integer count of positives.
+    Running out of memory raises ResourceError.
     """
     g = zeros.up_to(cfg.T)
     if calibration:
@@ -204,13 +236,36 @@ def li_density(
     if m == 0:
         d = 1.0 if const > 0 else 0.0
         return DensityEstimate(density=d, stderr=0.0, n_samples=n, seed=cfg.seed)
-    w_mod = 2.0 / np.sqrt(a * a + g * g)
-    positives = 0
-    for j0 in range(0, n, _CHUNK_SAMPLES):
-        count = min(_CHUNK_SAMPLES, n - j0)
-        theta = _phase_matrix(cfg.seed, j0, count, m)
-        osc = np.cos(theta) @ w_mod
-        positives += int(np.count_nonzero(const - osc > 0.0))
+    width = 4 * -(-m // 4)
+    rows = min(n, max(1, _CHUNK_BYTES // (8 * width)))
+    starts = range(0, n, rows)
+    workers = _worker_count(len(starts))
+
+    # Set when the caller stops waiting (an error, Ctrl-C), so that the
+    # pool's shutdown does not wait for the remaining chunks.
+    stop = threading.Event()
+
+    def count_positives(k: int) -> int:
+        buf = _chunk_buffer(rows, width)
+        positives = 0
+        for j0 in starts[k::workers]:
+            if stop.is_set():
+                break
+            sums = _chunk_sums(cfg.seed, j0, w_mod, buf[: min(rows, n - j0)])
+            positives += int(np.count_nonzero(sums < const))
+        return positives
+
+    try:
+        w_mod = 2.0 / np.sqrt(a * a + g * g)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            try:
+                positives = sum(pool.map(count_positives, range(workers)))
+            finally:
+                stop.set()
+    except MemoryError as exc:
+        raise ResourceError(
+            f"li_density ran out of memory ({n} samples x {m} ordinates)"
+        ) from exc
     d = positives / n
     return DensityEstimate(
         density=d,

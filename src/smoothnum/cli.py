@@ -371,7 +371,9 @@ def _build_parser(exit_on_error: bool = True) -> argparse.ArgumentParser:
     parser.add_argument("--config", **_OPTIONS["config"])
     subs = parser.add_subparsers(dest="command", required=True)
     for command, (_, text, _) in _COMMANDS.items():
-        sub = subs.add_parser(command, help=text, exit_on_error=exit_on_error)
+        sub = subs.add_parser(
+            command, help=text, allow_abbrev=False, exit_on_error=exit_on_error
+        )
         for name, kwargs in _options(command).items():
             sub.add_argument("--" + name, **kwargs)
     return parser

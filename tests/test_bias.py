@@ -2,13 +2,15 @@
 deviation, the zero-sum model, and Monte Carlo logarithmic densities.
 """
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from smoothnum import bias, gfactor, specfun
-from smoothnum.errors import DomainError, RangeError
+from smoothnum.errors import DomainError, RangeError, ResourceError
+from smoothnum.zetazeros import ZeroList
 
 
 # ----------------------------------------------------------------------
@@ -107,13 +109,53 @@ def test_bias_config_validation():
         bias.BiasConfig(beta0=0.75, T=100.0, seed=1, n_samples=999)
 
 
+def _sums(seed, j0, count, w):
+    return bias._chunk_sums(seed, j0, w, np.empty((count, 4 * -(-w.size // 4))))
+
+
 def test_phase_matrix_counter_based_chunking():
-    # Sample j's phases must not depend on which chunk produced them.
-    whole = bias._phase_matrix(9, 0, 12, 7)
-    tail = bias._phase_matrix(9, 5, 7, 7)
-    assert np.array_equal(whole[5:], tail)
-    assert whole.shape == (12, 7)
-    assert np.all(whole >= 0.0) and np.all(whole < 2.0 * math.pi)
+    # Sample j's phases are 2pi (word >> 11) 2^-53 over its own Philox
+    # counter blocks, so they do not depend on which chunk produced them.
+    # A unit weight picks one phase's cosine out of the sum.
+    m = 7
+    philox = np.random.Philox(key=np.array([9, 0], dtype=np.uint64))
+    words = philox.random_raw(12 * 8).reshape(12, 8)[:, :m]
+    theta = 2.0 * math.pi * ((words >> np.uint64(11)) * 2.0**-53)
+    for k in range(m):
+        w = np.zeros(m)
+        w[k] = 1.0
+        whole = _sums(9, 0, 12, w)
+        assert np.array_equal(whole[5:], _sums(9, 5, 7, w))
+        np.testing.assert_allclose(whole, np.cos(theta[:, k]), rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [1000, 997])
+def test_chunk_sums_bit_equal_across_splits(zeros10k, m):
+    # A sample's sum is the same float however the samples are chunked;
+    # a BLAS matvec does not promise that (it blocks by chunk size).
+    g = zeros10k.gammas[:m]
+    w = 2.0 / np.sqrt(0.25 + g * g)
+    j0, count = 123, 1000
+    whole = _sums(42, j0, count, w)
+    for split in (1, 3, 7, 333):
+        parts = [
+            _sums(42, j, min(split, j0 + count - j), w)
+            for j in range(j0, j0 + count, split)
+        ]
+        assert np.array_equal(np.concatenate(parts), whole), split
+
+
+def test_chunk_sums_golden_hash(zeros10k):
+    # One chunk of the calibration sampler (seed 16, first 1000 ordinates).
+    # The sums involve Philox, numpy's cos and numpy's add.reduce only.
+    g = zeros10k.gammas[:1000]
+    sums = _sums(16, 0, 64, 2.0 / np.sqrt(0.25 + g * g))
+    digest = hashlib.sha256(sums.tobytes()).hexdigest()
+    assert digest == "222421bcaa82168dd38d79b8bbd15c27c52d44b91141810ee75b660e60817085", (
+        "per-sample Monte Carlo sums moved: numpy's cos or add.reduce now "
+        "rounds differently here (or the Philox layout changed); the pinned "
+        "densities of criteria 08/09 and perfbench may move with them"
+    )
 
 
 def test_li_density_no_zeros_is_one(zeros10k):
@@ -131,9 +173,32 @@ def test_li_density_deterministic_and_chunk_independent(zeros10k, monkeypatch):
     first = bias.li_density(cfg, zeros10k)
     second = bias.li_density(cfg, zeros10k)
     assert first == second
-    monkeypatch.setattr(bias, "_CHUNK_SAMPLES", 977)
+    monkeypatch.setattr(bias, "_CHUNK_BYTES", 977 * 8 * 100)  # 977 samples
     rechunked = bias.li_density(cfg, zeros10k)
     assert rechunked == first
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_li_density_worker_count_independent(monkeypatch, workers):
+    # 250 near-equal weights put the density near 0.75, so every sample's
+    # sign counts.  The reference is one chunk on one thread.
+    zeros = ZeroList(gammas=np.linspace(5.0, 10.0, 250), height=10.0)
+    cfg = bias.BiasConfig(beta0=0.75, T=10.0, seed=8, n_samples=10**4)
+    reference = bias.li_density(cfg, zeros)
+    assert 0.6 < reference.density < 0.9
+    monkeypatch.setattr(bias, "_worker_count", lambda n_chunks: workers)
+    monkeypatch.setattr(bias, "_CHUNK_BYTES", 331 * 8 * 252 + 5)  # 331 samples
+    assert bias.li_density(cfg, zeros) == reference
+
+
+def test_li_density_memory_error_is_resource_error(zeros10k, monkeypatch):
+    def no_memory(rows, width):
+        raise MemoryError
+
+    monkeypatch.setattr(bias, "_chunk_buffer", no_memory)
+    cfg = bias.BiasConfig(beta0=0.75, T=float(zeros10k.gammas[99]), seed=3, n_samples=10**4)
+    with pytest.raises(ResourceError):
+        bias.li_density(cfg, zeros10k)
 
 
 def test_li_density_monotone_in_beta0(zeros10k):

@@ -275,6 +275,25 @@ def test_li_density_cli_deterministic(capsys):
     assert fields["seed"] == "42"
 
 
+def test_subcommand_options_are_not_abbreviated(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["li-density", "--beta0", "0.75", "--zeros", ZEROS, "--T", "240",
+              "--n-samp", "1000", "--se", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --n-samp 1000 --se 5" in capsys.readouterr().err
+
+
+def test_li_density_out_of_memory_exit(monkeypatch, capsys):
+    def no_memory(rows, width):
+        raise MemoryError
+
+    monkeypatch.setattr(bias, "_chunk_buffer", no_memory)
+    rc = main(["li-density", "--beta0", "0.75", "--n-samples", "1000",
+               "--zeros", ZEROS, "--T", "240"])
+    assert rc == 4
+    assert capsys.readouterr().err.startswith("smoothnum: ResourceError:")
+
+
 def test_calibrate_cli(capsys):
     rc = main(["calibrate-pi-li", "--ordinates", "100", "--n-samples", "1000",
                "--seed", "16", "--zeros", ZEROS])
