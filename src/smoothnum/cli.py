@@ -54,6 +54,17 @@ _CSV_FIELDS = {
 CSV_COLUMNS = list(_CSV_FIELDS)
 
 
+def _finite_float(text: str) -> float:
+    """argparse type of every float option: nan and inf are refused."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"not a finite number: {text!r}")
+    return value
+
+
 def _fmt(value) -> str:
     return format(float(value), ".17g")
 
@@ -203,8 +214,8 @@ def _grid_rows(args, beta0_list) -> list[dict]:
 
 def _cmd_verify_theorem1(args) -> int:
     try:
-        beta0_list = [float(tok) for tok in args.beta0.split(",") if tok]
-    except ValueError:
+        beta0_list = [_finite_float(tok) for tok in args.beta0.split(",") if tok]
+    except argparse.ArgumentTypeError:
         raise ParseError(f"--beta0 expects comma-separated floats, got {args.beta0!r}") from None
     if not beta0_list:
         raise ParseError("--beta0 expects at least one value")
@@ -270,11 +281,11 @@ def _cmd_calibrate_pi_li(args) -> int:
 
 # option name -> add_argument kwargs; the flag is "--" + name
 _OPTIONS = {
-    "x": dict(type=float, required=True),
-    "y": dict(type=float, required=True),
-    "s": dict(type=float, required=True),
+    "x": dict(type=_finite_float, required=True),
+    "y": dict(type=_finite_float, required=True),
+    "s": dict(type=_finite_float, required=True),
     "breakdown": dict(action="store_true", help="print all four fields"),
-    "beta0": dict(type=float, required=True),
+    "beta0": dict(type=_finite_float, required=True),
     "seed": dict(type=int, default=42, help="RNG seed (default: %(default)s)"),
     "n-samples": dict(
         type=int, default=1_000_000, help="Monte Carlo sample count (default: %(default)s)"
@@ -288,20 +299,22 @@ _OPTIONS = {
         help="JSON file of defaults (flags given on the command line win)",
     ),
     "rho-step": dict(
-        type=float,
+        type=_finite_float,
         default=1.0 / 512.0,
         help="grid step of the Dickman table (default: %(default)s)",
     ),
     "u-max": dict(
-        type=float, default=64.0, help="upper end of the Dickman table (default: %(default)s)"
+        type=_finite_float,
+        default=64.0,
+        help="upper end of the Dickman table (default: %(default)s)",
     ),
     "zeros": dict(help="path to a zero-ordinate table"),
     "zeros-height": dict(
-        type=float, help="claimed completeness height (default: last ordinate in file)"
+        type=_finite_float, help="claimed completeness height (default: last ordinate in file)"
     ),
-    "T": dict(type=float, help="zero-sum cutoff height (default: table height)"),
-    "y-min": dict(type=float, required=True),
-    "y-max": dict(type=float, required=True),
+    "T": dict(type=_finite_float, help="zero-sum cutoff height (default: table height)"),
+    "y-min": dict(type=_finite_float, required=True),
+    "y-max": dict(type=_finite_float, required=True),
     "n-points": dict(type=int, default=8, help="log-spaced grid size (default: %(default)s)"),
     "out": dict(default="-", help="CSV destination, '-' for stdout (default: %(default)s)"),
     "plot": dict(help="prefix for .dat series and a generated matplotlib script"),

@@ -142,6 +142,8 @@ def _rho_arg_kinks(u: float, y: float, t_hi: float, k_start: int) -> list:
 
 
 def _validate(u: float, y: float) -> float:
+    if not (math.isfinite(u) and math.isfinite(y)):
+        raise DomainError(f"lambda_y requires finite u and y, got u={u}, y={y}")
     if y < 2:
         raise DomainError("lambda_y requires y >= 2")
     if u < 0:

@@ -83,19 +83,13 @@ def log_g1_prime(s, y: float, pt: PrimeTable) -> complex:
     # d/ds sum p^(-ks)/k = -sum log(p) p^(-ks), k-major like the sum itself.
     parts_re: list = []
     parts_im: list = []
-    p_arr = pt.primes[pt.primes <= int(y)].astype(np.float64)
-    log_p = np.log(p_arr)
-    k = 1
-    while True:
-        root = primes_mod._floor_root(int(y), k) if k > 1 else int(y)
-        if root < 2:
-            break
-        pk = p_arr[p_arr <= root]
-        lpk = log_p[: pk.size]
+    tops = primes_mod._power_tops(pt, int(y))
+    log_p = np.log(pt.primes[: tops[0]].astype(np.float64))
+    for k, top in enumerate(tops, 1):
+        lpk = log_p[:top]
         vals = lpk * np.exp(-k * s * lpk)
         parts_re.append(float(np.sum(vals.real)))
         parts_im.append(float(np.sum(vals.imag)))
-        k += 1
     sum_prime = -complex(math.fsum(parts_re), math.fsum(parts_im))
 
     log_y = math.log(y)

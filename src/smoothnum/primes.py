@@ -13,8 +13,7 @@ import numpy as np
 from .errors import DomainError, RangeError, ResourceError
 from .limits import env_limit
 
-_DIRECT_SIEVE_LIMIT = 10**8
-_SEGMENT_ODDS = 1 << 21  # odd numbers per segment beyond the direct limit
+_SEGMENT_ODDS = 1 << 21  # odd numbers per segment above sqrt(limit)
 
 
 @dataclass(frozen=True)
@@ -80,8 +79,6 @@ def sieve(limit: int) -> PrimeTable:
         raise ResourceError(
             f"sieve limit must lie in [2, {max_limit}]; got {limit}"
         )
-    if limit <= _DIRECT_SIEVE_LIMIT:
-        return PrimeTable(limit=limit, primes=_simple_sieve(limit))
     root = math.isqrt(limit)
     base = _simple_sieve(root)
     parts = [base] + _segmented_tail(limit, base[1:], root)
@@ -100,19 +97,10 @@ def chebyshev_psi(pt: PrimeTable, y: float) -> ChebyshevValue:
     y = _check_y(pt, y)
     if y < 2:
         return ChebyshevValue(y=y, psi=0.0, pi_count=0)
-    n = math.floor(y)
-    idx = int(np.searchsorted(pt.primes, n, side="right"))
-
-    def terms():
-        for p in pt.primes[:idx]:
-            p = int(p)
-            log_p = math.log(p)
-            q = p
-            while q <= n:
-                yield log_p
-                q *= p
-
-    return ChebyshevValue(y=y, psi=math.fsum(terms()), pi_count=idx)
+    tops = _power_tops(pt, math.floor(y))
+    log_p = [math.log(p) for p in pt.primes[: tops[0]].tolist()]
+    psi = math.fsum(v for top in tops for v in log_p[:top])
+    return ChebyshevValue(y=y, psi=psi, pi_count=tops[0])
 
 
 def prime_power_sum(pt: PrimeTable, s, y: float) -> complex:
@@ -124,18 +112,28 @@ def prime_power_sum(pt: PrimeTable, s, y: float) -> complex:
     s = complex(s)
     if y < 2:
         return complex(0.0, 0.0)
-    n = math.floor(y)
     re_parts, im_parts = [], []
-    k = 1
-    while 2**k <= n:
-        top = int(np.searchsorted(pt.primes, _floor_root(n, k), side="right"))
+    for k, top in enumerate(_power_tops(pt, math.floor(y)), 1):
         block = np.exp(-k * s * np.log(pt.primes[:top].astype(np.float64))) / k
         re_parts.append(block.real)
         im_parts.append(block.imag)
-        k += 1
     total_re = math.fsum(x for part in re_parts for x in part.tolist())
     total_im = math.fsum(x for part in im_parts for x in part.tolist())
     return complex(total_re, total_im)
+
+
+def _power_tops(pt: PrimeTable, n: int) -> list:
+    """[#{p : p^k <= n} for k = 1, 2, ... while 2^k <= n].
+
+    The one place that decides p^k <= n; exact integer k-th roots keep
+    boundary cases like 5^3 vs 125 clear of float rounding.
+    """
+    tops = []
+    k = 1
+    while 2**k <= n:
+        tops.append(int(np.searchsorted(pt.primes, _floor_root(n, k), side="right")))
+        k += 1
+    return tops
 
 
 def _floor_root(n: int, k: int) -> int:
@@ -185,11 +183,10 @@ def partial_zeta(pt: PrimeTable, s, y: float) -> complex:
 def log_g2(pt: PrimeTable, s, y: float) -> complex:
     """sum over k >= 2 of sum_{y^(1/k) < p <= y} p^(-ks)/k.
 
-    The inner block at each k keeps primes p with p^k > y, decided with
-    exact integer k-th roots so boundary cases like 5^3 vs 125 never
-    depend on float rounding.  The k loop stops once the worst-case
-    remaining tail (all primes from 2, i.e. pi(y) * 2^(-k sigma)/k,
-    summed geometrically) drops below 1e-18.
+    The inner block at each k keeps the primes with p^k > y: those past
+    _power_tops' count, or all of them once 2^k > y.  The k loop stops
+    once the worst-case remaining tail (all primes from 2, i.e.
+    pi(y) * 2^(-k sigma)/k, summed geometrically) drops below 1e-18.
     """
     s = complex(s)
     if s.real <= 0:
@@ -197,15 +194,15 @@ def log_g2(pt: PrimeTable, s, y: float) -> complex:
     y = _check_y(pt, y)
     if y < 2:
         return complex(0.0, 0.0)
-    n = math.floor(y)
-    idx_y = int(np.searchsorted(pt.primes, n, side="right"))
+    tops = _power_tops(pt, math.floor(y))
+    idx_y = tops[0]
     log_p = np.log(pt.primes[:idx_y].astype(np.float64))
     sigma = s.real
     decay = 2.0**-sigma
     total = complex(0.0, 0.0)
     k = 2
     while True:
-        lo = int(np.searchsorted(pt.primes, _floor_root(n, k), side="right"))
+        lo = tops[k - 1] if k <= len(tops) else 0
         if lo < idx_y:
             block = np.exp(-k * s * log_p[lo:])
             total += complex(np.sum(block)) / k

@@ -26,11 +26,11 @@ phases gives the same exact count.
 alpha_values tabulates the coefficients alpha_y(n) of
 exp(sum_{p^k <= y} p^(-ks)/k), the multiplicative weights that agree
 with the smooth indicator whenever every prime-power component of n is
-<= y.
+<= y.  They come from a float recurrence in log n, and alpha_summatory
+sums that table.
 """
 
 import math
-from fractions import Fraction
 
 import numpy as np
 
@@ -218,57 +218,6 @@ def alpha_values(x: int, y: int, pt: PrimeTable) -> np.ndarray:
     return alpha
 
 
-def _exact_component_series(max_k: int, degree: int) -> list:
-    """Coefficients of exp(sum_{k=1}^{max_k} t^k / k) up to t^degree, exact."""
-    poly = [Fraction(0)] * (degree + 1)
-    for k in range(1, min(max_k, degree) + 1):
-        poly[k] = Fraction(1, k)
-    series = [Fraction(0)] * (degree + 1)
-    series[0] = Fraction(1)
-    # exp via the ODE: series' = poly' * series.
-    for n in range(1, degree + 1):
-        acc = Fraction(0)
-        for k in range(1, n + 1):
-            acc += k * poly[k] * series[n - k]
-        series[n] = acc / n
-    return series
-
-
-def alpha_exact(n: int, y: int) -> Fraction:
-    """alpha_y(n) as an exact rational, via multiplicativity: the value
-    at p^e is the t^e coefficient of exp(sum_{k: p^k <= y} t^k/k)."""
-    if n < 1:
-        raise DomainError("alpha_exact needs n >= 1")
-    n = int(n)
-    y = int(y)
-    result = Fraction(1)
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            e = 0
-            while n % p == 0:
-                n //= p
-                e += 1
-            max_k = 0
-            q = p
-            while q <= y:
-                max_k += 1
-                q *= p
-            result *= _exact_component_series(max_k, e)[e]
-        p += 1
-    if n > 1:  # leftover prime
-        result *= Fraction(1) if n <= y else Fraction(0)
-    return result
-
-
 def alpha_summatory(x: int, y: int, pt: PrimeTable) -> float:
-    """sum_{n <= x} alpha_y(n).
-
-    Exact rationals for small x (every alpha_y(n) is rational), the
-    vectorized float recurrence beyond; both paths agree to float
-    rounding on their overlap.
-    """
-    x = int(x)
-    if x <= 4000:
-        return float(sum(alpha_exact(n, y) for n in range(1, x + 1)))
+    """sum_{n <= x} alpha_y(n), summed from the alpha_values recurrence."""
     return float(np.sum(alpha_values(x, y, pt)[1:]))

@@ -135,14 +135,12 @@ class RhoTable:
     """log(rho) sampled on the uniform grid u = j*step, j = 0..u_max/step.
 
     Immutable after construction (the array is marked read-only), hence
-    safe to share across threads.  interpolation_order is the local
-    polynomial degree used by rho()/log_rho() between grid points.
+    safe to share across threads.
     """
 
     step: float
     u_max: float
     log_rho: np.ndarray
-    interpolation_order: int = 5
 
     @property
     def points_per_unit(self) -> int:
@@ -333,7 +331,9 @@ class SaddleData:
 
 
 def saddle(x: float, y: float, table: RhoTable) -> SaddleData:
-    """Saddle data for the pair (x, y) with x >= y >= 2."""
+    """Saddle data for the pair (x, y) with x >= y >= 2, both finite."""
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise DomainError(f"saddle requires finite x and y, got x={x}, y={y}")
     if y < 2 or x < y:
         raise DomainError("saddle requires x >= y >= 2")
     log_y = math.log(y)

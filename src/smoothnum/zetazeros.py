@@ -174,6 +174,8 @@ class ZeroList:
 
     def up_to(self, big_t: float) -> np.ndarray:
         """The ordinates 0 < gamma <= big_t; RangeError above the height."""
+        if math.isnan(big_t):
+            raise RangeError("requested height is NaN")
         if big_t > self.height * (1 + 1e-12):
             raise RangeError(
                 f"requested height {big_t:g} exceeds table completeness bound {self.height:g}"
@@ -200,8 +202,8 @@ def load_zeros(path, height: float | None = None) -> ZeroList:
     defaults to the last ordinate in the file; a Riemann-von Mangoldt
     count check catches grossly inconsistent claims.
     """
-    if height is not None and height <= 0:
-        raise RangeError("height must be positive")
+    if height is not None and not 0 < height < math.inf:
+        raise RangeError("height must be positive" if height <= 0 else "height must be finite")
     try:
         with open(path, "r", encoding="utf-8") as handle:
             raw = handle.read().splitlines()

@@ -347,6 +347,7 @@ def test_config_invalid_json(tmp_path, capsys):
     (["psi", "--x", "10", "--y", "3"], {"x": None}),
     (["verify-theorem1", "--y-min", "500", "--y-max", "500", "--n-points", "0"],
      {"skip-infeasible": "yes"}),
+    (["psi", "--x", "10", "--y", "3"], {"y": math.nan}),
 ])
 def test_config_value_is_parsed_like_its_flag(tmp_path, capsys, command, config):
     # A config entry goes through the option's own argparse type, and only
@@ -380,6 +381,29 @@ def test_calibrate_has_no_cutoff_flag(capsys):
               "--zeros", ZEROS, "--T", "5"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --T 5" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["psi", "--x", "nan", "--y", "100"],
+    ["psi", "--x", "inf", "--y", "100"],
+    ["lambda", "--x", "inf", "--y", "100"],
+    ["lambda", "--x", "1e6", "--y", "100", "--u-max", "inf"],
+    ["g", "--s", "0.8", "--y", "inf"],
+    ["verify-theorem1", "--y-min", "500", "--y-max", "inf", "--n-points", "1"],
+    ["verify-theorem1", "--beta0", "0.7,nan", "--y-min", "500", "--y-max", "500",
+     "--n-points", "1"],
+    ["li-density", "--beta0", "0.75", "--n-samples", "1000", "--zeros", ZEROS, "--T", "nan"],
+    ["verify-psiover", "--x", "1e6", "--y", "100", "--zeros", ZEROS, "--T", "nan"],
+    ["calibrate-pi-li", "--n-samples", "1000", "--zeros", ZEROS, "--zeros-height", "nan"],
+])
+def test_non_finite_float_options_are_parse_errors(capsys, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "nan'" in err or "inf'" in err
 
 
 @pytest.mark.parametrize("argv", [

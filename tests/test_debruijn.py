@@ -7,6 +7,10 @@ most of this module.
 """
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -183,6 +187,38 @@ def test_lambda_xy_method_consistency_at_crossover(rho_table):
 def test_lambda_xy_domain_error(rho_table):
     with pytest.raises(DomainError):
         debruijn.lambda_xy(10.0, 100.0, rho_table)
+
+
+_NON_FINITE_CHILD = """
+import sys
+from smoothnum import cli, debruijn, specfun
+from smoothnum.errors import DomainError
+
+table = specfun.build_rho_table(u_max=4.0, step=1.0 / 64.0)
+try:
+    {call}
+except DomainError:
+    sys.exit(cli.EXIT_CODES[DomainError])
+"""
+
+
+@pytest.mark.parametrize("call", [
+    "debruijn.lambda_xy(float('inf'), 100.0, table)",
+    "debruijn.lambda_xy(float('nan'), 100.0, table)",
+    "debruijn.lambda_ibp(float('nan'), 100.0, table)",
+    "debruijn.lambda_atom_sum(2.0, float('inf'), table)",
+    "specfun.saddle(float('nan'), 100.0, table)",
+    "specfun.saddle(float('inf'), 100.0, table)",
+])
+def test_non_finite_input_is_domain_error(call):
+    # In a child under a timeout, so that a hang in the kink search of
+    # lambda_xy fails the test instead of stalling the suite.
+    src = Path(debruijn.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", _NON_FINITE_CHILD.format(call=call)],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=10,
+    )
+    assert proc.returncode == 5, proc.stderr
 
 
 # ----------------------------------------------------------------------

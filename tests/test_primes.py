@@ -55,11 +55,15 @@ def test_sieve_strictly_increasing(pt100k):
     assert np.all(np.diff(pt100k.primes) > 0)
 
 
-def test_segmented_path_matches_direct(monkeypatch):
-    direct = primes.sieve(50_000).primes
-    monkeypatch.setattr(primes, "_DIRECT_SIEVE_LIMIT", 1000)
-    seg = primes.sieve(50_000).primes
-    assert np.array_equal(direct, seg)
+@pytest.mark.parametrize("segment_odds", [1, 7, 64])
+def test_segmented_sieve_matches_factor_oracle(monkeypatch, gpf100k, segment_odds):
+    # Short segments put many boundaries below each limit.
+    monkeypatch.setattr(primes, "_SEGMENT_ODDS", segment_odds)
+    is_prime = gpf100k == np.arange(gpf100k.size)
+    for limit in (2, 3, 4, 5, 97, 98, 99, 100, 101, 1000, 50_000):
+        want = np.flatnonzero(is_prime[: limit + 1])
+        want = want[want >= 2]
+        assert np.array_equal(primes.sieve(limit).primes, want), f"limit={limit}"
 
 
 def test_sieve_resource_errors(monkeypatch):
@@ -264,7 +268,8 @@ def test_partial_zeta_splits_into_power_sum_plus_g2(pt100k):
     # log zeta(s,y) = sum over prime powers <= y plus the k >= 2
     # remainder over p^k > y; the two routes partition the double sum.
     for s in (0.6, 1.0, 0.75 + 5.0j, 2.0 - 3.0j):
-        for y in (100.0, 9973.0):
+        # Prime powers y = p^k, where exact k-th roots decide the split.
+        for y in (100.0, 9973.0, 127.999, 128.0, 961.0, 1331.0, 3125.0):
             whole = primes.partial_zeta(pt100k, s, y)
             parts = primes.prime_power_sum(pt100k, s, y) + primes.log_g2(pt100k, s, y)
             assert abs(whole - parts) <= 1e-10 * max(1.0, abs(whole)), f"s={s} y={y}"

@@ -9,7 +9,6 @@ import math
 import os
 import subprocess
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -247,14 +246,9 @@ def test_alpha_values_match_exact_rationals(pt100k):
         for n in range(1, 201):
             want = float(oracles.alpha_rational(n, y))
             assert vals[n] == pytest.approx(want, abs=1e-12), f"n={n} y={y}"
-
-
-def test_alpha_exact_agrees_with_independent_oracle():
-    for n, y in ((4, 3), (8, 5), (12, 5), (360, 7), (1024, 2)):
-        assert smoothcount.alpha_exact(n, y) == oracles.alpha_rational(n, y)
     # Frozen spot values: alpha_3(4) = 1/2, alpha_5(8) = 2/3.
-    assert smoothcount.alpha_exact(4, 3) == Fraction(1, 2)
-    assert smoothcount.alpha_exact(8, 5) == Fraction(2, 3)
+    assert smoothcount.alpha_values(4, 3, pt100k)[4] == pytest.approx(0.5, abs=1e-15)
+    assert smoothcount.alpha_values(8, 5, pt100k)[8] == pytest.approx(2 / 3, abs=1e-15)
 
 
 def test_alpha_is_one_on_squarefree_smooth(pt100k, gpf100k):
@@ -274,21 +268,14 @@ def test_alpha_vanishes_off_smooth_support(pt100k, gpf100k):
 
 
 def test_alpha_summatory_frozen_value(pt100k):
-    # Frozen from the exact-rational path (x <= 4000 sums Fractions).
+    # Frozen from the exact rational sum, which rounds to the same float.
     assert smoothcount.alpha_summatory(1000, 5, pt100k) == 29.33182319223986
 
 
 def test_alpha_summatory_matches_rational_oracle(pt100k):
-    want = float(sum(oracles.alpha_rational(n, 5) for n in range(1, 1001)))
-    assert smoothcount.alpha_summatory(1000, 5, pt100k) == pytest.approx(want, abs=1e-9)
-
-
-def test_alpha_summatory_paths_overlap(pt100k):
-    # The exact-rational path and the float recurrence agree where both run.
-    exact = float(sum(smoothcount.alpha_exact(n, 7) for n in range(1, 3001)))
-    recurrence = float(np.sum(smoothcount.alpha_values(3000, 7, pt100k)[1:]))
-    assert exact == pytest.approx(recurrence, rel=1e-10)
-    assert smoothcount.alpha_summatory(3000, 7, pt100k) == pytest.approx(exact, rel=1e-12)
+    for x, y in ((1000, 5), (3000, 7)):
+        want = float(sum(oracles.alpha_rational(n, y) for n in range(1, x + 1)))
+        assert smoothcount.alpha_summatory(x, y, pt100k) == pytest.approx(want, rel=1e-12)
 
 
 def test_alpha_errors(pt100k, monkeypatch):
@@ -299,8 +286,6 @@ def test_alpha_errors(pt100k, monkeypatch):
     small = primes.sieve(100)
     with pytest.raises(RangeError):
         smoothcount.alpha_values(1000, 500, small)
-    with pytest.raises(DomainError):
-        smoothcount.alpha_exact(0, 10)
     monkeypatch.setenv("SMOOTHNUM_MAX_ALPHA_X", "100")
     with pytest.raises(ResourceError):
         smoothcount.alpha_values(200, 10, pt100k)

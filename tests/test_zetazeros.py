@@ -217,8 +217,9 @@ def test_leading_height_keeps_first_n(zeros10k):
 
 
 def test_load_zeros_bad_height():
-    with pytest.raises(RangeError):
-        zetazeros.load_zeros(ZEROS_PATH, height=0.0)
+    for height in (0.0, math.nan, math.inf):
+        with pytest.raises(RangeError):
+            zetazeros.load_zeros(ZEROS_PATH, height=height)
 
 
 def test_fixture_table_shape(zeros10k):
@@ -283,5 +284,7 @@ def test_zero_sum_explicit_formula_residual(zeros10k, pt100k):
 def test_zero_sum_range_errors(zeros10k):
     with pytest.raises(RangeError):
         zetazeros.zero_sum(zeros10k, 100.0, 0.0, zeros10k.height * 1.01)
+    with pytest.raises(RangeError):
+        zeros10k.up_to(math.nan)
     with pytest.raises(RangeError):
         zetazeros.zero_sum(zeros10k, 1.0, 0.0, 100.0)
