@@ -69,14 +69,6 @@ def _fmt(value) -> str:
     return format(float(value), ".17g")
 
 
-def _rho_table(args) -> specfun.RhoTable:
-    if (args.rho_step, args.u_max) == (
-        _OPTIONS["rho-step"]["default"], _OPTIONS["u-max"]["default"]
-    ):
-        return specfun.default_rho_table()
-    return specfun.build_rho_table(step=args.rho_step, u_max=args.u_max)
-
-
 def _load_zeros(args, required: bool = False) -> zetazeros.ZeroList | None:
     """The --zeros table; None when none is given and none is required."""
     if args.zeros is None:
@@ -173,8 +165,7 @@ def _cmd_psi(args) -> int:
 
 
 def _cmd_lambda(args) -> int:
-    table = _rho_table(args)
-    print(_fmt(lambda_xy(args.x, args.y, table)))
+    print(_fmt(lambda_xy(args.x, args.y, specfun.default_rho_table())))
     return 0
 
 
@@ -192,7 +183,7 @@ def _cmd_g(args) -> int:
 
 
 def _grid_rows(args, beta0_list) -> list[dict]:
-    table = _rho_table(args)
+    table = specfun.default_rho_table()
     zeros = _load_zeros(args)
     big_t = _cutoff(args, zeros)
     ys = _log_grid(args.y_min, args.y_max, args.n_points)
@@ -237,7 +228,7 @@ def _cmd_bias_scan(args) -> int:
 
 
 def _cmd_verify_psiover(args) -> int:
-    table = _rho_table(args)
+    table = specfun.default_rho_table()
     zeros = _load_zeros(args, required=True)
     pt = primes.sieve(max(4, int(args.y)))
     rhs = gfactor.psiover_rhs(args.x, args.y, _cutoff(args, zeros), zeros, pt, table)
@@ -298,16 +289,6 @@ _OPTIONS = {
         default=argparse.SUPPRESS,
         help="JSON file of defaults (flags given on the command line win)",
     ),
-    "rho-step": dict(
-        type=_finite_float,
-        default=1.0 / 512.0,
-        help="grid step of the Dickman table (default: %(default)s)",
-    ),
-    "u-max": dict(
-        type=_finite_float,
-        default=64.0,
-        help="upper end of the Dickman table (default: %(default)s)",
-    ),
     "zeros": dict(help="path to a zero-ordinate table"),
     "zeros-height": dict(
         type=_finite_float, help="claimed completeness height (default: last ordinate in file)"
@@ -323,7 +304,6 @@ _OPTIONS = {
         help="drop grid points whose exact count exceeds the resource envelope",
     ),
 }
-_RHO = ("rho-step", "u-max")
 _ZEROS = ("zeros", "zeros-height", "T")
 _GRID = ("y-min", "y-max", "n-points", "out", "plot", "skip-infeasible")
 # verify-theorem1 takes a comma-separated list under the same flag
@@ -336,22 +316,22 @@ _BETA0_LIST = (
 # name in _OPTIONS or a (name, kwargs) pair of its own
 _COMMANDS = {
     "psi": (_cmd_psi, "exact smooth-integer count", ("x", "y", "config")),
-    "lambda": (_cmd_lambda, "de Bruijn approximation Lambda(x,y)", ("x", "y", "config", *_RHO)),
+    "lambda": (_cmd_lambda, "de Bruijn approximation Lambda(x,y)", ("x", "y", "config")),
     "g": (_cmd_g, "correction factor G(s,y)", ("s", "y", "breakdown", "config")),
     "verify-theorem1": (
         _cmd_verify_theorem1,
         "grid comparison of Psi against Lambda and Lambda*G",
-        (_BETA0_LIST, "config", *_RHO, *_ZEROS, *_GRID),
+        (_BETA0_LIST, "config", *_ZEROS, *_GRID),
     ),
     "verify-psiover": (
         _cmd_verify_psiover,
         "zero-sum prediction for Psi/Lambda vs G(beta,y)",
-        ("x", "y", "config", *_RHO, *_ZEROS),
+        ("x", "y", "config", *_ZEROS),
     ),
     "bias-scan": (
         _cmd_bias_scan,
         "normalized deviation along x(y)",
-        ("beta0", "config", *_RHO, *_ZEROS, *_GRID),
+        ("beta0", "config", *_ZEROS, *_GRID),
     ),
     "li-density": (
         _cmd_li_density,

@@ -335,13 +335,9 @@ def f_transform(s, y: float) -> complex:
         raise DomainError("f_transform requires Re s > 0")
     if y < 2:
         raise DomainError("f_transform requires y >= 2")
+    log_w = log_zeta_times_s_minus_1(s)  # checks zeta's domain before big_i runs
     log_y = math.log(y)
-    return (
-        EULER_GAMMA
-        + big_i((1.0 - s) * log_y)
-        + log_zeta_times_s_minus_1(s)
-        + math.log(log_y)
-    )
+    return EULER_GAMMA + big_i((1.0 - s) * log_y) + log_w + math.log(log_y)
 
 
 def lambda_asymptotic(x: float, y: float, table: RhoTable) -> LambdaAsymptotic:

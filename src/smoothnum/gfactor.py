@@ -67,7 +67,8 @@ def log_g1(s, y: float, pt: PrimeTable) -> complex:
     Near a zero of zeta the log branch blows up (SingularityError).
     """
     _check_args(s, y)
-    return primes_mod.prime_power_sum(pt, s, y) - f_transform(s, y)
+    log_f = f_transform(s, y)  # checks zeta's domain before the prime sum runs
+    return primes_mod.prime_power_sum(pt, s, y) - log_f
 
 
 def log_g1_prime(s, y: float, pt: PrimeTable) -> complex:
@@ -108,7 +109,8 @@ def log_g1_prime(s, y: float, pt: PrimeTable) -> complex:
 def g_direct(s, y: float, pt: PrimeTable) -> complex:
     """G(s,y) by the direct quotient exp(log zeta(s,y) - log F(s,y))."""
     _check_args(s, y)
-    return cmath.exp(primes_mod.partial_zeta(pt, s, y) - f_transform(s, y))
+    log_f = f_transform(s, y)  # checks zeta's domain before the Euler product runs
+    return cmath.exp(primes_mod.partial_zeta(pt, s, y) - log_f)
 
 
 def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:

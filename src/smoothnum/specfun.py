@@ -23,7 +23,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, PoleError, RangeError
+from .errors import DomainError, PoleError, RangeError, ResourceError
 from .quadrature import adaptive_complex
 from .zetazeros import zeta_times_s_minus_1
 
@@ -92,9 +92,12 @@ def big_i(s) -> complex:
     Parametrized as v = s*t over t in [0, 1]; the removable singularity
     at v = 0 is evaluated by Taylor series for |v| < 1e-3.  Relative
     accuracy is ~1e-12 for |s| <= 50, comfortably inside the 1e-10
-    contract, and conjugating s conjugates the result exactly.
+    contract, and conjugating s conjugates the result exactly.  A
+    non-finite s is a DomainError.
     """
     s = complex(s)
+    if not cmath.isfinite(s):
+        raise DomainError(f"big_i requires a finite argument, got {s}")
     if s == 0:
         return complex(0.0, 0.0)
 
@@ -200,13 +203,18 @@ def build_rho_table(u_max: float = 64.0, step: float = 1.0 / 512.0) -> RhoTable:
     m = int(round(1.0 / step))
     if abs(m * step - 1.0) > 1e-9:
         raise DomainError("1/step must be an integer so grid points hit the kinks")
-    if u_max < 1:
-        raise DomainError("u_max must be at least 1")
+    if not 1 <= u_max < math.inf:
+        raise DomainError(f"u_max must be finite and at least 1, got {u_max}")
     units = int(math.ceil(u_max - 1e-9))
     n_last = units * m
 
     h = step
-    log_rho = np.zeros(n_last + 1)
+    try:
+        log_rho = np.zeros(n_last + 1)
+    except MemoryError as exc:
+        raise ResourceError(
+            f"rho table on [0, {units}] at step {step:g} does not fit in memory"
+        ) from exc
     for n in range(m + 1, min(2 * m, n_last) + 1):
         log_rho[n] = math.log1p(-math.log(n * h))
 
@@ -347,7 +355,8 @@ def saddle(x: float, y: float, table: RhoTable) -> SaddleData:
     return SaddleData(u=u, xi=xi_u, beta=beta, r=r)
 
 
-@lru_cache(maxsize=4)
-def default_rho_table(u_max: float = 64.0, step: float = 1.0 / 512.0) -> RhoTable:
-    """Shared table for callers that do not manage their own."""
-    return build_rho_table(u_max=u_max, step=step)
+@lru_cache(maxsize=1)
+def default_rho_table() -> RhoTable:
+    """The table at build_rho_table's default grid, built once and shared
+    by callers that do not manage their own."""
+    return build_rho_table()

@@ -173,9 +173,10 @@ class ZeroList:
         return int(self.gammas.size)
 
     def up_to(self, big_t: float) -> np.ndarray:
-        """The ordinates 0 < gamma <= big_t; RangeError above the height."""
-        if math.isnan(big_t):
-            raise RangeError("requested height is NaN")
+        """The ordinates 0 < gamma <= big_t; RangeError for a negative or
+        NaN big_t or one above the height."""
+        if not big_t >= 0:
+            raise RangeError(f"requested height must be >= 0, got {big_t:g}")
         if big_t > self.height * (1 + 1e-12):
             raise RangeError(
                 f"requested height {big_t:g} exceeds table completeness bound {self.height:g}"

@@ -1,15 +1,20 @@
 """End-to-end tests of the command-line front end.
 
-Everything runs in-process through main(argv) except a single
-subprocess smoke test of the installed console script.
+Everything runs in-process through main(argv) except a subprocess
+smoke test of the installed console script and one command run in a
+child under a timeout, so that a hang fails instead of stalling the
+suite.
 """
 
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -387,7 +392,7 @@ def test_calibrate_has_no_cutoff_flag(capsys):
     ["psi", "--x", "nan", "--y", "100"],
     ["psi", "--x", "inf", "--y", "100"],
     ["lambda", "--x", "inf", "--y", "100"],
-    ["lambda", "--x", "1e6", "--y", "100", "--u-max", "inf"],
+    ["bias-scan", "--beta0", "inf", "--y-min", "500", "--y-max", "500", "--n-points", "1"],
     ["g", "--s", "0.8", "--y", "inf"],
     ["verify-theorem1", "--y-min", "500", "--y-max", "inf", "--n-points", "1"],
     ["verify-theorem1", "--beta0", "0.7,nan", "--y-min", "500", "--y-max", "500",
@@ -411,6 +416,8 @@ def test_non_finite_float_options_are_parse_errors(capsys, argv):
     ["calibrate-pi-li", "--ordinates", "-3", "--n-samples", "1000", "--zeros", ZEROS],
     ["verify-theorem1", "--y-min", "1", "--y-max", "1", "--n-points", "1"],
     ["verify-theorem1", "--y-min", "50", "--y-max", "40", "--n-points", "1"],
+    ["verify-psiover", "--x", "1e6", "--y", "100", "--zeros", ZEROS, "--T", "-5"],
+    ["li-density", "--beta0", "0.75", "--n-samples", "1000", "--zeros", ZEROS, "--T", "-5"],
 ])
 def test_out_of_range_counts_are_range_errors(capsys, argv):
     assert main(argv) == 3
@@ -419,6 +426,32 @@ def test_out_of_range_counts_are_range_errors(capsys, argv):
     if argv[0] == "verify-theorem1":
         assert "need 2 <= y_min <= y_max" in err
 
+
+
+def test_huge_s_is_range_error_without_hanging():
+    # In a child under a timeout: big_i on an overflowed argument would
+    # bisect NaN without end, and that must fail the test, not stall it.
+    src = Path(specfun.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "smoothnum.cli", "g", "--s", "1e308", "--y", "100"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=10,
+    )
+    assert proc.returncode == 3
+    assert proc.stderr.startswith("smoothnum: RangeError:")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_dickman_table_flags_are_gone(tmp_path, capsys):
+    # The table has one fixed grid (step 1/512 on [0, 64]).
+    for flag in (["--u-max", "64"], ["--rho-step", "0.001953125"]):
+        with pytest.raises(SystemExit) as exc:
+            main(["lambda", "--x", "1e6", "--y", "100", *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"u-max": 64}))
+    assert main(["lambda", "--x", "1e6", "--y", "100", "--config", str(cfg)]) == 2
+    assert "not a recognized option" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------

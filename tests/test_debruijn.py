@@ -209,10 +209,12 @@ except DomainError:
     "debruijn.lambda_atom_sum(2.0, float('inf'), table)",
     "specfun.saddle(float('nan'), 100.0, table)",
     "specfun.saddle(float('inf'), 100.0, table)",
+    "specfun.big_i(complex(float('-inf'), 0.0))",
 ])
 def test_non_finite_input_is_domain_error(call):
     # In a child under a timeout, so that a hang in the kink search of
-    # lambda_xy fails the test instead of stalling the suite.
+    # lambda_xy or in big_i's quadrature fails the test instead of
+    # stalling the suite.
     src = Path(debruijn.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-c", _NON_FINITE_CHILD.format(call=call)],

@@ -14,7 +14,7 @@ from hypothesis import given, strategies as st
 
 import oracles
 from smoothnum import specfun
-from smoothnum.errors import DomainError, PoleError, RangeError
+from smoothnum.errors import DomainError, PoleError, RangeError, ResourceError
 
 EULER_GAMMA = 0.57721566490153286
 
@@ -138,6 +138,15 @@ def test_build_rejects_bad_parameters():
         specfun.build_rho_table(step=0.003)  # 1/step not an integer
     with pytest.raises(DomainError):
         specfun.build_rho_table(u_max=0.5)
+    with pytest.raises(DomainError):
+        specfun.build_rho_table(u_max=math.inf)
+
+
+def test_build_too_large_is_resource_error():
+    # 5.1e17 grid points, 4 EB: beyond any address space, so the
+    # allocation fails at once without touching memory.
+    with pytest.raises(ResourceError):
+        specfun.build_rho_table(u_max=1e15)
 
 
 def test_table_is_exactly_one_up_to_u_equals_one(rho_table):
