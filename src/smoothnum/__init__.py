@@ -5,7 +5,7 @@ Layers, bottom to top:
 - specfun: the Dickman function (table + interpolation), its Laplace
   transform, the saddle-point solver, and the zeta-based K factor;
 - primes: sieves, Chebyshev psi, truncated Euler products;
-- zetazeros: zeta/zeta' off the critical line, a continuous log branch,
+- zetazeros: zeta off the critical line, a continuous log branch,
   zero-table ingestion, and zero sums;
 - debruijn: the refined approximation Lambda(x, y) two independent ways;
 - smoothcount: exact Psi(x, y) and the weighted variants;

@@ -63,6 +63,8 @@ class BiasConfig:
             raise DomainError(f"beta0 must lie in (1/2, 1), got {self.beta0!r}")
         if self.n_samples < 1000:
             raise RangeError(f"need n_samples >= 1000, got {self.n_samples}")
+        if not 0 <= self.seed < 2**64:
+            raise RangeError(f"seed must lie in [0, 2^64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -187,7 +189,7 @@ def _chunk_sums(seed: int, j0: int, w: np.ndarray, buf: np.ndarray) -> np.ndarra
     """
     m, bps = w.size, buf.shape[1] // 4
     bit_gen = np.random.Philox(
-        key=np.array([seed & 0xFFFFFFFFFFFFFFFF, 0], dtype=np.uint64),
+        key=np.array([seed, 0], dtype=np.uint64),
         counter=np.array([j0 * bps, 0, 0, 0], dtype=np.uint64),
     )
     np.random.Generator(bit_gen).random(out=buf)

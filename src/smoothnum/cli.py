@@ -425,6 +425,9 @@ def main(argv=None) -> int:
         return 1
     except BrokenPipeError:
         return 0
+    except MemoryError:
+        print("smoothnum: ResourceError: out of memory", file=sys.stderr)
+        return EXIT_CODES[ResourceError]
     except Exception as exc:  # pragma: no cover - catch-all contract
         print(f"smoothnum: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

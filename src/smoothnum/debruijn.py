@@ -34,6 +34,7 @@ _CHUNK = 1 << 17
 _EM_START = 1024  # unit pieces of the sawtooth integral below, Euler-Maclaurin above
 _PANELS_PER_UNIT = 2  # Gauss panels per unit of v in the Euler-Maclaurin tail
 _PANEL_NODES = 20
+_PIECE_NODES = 7  # Gauss nodes per unit piece of the sawtooth integral
 
 
 @dataclass(frozen=True)
@@ -64,7 +65,7 @@ def _snap_floor(t: float) -> int:
     return math.floor(t)
 
 
-def _integrate_pieces(f, t_hi: float, n_gl: int = 7, kinks=()) -> float:
+def _integrate_pieces(f, t_hi: float, kinks=()) -> float:
     """Integral of f(t, floor(t)) over [1, t_hi], split at the integers.
 
     f must be vectorized over (t values, matching floors).  Pieces below
@@ -77,7 +78,7 @@ def _integrate_pieces(f, t_hi: float, n_gl: int = 7, kinks=()) -> float:
     """
     if t_hi <= 1.0:
         return 0.0
-    xg, wg = gauss_legendre(n_gl)
+    xg, wg = gauss_legendre(_PIECE_NODES)
     totals = []
     n_full = math.floor(t_hi)
 
@@ -110,7 +111,7 @@ def _integrate_pieces(f, t_hi: float, n_gl: int = 7, kinks=()) -> float:
         a = np.asarray(a_list)
         length = np.asarray(b_list) - a
         t = a[:, None] + length[:, None] * xg
-        vals = f(t.ravel(), np.repeat(np.asarray(n_list, dtype=np.float64), n_gl))
+        vals = f(t.ravel(), np.repeat(np.asarray(n_list, dtype=np.float64), _PIECE_NODES))
         totals.append(float(np.sum(np.sum(vals.reshape(t.shape) * wg, axis=1) * length)))
 
     special_ns = np.fromiter(special.keys(), dtype=np.int64)
@@ -121,7 +122,7 @@ def _integrate_pieces(f, t_hi: float, n_gl: int = 7, kinks=()) -> float:
         if not nn.size:
             continue
         t = nn[:, None] + xg
-        vals = f(t.ravel(), np.repeat(nn, n_gl))
+        vals = f(t.ravel(), np.repeat(nn, _PIECE_NODES))
         totals.append(float(np.sum(np.sum(vals.reshape(t.shape) * wg, axis=1))))
     return math.fsum(totals)
 

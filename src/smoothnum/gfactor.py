@@ -21,19 +21,16 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from . import primes as primes_mod
 from .debruijn import f_transform, lambda_xy
 from .errors import DomainError
 from .primes import PrimeTable
 from .specfun import RhoTable, saddle
-from .zetazeros import ZeroList, riemann_zeta, riemann_zeta_prime, zero_sum
+from .zetazeros import ZeroList, zero_sum
 
 __all__ = [
     "GBreakdown",
     "log_g1",
-    "log_g1_prime",
     "g_direct",
     "g_value",
     "corrected_prediction",
@@ -45,8 +42,6 @@ __all__ = [
 class GBreakdown:
     """Both assembly routes for G(s, y); they agree to rounding error."""
 
-    s: complex
-    y: float
     log_g1: complex
     log_g2: complex
     g_factored: complex
@@ -71,41 +66,6 @@ def log_g1(s, y: float, pt: PrimeTable) -> complex:
     return primes_mod.prime_power_sum(pt, s, y) - log_f
 
 
-def log_g1_prime(s, y: float, pt: PrimeTable) -> complex:
-    """d/ds log G1(s,y), assembled from the differentiated prime-power
-    sum minus the transform-side derivative.
-
-    Used to check the first-derivative behaviour of log G1 (the size of
-    which controls where the saddle sits); higher derivatives are out of
-    scope.
-    """
-    _check_args(s, y)
-    s = complex(s)
-    # d/ds sum p^(-ks)/k = -sum log(p) p^(-ks), k-major like the sum itself.
-    parts_re: list = []
-    parts_im: list = []
-    tops = primes_mod._power_tops(pt, int(y))
-    log_p = np.log(pt.primes[: tops[0]].astype(np.float64))
-    for k, top in enumerate(tops, 1):
-        lpk = log_p[:top]
-        vals = lpk * np.exp(-k * s * lpk)
-        parts_re.append(float(np.sum(vals.real)))
-        parts_im.append(float(np.sum(vals.imag)))
-    sum_prime = -complex(math.fsum(parts_re), math.fsum(parts_im))
-
-    log_y = math.log(y)
-    v = (1.0 - s) * log_y
-    # d/ds big_i((1-s) log y) = -log y * (e^v - 1)/v
-    if abs(v) < 1e-8:
-        integrand = 1.0 + v * (0.5 + v / 6.0)
-    else:
-        integrand = (cmath.exp(v) - 1.0) / v
-    w = riemann_zeta(s) * (s - 1.0)
-    w_prime = riemann_zeta_prime(s) * (s - 1.0) + riemann_zeta(s)
-    f_prime = -log_y * integrand + w_prime / w
-    return sum_prime - f_prime
-
-
 def g_direct(s, y: float, pt: PrimeTable) -> complex:
     """G(s,y) by the direct quotient exp(log zeta(s,y) - log F(s,y))."""
     _check_args(s, y)
@@ -125,8 +85,6 @@ def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:
     lg1 = log_g1(s, y, pt)
     lg2 = primes_mod.log_g2(pt, s, y)
     return GBreakdown(
-        s=complex(s),
-        y=float(y),
         log_g1=lg1,
         log_g2=lg2,
         g_factored=cmath.exp(lg1 + lg2),
@@ -173,7 +131,7 @@ def psiover_rhs(
         raise DomainError(
             f"saddle abscissa {beta:.6f} too close to 1/2 (need beta >= 0.55)"
         )
-    zsum = zero_sum(zeros, y, beta, big_t).real
+    zsum = zero_sum(zeros, y, beta, big_t)
     log_y = math.log(y)
     main = -zsum + math.sqrt(y) / (2.0 * beta - 1.0)
     return 1.0 + y ** (-beta) / log_y * main

@@ -32,7 +32,6 @@ class PrimeTable:
 class ChebyshevValue:
     """psi(y) = sum of log p over prime powers p^k <= y, plus pi(y)."""
 
-    y: float
     psi: float
     pi_count: int
 
@@ -96,11 +95,11 @@ def chebyshev_psi(pt: PrimeTable, y: float) -> ChebyshevValue:
     """Chebyshev psi(y), exactly rounded over ascending prime powers."""
     y = _check_y(pt, y)
     if y < 2:
-        return ChebyshevValue(y=y, psi=0.0, pi_count=0)
+        return ChebyshevValue(psi=0.0, pi_count=0)
     tops = _power_tops(pt, math.floor(y))
     log_p = [math.log(p) for p in pt.primes[: tops[0]].tolist()]
     psi = math.fsum(v for top in tops for v in log_p[:top])
-    return ChebyshevValue(y=y, psi=psi, pi_count=tops[0])
+    return ChebyshevValue(psi=psi, pi_count=tops[0])
 
 
 def prime_power_sum(pt: PrimeTable, s, y: float) -> complex:

@@ -4,6 +4,9 @@ import functools
 
 import numpy as np
 
+_TOL_REL = 1e-13
+_MAX_DEPTH = 28
+
 
 @functools.lru_cache(maxsize=16)
 def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -12,10 +15,11 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def adaptive_complex(f, tol_rel: float = 1e-13, max_depth: int = 28):
+def adaptive_complex(f):
     """Adaptively integrate a complex-valued f over [0, 1].
 
-    Bisects until a 20-point rule agrees with its two-half refinement.
+    Bisects until a 20-point rule agrees with its two-half refinement to
+    _TOL_REL of the whole integral, or _MAX_DEPTH levels down.
     f must accept an ndarray of nodes in (0, 1).
     """
     nodes, weights = gauss_legendre(20)
@@ -31,7 +35,7 @@ def adaptive_complex(f, tol_rel: float = 1e-13, max_depth: int = 28):
         left = rule(a, mid)
         right = rule(mid, b)
         fine = left + right
-        if abs(fine - coarse) <= tol_rel * scale or depth >= max_depth:
+        if abs(fine - coarse) <= _TOL_REL * scale or depth >= _MAX_DEPTH:
             return fine
         return recurse(a, mid, left, depth + 1) + recurse(mid, b, right, depth + 1)
 

@@ -38,39 +38,26 @@ _STIELTJES = [
 MAX_IM = 1.0e5
 
 
-def _euler_maclaurin(s: complex, want_deriv: bool = False):
-    """zeta(s) (and optionally zeta'(s)) away from s = 1."""
+def _euler_maclaurin(s: complex):
+    """zeta(s) away from s = 1."""
     n_terms = int(math.ceil(10 + 2 * abs(s.imag)))
     n = np.arange(1, n_terms, dtype=np.float64)
-    log_n = np.log(n)
-    powers = np.exp(-s * log_n)
+    powers = np.exp(-s * np.log(n))
     value = np.sum(powers)
-    deriv = -np.sum(log_n * powers) if want_deriv else 0.0
 
     big_n = float(n_terms)
-    log_big = math.log(big_n)
-    tail_pole = big_n ** (1 - s) / (s - 1)
-    half = 0.5 * big_n ** (-s)
-    value += tail_pole + half
-    if want_deriv:
-        deriv += tail_pole * (-log_big - 1.0 / (s - 1)) - half * log_big
+    value += big_n ** (1 - s) / (s - 1) + 0.5 * big_n ** (-s)
 
     # Bernoulli corrections: B_2k/(2k)! * s(s+1)...(s+2k-2) * N^(1-s-2k).
     poch = s
-    poch_deriv = 1.0 + 0j
     scale = big_n ** (-s - 1)
     for k, coef in enumerate(_BERN, start=1):
-        term = coef * poch * scale
-        value += term
-        if want_deriv:
-            deriv += coef * (poch_deriv - poch * log_big) * scale
+        value += coef * poch * scale
         if k == len(_BERN):
             break
-        factor = (s + 2 * k - 1) * (s + 2 * k)
-        poch_deriv = poch_deriv * factor + poch * (2 * s + 4 * k - 1)
-        poch = poch * factor
+        poch *= (s + 2 * k - 1) * (s + 2 * k)
         scale /= big_n * big_n
-    return value, deriv
+    return value
 
 
 def _validate_domain(s: complex) -> complex:
@@ -87,14 +74,7 @@ def riemann_zeta(s) -> complex:
     s = _validate_domain(s)
     if s == 1:
         raise PoleError("zeta has its pole at s = 1")
-    return complex(_euler_maclaurin(s)[0])
-
-
-def riemann_zeta_prime(s) -> complex:
-    s = _validate_domain(s)
-    if s == 1:
-        raise PoleError("zeta has its pole at s = 1")
-    return complex(_euler_maclaurin(s, want_deriv=True)[1])
+    return complex(_euler_maclaurin(s))
 
 
 def zeta_times_s_minus_1(s) -> complex:
@@ -111,7 +91,7 @@ def zeta_times_s_minus_1(s) -> complex:
             power *= d
             fact *= n + 1
         return complex(acc)
-    return complex(_euler_maclaurin(s)[0] * d)
+    return complex(_euler_maclaurin(s) * d)
 
 
 _NEAR_ZERO = 1e-7
@@ -259,25 +239,16 @@ def _pair_terms(g: np.ndarray, log_y: float, a: float) -> np.ndarray:
     return (np.cos(phase) * a + np.sin(phase) * g) / (a * a + g * g)
 
 
-def zero_sum(zeros: ZeroList, y: float, s0, big_t: float) -> complex:
+def zero_sum(zeros: ZeroList, y: float, s0: float, big_t: float) -> float:
     """Sum of y^rho / (rho - s0) over zeros with 0 < Im rho <= big_t,
-    together with the conjugate pair of each.
+    together with the conjugate pair of each, for a real shift s0.
 
-    For real s0 each pair contributes 2 Re(y^rho/(rho-s0)), so the result
-    is exactly real by construction.
+    Each pair contributes 2 Re(y^rho/(rho-s0)), so the result is real by
+    construction.
     """
     g = zeros.up_to(big_t)
     if y <= 1:
         raise RangeError("zero_sum needs y > 1")
     if g.size == 0:
-        return complex(0.0, 0.0)
-    log_y = math.log(y)
-    sqrt_y = math.sqrt(y)
-    s0 = complex(s0)
-    if s0.imag == 0.0:
-        real_part = 2.0 * sqrt_y * np.sum(_pair_terms(g, log_y, 0.5 - s0.real))
-        return complex(real_part, 0.0)
-    phase = g * log_y
-    up = np.exp(1j * phase) / (complex(0.5, 0.0) + 1j * g - s0)
-    down = np.exp(-1j * phase) / (complex(0.5, 0.0) - 1j * g - s0)
-    return complex(sqrt_y * (np.sum(up) + np.sum(down)))
+        return 0.0
+    return float(2.0 * math.sqrt(y) * np.sum(_pair_terms(g, math.log(y), 0.5 - float(s0))))

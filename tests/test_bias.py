@@ -107,6 +107,10 @@ def test_bias_config_validation():
         bias.BiasConfig(beta0=1.0, T=100.0, seed=1, n_samples=10**4)
     with pytest.raises(RangeError):
         bias.BiasConfig(beta0=0.75, T=100.0, seed=1, n_samples=999)
+    # Philox takes a 64-bit key, so seeds outside [0, 2^64) would alias.
+    for seed in (-1, 2**64):
+        with pytest.raises(RangeError):
+            bias.BiasConfig(beta0=0.75, T=100.0, seed=seed, n_samples=10**4)
 
 
 def _sums(seed, j0, count, w):

@@ -418,6 +418,9 @@ def test_non_finite_float_options_are_parse_errors(capsys, argv):
     ["verify-theorem1", "--y-min", "50", "--y-max", "40", "--n-points", "1"],
     ["verify-psiover", "--x", "1e6", "--y", "100", "--zeros", ZEROS, "--T", "-5"],
     ["li-density", "--beta0", "0.75", "--n-samples", "1000", "--zeros", ZEROS, "--T", "-5"],
+    ["li-density", "--beta0", "0.75", "--n-samples", "1000", "--zeros", ZEROS, "--seed", "-1"],
+    ["li-density", "--beta0", "0.75", "--n-samples", "1000", "--zeros", ZEROS,
+     "--seed", "18446744073709551616"],
 ])
 def test_out_of_range_counts_are_range_errors(capsys, argv):
     assert main(argv) == 3

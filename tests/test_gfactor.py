@@ -56,14 +56,6 @@ def test_log_g1_domain_and_singularity(pt100k):
         gfactor.log_g1(complex(0.5, 14.134725141734694), 1e3, pt100k)
 
 
-def test_log_g1_prime_matches_finite_difference(pt100k):
-    h = 1e-6
-    for s in (0.8, 0.8 + 0.1j, 0.6):
-        fd = (gfactor.log_g1(s + h, 1e3, pt100k) - gfactor.log_g1(s - h, 1e3, pt100k)) / (2 * h)
-        analytic = gfactor.log_g1_prime(s, 1e3, pt100k)
-        assert abs(fd - analytic) <= 1e-6 * abs(analytic), f"s={s}"
-
-
 # ----------------------------------------------------------------------
 # g_value
 # ----------------------------------------------------------------------

@@ -186,6 +186,20 @@ def test_lambda_under_tight_memory_cap_never_dies_in_blas(headroom_mib):
     assert "OpenBLAS" not in run.stderr
 
 
+@pytest.mark.skipif(
+    not os.path.exists("/proc/self/statm"), reason="needs Linux address-space accounting"
+)
+def test_memory_error_outside_guarded_kernels_exits_4():
+    # The 10^7-point y grid is built before any kernel runs.
+    run = _run_under_memory_cap(
+        "sys.exit(cli.main(['verify-theorem1', '--y-min', '500', '--y-max', '5000',"
+        " '--n-points', '10000000', '--beta0', '0.7']))"
+    )
+    assert run.returncode == 4, run.stderr
+    assert run.stdout == ""
+    assert run.stderr == "smoothnum: ResourceError: out of memory\n"
+
+
 def test_lambda_out_of_memory_is_resource_error(monkeypatch, capsys):
     def out_of_memory(*args, **kwargs):
         raise MemoryError
