@@ -14,14 +14,20 @@ _SMOOTH_LIST_CAP entries.
 
 Tree phase: the remaining "rough" primes p0 < ... <= y form a tree of
 products d (multisets enumerated by non-increasing prime index), and
-each node is charged the number of listed values <= x // d.  Every
-integer below p0 is in the list, so a node whose budget x // d is below
-p0 is a leaf charged its budget, without a search; the others cost one
+each node is charged the number of listed values <= x // d.  A number
+below p0^2 has at most one rough prime factor, so the whole subtree of
+a node whose budget v = x // d is below V = min(p0^2, x + 1) is known in
+closed form: with children drawn from rough[:c + 1] it counts
+#{listed s <= v} + sum_{j <= c} v // rough[j].  That table, the small-
+argument table of the Meissel-Lehmer phi(x, a) computation (Lagarias,
+Miller and Odlyzko, 1985), is built once per call in int32, no larger
+than the fold list in bytes (V is halved until it is), and a child
+below V is one lookup, never pushed.  The other children cost one
 binary search each.  The tree is walked depth-first from a stack of
 node batches; children are created lazily, at most _NODE_CHUNK at a
 time, from a cursor into their parent batch, so the walk holds about
-depth * _NODE_CHUNK nodes on top of the list.  Any split between the
-phases gives the same exact count.
+depth * _NODE_CHUNK nodes on top of the list and the table.  Any split
+between the phases gives the same exact count.
 
 alpha_values tabulates the coefficients alpha_y(n) of
 exp(sum_{p^k <= y} p^(-ks)/k), the multiplicative weights that agree
@@ -41,13 +47,15 @@ from .primes import PrimeTable
 _SMOOTH_LIST_CAP = 8_000_000
 # Stop folding at the first prime whose fold would add fewer than this
 # fraction of the list's size.  psi_exact time over the 12 points of the
-# README verify-theorem1 grid (2-vCPU shared x86 host, runs repeated):
-# 1/50 6.4 s, 1/20 4.7 s, 1/10 3.2 s, 1/7 2.5-3.0 s, 1/5 1.7-2.5 s,
-# 1/4 1.7-2.7 s, 1/3 1.9-2.1 s, 1/2 2.8-3.2 s.  (10^11, 10^4) is flat
-# within noise from 1/20 to 1/3 (5.3-8.3 s) and slower at 1/2 (9.4-9.9 s).
+# README verify-theorem1 grid (2-vCPU shared x86 host, three runs each):
+# 1/10 2.2 s, 1/7 1.5 s, 1/5 1.1-1.3 s, 1/4 0.92-0.97 s, 1/3 0.86-0.89 s,
+# 1/2 1.2-1.3 s, 1 2.8-2.9 s.  (10^11, 10^4), two runs each: 3.7-4.0 s
+# from 1/10 to 1/4, 4.9-5.0 s at 1/3, 5.8-6.2 s at 1/2, 9.0-9.3 s at 1.
 _FOLD_MIN_GROWTH = 0.25
-# Children made per batch.  Same grid: 2^12 3.8 s, 2^14 and 2^16
-# 2.3-2.6 s, 2^18 2.5-2.7 s, 2^20 2.9 s; larger batches leave the cache.
+# Children made per batch.  Same grid: 0.97-1.35 s at every size from
+# 2^12 to 2^20 (the tree is a third of it).  (10^11, 10^4): 2^12
+# 5.1-5.3 s, 2^14 3.9-4.9 s, 2^16 3.7-3.8 s, 2^18 4.2-4.7 s, 2^20
+# 4.9-5.2 s.
 _NODE_CHUNK = 1 << 16
 
 
@@ -85,6 +93,30 @@ def _fold_list(primes: np.ndarray, x: int) -> tuple:
     return smooth, len(primes)
 
 
+def _leaf_table(smooth: np.ndarray, rough: np.ndarray, x: int, max_bytes: int) -> np.ndarray:
+    """The int32 table F[c, v] = #{listed s <= v} + sum_{j <= c} v // rough[j]
+    for v < V: the subtree of a node with budget v whose children may use
+    rough[:c + 1], when V <= p0^2.  V starts at min(p0^2, x + 1) and is
+    halved until F fits in max_bytes.  A prime above v adds nothing, so
+    F keeps one row per rough prime below V, and at least one.  An entry
+    is at most v (1 + sum 1/p over primes below V) < 5V, and V <= max_bytes
+    / 4, which the fold list's bytes keep far below 2^31 / 5.
+    """
+    p0 = int(rough[0])
+    size = min(p0 * p0, x + 1)
+
+    def rows(size):
+        return max(1, int(np.searchsorted(rough, size)))
+
+    while size > 1 and 4 * rows(size) * size > max_bytes:
+        size //= 2
+    v = np.arange(size, dtype=np.int32)
+    table = v // rough[: rows(size), None].astype(np.int32)
+    np.cumsum(table, axis=0, out=table)
+    table += np.searchsorted(smooth, v, side="right").astype(np.int32)
+    return table
+
+
 def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
     """Sum over products d <= x of rough primes of #{listed s <= x // d}.
 
@@ -92,7 +124,9 @@ def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
     c below its cap.  Each stack entry holds a batch of inner nodes, the
     prefix sums of their child counts and a cursor into those children.
     """
-    p0 = int(rough[0])
+    table = _leaf_table(smooth, rough, x, smooth.nbytes)
+    rows, size = table.shape
+    flat = table.ravel()
     total = int(np.searchsorted(smooth, x, side="right"))
     stack = [[np.array([x], dtype=np.int64), np.array([0, rough.size], dtype=np.int64), 0]]
     while stack:
@@ -110,11 +144,13 @@ def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
         parent = np.repeat(np.arange(first, last), spans)
         c = np.arange(start, stop) - offsets[parent]
         child = budget[parent] // rough[c]
-        # Leaves below p0 are charged their budget; the rest search the
-        # list, and a child made with rough[c] may use rough[:c + 1].
-        inner = child >= p0
+        # A child made with rough[c] may use rough[:c + 1].  Below the
+        # table's size its whole subtree is one entry; the rest search
+        # the list and are pushed.
+        leaf = child < size
+        total += int(flat[np.minimum(c[leaf], rows - 1) * size + child[leaf]].sum())
+        inner = ~leaf
         child_in = child[inner]
-        total += int(child.sum()) - int(child_in.sum())
         if child_in.size:
             total += int(np.searchsorted(smooth, child_in, side="right").sum())
             cnt = np.minimum(c[inner] + 1, np.searchsorted(rough, child_in, side="right"))

@@ -1,8 +1,8 @@
 """Smoke tests of the helper scripts under scripts/ (the zero-table
-generator and the Lambda bench), each run in a subprocess on tiny
-inputs, so a script left calling a removed API fails here rather than
-in a long run.  The experiments themselves run through the CLI and are
-tested in test_cli.py."""
+generator and the Lambda and psi_exact benches), each run in a
+subprocess on tiny inputs, so a script left calling a removed API fails
+here rather than in a long run.  The experiments themselves run
+through the CLI and are tested in test_cli.py."""
 
 import os
 import subprocess
@@ -18,6 +18,7 @@ ROOT = Path(__file__).resolve().parents[1]
 _RUNS = {
     "make_zero_fixture.py": ["--help"],
     "bench_lambda.py": ["--rev", "."],
+    "bench_psi.py": ["--rev", ".", "--tiny"],
 }
 
 

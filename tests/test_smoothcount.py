@@ -10,6 +10,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -91,6 +92,105 @@ def test_psi_exact_node_chunk_does_not_change_counts(pt100k, monkeypatch, chunk)
     want = [smoothcount.psi_exact(x, y, pt100k) for x, y in points]
     monkeypatch.setattr(smoothcount, "_NODE_CHUNK", chunk)
     assert [smoothcount.psi_exact(x, y, pt100k) for x, y in points] == want
+
+
+@pytest.fixture(scope="module")
+def gpf300k():
+    return oracles.gpf_sieve(3 * 10**5)
+
+
+@given(
+    st.integers(min_value=1, max_value=3 * 10**5),
+    st.integers(min_value=2, max_value=2000),
+    st.integers(min_value=1, max_value=300),
+)
+def test_psi_exact_small_fold_list_matches_enumeration(pt100k, gpf300k, x, y, cap):
+    # A list of at most `cap` entries stops the fold at p0 <= 7 or so,
+    # so most children fall below p0^2 and are charged from the table.
+    with mock.patch.object(smoothcount, "_SMOOTH_LIST_CAP", cap):
+        got = smoothcount.psi_exact(x, y, pt100k)
+    assert got == oracles.psi_brute(x, y, gpf300k)
+
+
+def _one_rough_prime_counts(rough, size):
+    """want[c, v] = #{1 <= n <= v : n / (its part below p0) is 1 or in
+    rough[:c + 1]}, by trial division."""
+    rest = np.arange(size, dtype=np.int64)
+    for p in range(2, int(rough[0])):
+        while True:
+            hit = (rest % p == 0) & (rest > 0)
+            if not hit.any():
+                break
+            rest[hit] //= p
+    rest[0] = 0
+    rows = max(1, int(np.searchsorted(rough, size)))
+    return np.array([
+        np.cumsum((rest == 1) | np.isin(rest, rough[: c + 1])) for c in range(rows)
+    ])
+
+
+def test_leaf_table_matches_one_rough_prime_counts(gpf100k):
+    # p0 = 11: the listed values are the 7-smooth numbers <= x.
+    x = 10**4
+    smooth = oracles.smooth_values(x, 7, gpf100k)
+    rough = np.array([p for p in range(11, 400) if gpf100k[p] == p], dtype=np.int64)
+    full = smoothcount._leaf_table(smooth, rough, x, 1 << 20)
+    assert full.dtype == np.int32 and full.shape == (26, 121)
+    assert np.array_equal(full, _one_rough_prime_counts(rough, 121))
+    # The fold list's own bound halves V to 30, keeping a corner of F.
+    small = smoothcount._leaf_table(smooth, rough, x, smooth.nbytes)
+    assert small.shape == (6, 30) and small.nbytes <= smooth.nbytes
+    assert np.array_equal(small, full[:6, :30])
+
+
+@pytest.mark.parametrize("x", [11, 60, 100, 120])
+def test_rough_tree_below_p0_squared_is_one_lookup_row(gpf100k, x):
+    # x < p0^2 = 121, so V = x + 1 and the root's children are all leaves.
+    smooth = oracles.smooth_values(x, 7, gpf100k)
+    rough = np.array([p for p in range(11, 98) if gpf100k[p] == p], dtype=np.int64)
+    table = smoothcount._leaf_table(smooth, rough, x, 1 << 20)
+    assert table.shape[1] == x + 1
+    want = oracles.psi_brute(x, 97, gpf100k)
+    assert table[-1, x] == want
+    assert smoothcount._walk_rough_tree(smooth, rough, x) == want
+
+
+@pytest.mark.parametrize("bound", ["one row", "below p0", "one entry"])
+def test_psi_exact_leaf_table_bound_does_not_change_counts(pt100k, monkeypatch, bound):
+    # Shrinking the table's byte bound moves children from the table
+    # back to the search-and-push route; below p0 some pushed nodes
+    # have no children at all.
+    points = [(10**5, 31), (10**5, 97), (10**5, 1000), (10**6, 1000)]
+    want = [smoothcount.psi_exact(x, y, pt100k) for x, y in points]
+    build = smoothcount._leaf_table
+    shapes = []
+
+    def bounded(smooth, rough, x, max_bytes):
+        p0 = int(rough[0])
+        limit = {"one row": 4 * min(p0 * p0, x + 1), "below p0": 4 * (p0 - 1), "one entry": 4}
+        table = build(smooth, rough, x, limit[bound])
+        shapes.append((table.shape, p0, limit[bound]))
+        return table
+
+    monkeypatch.setattr(smoothcount, "_leaf_table", bounded)
+    assert [smoothcount.psi_exact(x, y, pt100k) for x, y in points] == want
+    assert shapes
+    for (rows, size), p0, limit in shapes:
+        assert 4 * rows * size <= limit
+        assert bound == "one row" or size < p0
+
+
+def test_psi_exact_leaf_table_out_of_memory_is_resource_error(pt100k, monkeypatch, capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(smoothcount, "_leaf_table", out_of_memory)
+    with pytest.raises(ResourceError) as info:
+        smoothcount.psi_exact(10**6, 1000, pt100k)
+    assert str(info.value) == "psi_exact(1000000, 1000) ran out of memory in the tree phase"
+    assert isinstance(info.value.__cause__, MemoryError)
+    assert cli.main(["psi", "--x", "1e6", "--y", "1000"]) == 4
+    assert capsys.readouterr().err.startswith("smoothnum: ResourceError: psi_exact(")
 
 
 @pytest.mark.parametrize("x, y", [(10**5, 293), (99_991, 317), (65_536, 251)])
