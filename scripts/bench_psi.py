@@ -11,13 +11,15 @@ sections are:
   REPEATS times, keeping the medians, and records the fold-list size,
   the first rough prime p0, the leaf table's width V (None at revisions
   without one) and the count.
-- big: the single point (10^11, 10^4), timed once.
+- big: the points (10^11, 10^4) and (10^12, 10^5), the corner of the
+  psi_exact envelope, each timed once in a child of its own, so each
+  has its own peak RSS.
 - bias-scan: the README bias-scan command, timed once end to end; the
   sha256 of its CSV shows whether two revisions print the same bytes.
 
 --tiny keeps two cheap grid points and drops the other sections.
 
-    python scripts/bench_psi.py --rev c0b0b11 --rev . --out BENCH_psi.json
+    python scripts/bench_psi.py --rev 687b01c --rev . --out BENCH_psi.json
 """
 
 import argparse
@@ -35,7 +37,7 @@ REPEATS = 3
 GRID = {"y_min": 500.0, "y_max": 5000.0, "n_points": 8, "beta0": [0.7, 0.8]}
 TINY_GRID = {"y_min": 500.0, "y_max": 694.748, "n_points": 2, "beta0": [0.8]}
 MAX_X = 10**12
-BIG = (10**11, 10**4)
+BIG = [(10**11, 10**4), (10**12, 10**5)]
 BIAS_SCAN = [
     "bias-scan", "--beta0", "0.75", "--y-min", "1000", "--y-max", "3800",
     "--n-points", "12", "--zeros", str(ROOT / "fixtures" / "zeros1e4.txt"),
@@ -126,9 +128,9 @@ def main() -> int:
         return 0
 
     sys.path[:0] = [str(ROOT / "src")]
-    sections = {"grid": _grid_points(TINY_GRID if args.tiny else GRID)}
+    jobs = [("grid", _grid_points(TINY_GRID if args.tiny else GRID))]
     if not args.tiny:
-        sections.update({"big": [BIG], "bias-scan": BIAS_SCAN})
+        jobs += [("big", [point]) for point in BIG] + [("bias-scan", BIAS_SCAN)]
 
     runs = []
     with tempfile.TemporaryDirectory() as scratch:
@@ -136,12 +138,16 @@ def main() -> int:
             src, commit = _src_of(rev, Path(scratch))
             env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
             run = {"rev": rev, "commit": commit}
-            for section, spec in sections.items():
+            for section, spec in jobs:
                 child = subprocess.run(
                     [sys.executable, __file__, "--child", json.dumps([section, spec])],
                     capture_output=True, text=True, env=env, check=True, timeout=3600,
                 )
-                run[section] = json.loads(child.stdout)
+                out = json.loads(child.stdout)
+                if section == "big":
+                    run.setdefault("big", []).append(out)
+                else:
+                    run[section] = out
             runs.append(run)
 
     report = {
@@ -159,9 +165,11 @@ def main() -> int:
         fold = sum(p["fold_s"] for p in points)
         tree = sum(p["tree_s"] for p in points)
         line = f"{run['rev']}: {len(points)} points, fold {fold:.3f} s, tree {tree:.3f} s"
-        if "big" in run:
-            big = run["big"]["points"][0]
-            line += f"; {BIG} {big['fold_s'] + big['tree_s']:.2f} s"
+        for big in run.get("big", []):
+            point = big["points"][0]
+            line += f"; ({point['x']:.0e}, {point['y']:.0e}) {point['fold_s'] + point['tree_s']:.2f} s"
+            line += f" {big['peak_rss_mb']:.0f} MB"
+        if "bias-scan" in run:
             line += f"; bias-scan {run['bias-scan']['wall_s']:.1f} s"
         print(line)
     return 0

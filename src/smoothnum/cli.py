@@ -27,6 +27,7 @@ from .errors import (
     SingularityError,
     SmoothnumError,
 )
+from .limits import env_limit
 
 EXIT_CODES = {
     ParseError: 2,
@@ -159,7 +160,10 @@ def _emit_plot(prefix: str, rows: list[dict], columns, ylabel: str) -> None:
 # ----------------------------------------------------------------------
 
 def _cmd_psi(args) -> int:
-    pt = primes.sieve(max(2, int(args.y)))
+    # psi_exact needs primes up to y only when y < x, and refuses y past
+    # its envelope before reading the table.
+    bound = min(args.x, args.y, env_limit("SMOOTHNUM_MAX_PSI_Y"))
+    pt = primes.sieve(max(2, int(bound)))
     print(smoothcount.psi_exact(args.x, args.y, pt))
     return 0
 
@@ -170,7 +174,7 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_g(args) -> int:
-    pt = primes.sieve(max(4, int(args.y)))
+    pt = primes.sieve(max(4, math.ceil(args.y)))
     if args.breakdown:
         breakdown = gfactor.g_value(args.s, args.y, pt)
         print(f"log_g1 = {_fmt(breakdown.log_g1.real)}")
@@ -187,7 +191,7 @@ def _grid_rows(args, beta0_list) -> list[dict]:
     zeros = _load_zeros(args)
     big_t = _cutoff(args, zeros)
     ys = _log_grid(args.y_min, args.y_max, args.n_points)
-    pt = primes.sieve(max(4, int(args.y_max))) if ys else primes.sieve(4)
+    pt = primes.sieve(max(4, math.ceil(args.y_max))) if ys else primes.sieve(4)
     rows = []
     for beta0 in beta0_list:
         for y in ys:
@@ -230,7 +234,7 @@ def _cmd_bias_scan(args) -> int:
 def _cmd_verify_psiover(args) -> int:
     table = specfun.default_rho_table()
     zeros = _load_zeros(args, required=True)
-    pt = primes.sieve(max(4, int(args.y)))
+    pt = primes.sieve(max(4, math.ceil(args.y)))
     rhs = gfactor.psiover_rhs(args.x, args.y, _cutoff(args, zeros), zeros, pt, table)
     sd = specfun.saddle(args.x, args.y, table)
     g = gfactor.g_direct(sd.beta, args.y, pt).real

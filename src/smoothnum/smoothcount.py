@@ -18,16 +18,21 @@ each node is charged the number of listed values <= x // d.  A number
 below p0^2 has at most one rough prime factor, so the whole subtree of
 a node whose budget v = x // d is below V = min(p0^2, x + 1) is known in
 closed form: with children drawn from rough[:c + 1] it counts
-#{listed s <= v} + sum_{j <= c} v // rough[j].  That table, the small-
-argument table of the Meissel-Lehmer phi(x, a) computation (Lagarias,
-Miller and Odlyzko, 1985), is built once per call in int32, no larger
-than the fold list in bytes (V is halved until it is), and a child
-below V is one lookup, never pushed.  The other children cost one
-binary search each.  The tree is walked depth-first from a stack of
-node batches; children are created lazily, at most _NODE_CHUNK at a
-time, from a cursor into their parent batch, so the walk holds about
-depth * _NODE_CHUNK nodes on top of the list and the table.  Any split
-between the phases gives the same exact count.
+F[c, v] = #{listed s <= v} + sum_{j <= c} v // rough[j].  That table, the
+small-argument table of the Meissel-Lehmer phi(x, a) computation
+(Lagarias, Miller and Odlyzko, 1985), is built once per call in int32,
+no larger than the fold list in bytes (V is halved until it is).  A
+child below V is a leaf and is never made.  The leaves of a batch of
+nodes are charged column by column: with the batch sorted by cap, the
+nodes that have a child c are a prefix, divided at once by the scalar
+rough[c], and each quotient indexes one row of F, padded with a zero
+sentinel column at V that catches every quotient >= V.  Only the inner
+children, budget >= V, are made as nodes, one binary search each.  The
+tree is walked depth-first from a stack of node batches; children are
+created lazily, at most _NODE_CHUNK at a time, from a cursor into their
+parent batch, so the walk holds about depth * _NODE_CHUNK nodes on top
+of the list and the table.  Any split between the phases gives the
+same exact count.
 
 alpha_values tabulates the coefficients alpha_y(n) of
 exp(sum_{p^k <= y} p^(-ks)/k), the multiplicative weights that agree
@@ -48,14 +53,17 @@ _SMOOTH_LIST_CAP = 8_000_000
 # Stop folding at the first prime whose fold would add fewer than this
 # fraction of the list's size.  psi_exact time over the 12 points of the
 # README verify-theorem1 grid (2-vCPU shared x86 host, three runs each):
-# 1/10 2.2 s, 1/7 1.5 s, 1/5 1.1-1.3 s, 1/4 0.92-0.97 s, 1/3 0.86-0.89 s,
-# 1/2 1.2-1.3 s, 1 2.8-2.9 s.  (10^11, 10^4), two runs each: 3.7-4.0 s
-# from 1/10 to 1/4, 4.9-5.0 s at 1/3, 5.8-6.2 s at 1/2, 9.0-9.3 s at 1.
-_FOLD_MIN_GROWTH = 0.25
-# Children made per batch.  Same grid: 0.97-1.35 s at every size from
-# 2^12 to 2^20 (the tree is a third of it).  (10^11, 10^4): 2^12
-# 5.1-5.3 s, 2^14 3.9-4.9 s, 2^16 3.7-3.8 s, 2^18 4.2-4.7 s, 2^20
-# 4.9-5.2 s.
+# 1/10 1.13-1.19 s, 1/5 0.54-0.57 s, 1/4 0.44-0.47 s, 0.3 0.32-0.36 s,
+# 1/3 0.29-0.31 s, 2/5 0.25-0.26 s, 1/2 0.27 s, 1 0.61-0.64 s.
+# (10^11, 10^4), two runs each: 0.52-0.54 s from 1/10 to 0.3, 0.57 s at
+# 1/3, 0.61-0.69 s at 2/5, 0.66 s at 1/2, 1.37 s at 1.  At 0.3 the grid
+# point (1.29e11, 1341) folds to 4.55M entries and needs more than 72 MiB
+# of address space; from 0.32 up it folds to 3.46M and fits in 64 MiB,
+# the cap under which tests/test_smoothcount.py expects it to fail.
+_FOLD_MIN_GROWTH = 0.3
+# Children made per batch.  Same grid: 0.33-0.38 s at every size from
+# 2^12 to 2^20.  (10^11, 10^4): 2^12 0.75 s, 2^14 0.58 s, 2^16
+# 0.53-0.54 s, 2^18 0.54 s, 2^20 0.53-0.54 s.
 _NODE_CHUNK = 1 << 16
 
 
@@ -117,18 +125,59 @@ def _leaf_table(smooth: np.ndarray, rough: np.ndarray, x: int, max_bytes: int) -
     return table
 
 
+def _charge_leaves(budget: np.ndarray, cap: np.ndarray, rough: list, table: np.ndarray) -> int:
+    """Sum of F[min(c, rows - 1), budget // rough[c]] over every node of a
+    batch and every c below its cap, where a quotient >= V charges 0.
+
+    table is F with a zero sentinel column at index V; rough holds Python
+    ints, so each division takes numpy's scalar-divisor path.  The batch
+    is sorted by cap, descending, so the nodes with cap > c are a prefix
+    and column c is one division of that prefix.  take's clip mode puts
+    every quotient >= V, an inner child's, on the sentinel: inner
+    children are made and charged as nodes of their own.
+    """
+    rows, width = table.shape
+    prefix = np.searchsorted(-cap, -np.arange(int(cap[0])), side="left").tolist()
+    quot = np.empty(budget.size, dtype=np.int64)
+    vals = np.empty(budget.size, dtype=np.int32)
+    total = 0
+    for c, n in enumerate(prefix):
+        q = np.floor_divide(budget[:n], rough[c], out=quot[:n])
+        row = table[min(c, rows - 1)]
+        total += int(row.take(q, mode="clip", out=vals[:n]).sum(dtype=np.int64))
+    return total
+
+
 def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
     """Sum over products d <= x of rough primes of #{listed s <= x // d}.
 
-    A node is kept as its budget x // d; its children use rough[c] for
-    c below its cap.  Each stack entry holds a batch of inner nodes, the
-    prefix sums of their child counts and a cursor into those children.
+    A node is kept as its budget b = x // d; its children use rough[c]
+    for c below its cap.  Only the inner children, c < min(cap, c*(b))
+    with c*(b) = #{rough primes <= b // V}, have budget >= V and are made
+    as nodes; the others are charged from the leaf table when their
+    parent's batch is pushed.  Each stack entry holds a batch of nodes,
+    the prefix sums of their inner-child counts and a cursor into those
+    children.
     """
-    table = _leaf_table(smooth, rough, x, smooth.nbytes)
-    rows, size = table.shape
-    flat = table.ravel()
+    # F and a zero sentinel column at index V, for _charge_leaves.
+    table = np.pad(_leaf_table(smooth, rough, x, smooth.nbytes), ((0, 0), (0, 1)))
+    size = table.shape[1] - 1
+    rough_ints = rough.tolist()
     total = int(np.searchsorted(smooth, x, side="right"))
-    stack = [[np.array([x], dtype=np.int64), np.array([0, rough.size], dtype=np.int64), 0]]
+    stack = []
+
+    def push(budget, cap):
+        nonlocal total
+        order = np.argsort(-cap)
+        budget, cap = budget[order], cap[order]
+        total += _charge_leaves(budget, cap, rough_ints, table)
+        inner = np.minimum(cap, np.searchsorted(rough, budget // size, side="right"))
+        offsets = np.zeros(inner.size + 1, dtype=np.int64)
+        np.cumsum(inner, out=offsets[1:])
+        if offsets[-1]:
+            stack.append([budget, offsets, 0])
+
+    push(np.array([x], dtype=np.int64), np.array([rough.size], dtype=np.int64))
     while stack:
         batch = stack[-1]
         budget, offsets, start = batch
@@ -144,19 +193,9 @@ def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
         parent = np.repeat(np.arange(first, last), spans)
         c = np.arange(start, stop) - offsets[parent]
         child = budget[parent] // rough[c]
-        # A child made with rough[c] may use rough[:c + 1].  Below the
-        # table's size its whole subtree is one entry; the rest search
-        # the list and are pushed.
-        leaf = child < size
-        total += int(flat[np.minimum(c[leaf], rows - 1) * size + child[leaf]].sum())
-        inner = ~leaf
-        child_in = child[inner]
-        if child_in.size:
-            total += int(np.searchsorted(smooth, child_in, side="right").sum())
-            cnt = np.minimum(c[inner] + 1, np.searchsorted(rough, child_in, side="right"))
-            child_offsets = np.zeros(cnt.size + 1, dtype=np.int64)
-            np.cumsum(cnt, out=child_offsets[1:])
-            stack.append([child_in, child_offsets, 0])
+        # A child made with rough[c] may use rough[:c + 1].
+        total += int(np.searchsorted(smooth, child, side="right").sum())
+        push(child, np.minimum(c + 1, np.searchsorted(rough, child, side="right")))
     return total
 
 
@@ -164,18 +203,18 @@ def psi_exact(x: int, y: int, pt: PrimeTable) -> int:
     """Number of y-smooth integers in [1, x], exact."""
     x = int(x)
     y = int(y)
-    max_x = env_limit("SMOOTHNUM_MAX_PSI_X")
-    max_y = env_limit("SMOOTHNUM_MAX_PSI_Y")
-    if x > max_x or y > max_y:
-        raise ResourceError(
-            f"psi_exact envelope is x <= {max_x:g}, y <= {max_y:g}; got ({x}, {y})"
-        )
     if x < 1:
         return 0
     if y >= x:
         return x
     if y < 2:
         return 1
+    max_x = env_limit("SMOOTHNUM_MAX_PSI_X")
+    max_y = env_limit("SMOOTHNUM_MAX_PSI_Y")
+    if x > max_x or y > max_y:
+        raise ResourceError(
+            f"psi_exact envelope is x <= {max_x:g}, y <= {max_y:g}; got ({x}, {y})"
+        )
     if y > pt.limit:
         raise RangeError(f"prime table only covers [2, {pt.limit}], need y = {y}")
 

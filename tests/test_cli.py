@@ -51,6 +51,38 @@ def test_psi_prints_exact_count(capsys):
     assert capsys.readouterr().out == "7\n"
 
 
+@pytest.mark.parametrize("x, y, want, limit", [
+    ("10", "9e8", "10", 10),  # y far past the envelope, but y >= x
+    ("2e6", "3e6", "2000000", 10**5),  # both past SMOOTHNUM_MAX_PSI_Y
+])
+def test_psi_with_y_at_least_x_is_x_without_a_large_sieve(capsys, monkeypatch, x, y, want, limit):
+    # Psi(x, y) = x for y >= x: no prime table is read, so none past
+    # min(x, y, SMOOTHNUM_MAX_PSI_Y) is built.
+    limits = []
+    sieve = primes.sieve
+
+    def recorded(n):
+        limits.append(n)
+        return sieve(n)
+
+    monkeypatch.setattr(primes, "sieve", recorded)
+    assert main(["psi", "--x", x, "--y", y]) == 0
+    assert capsys.readouterr().out == want + "\n"
+    assert limits == [limit]
+
+
+@pytest.mark.parametrize("argv", [
+    ["g", "--s", "0.8", "--y", "100.5"],
+    ["verify-psiover", "--x", "1e6", "--y", "100.5", "--zeros", ZEROS],
+    ["verify-theorem1", "--y-min", "50", "--y-max", "60.5", "--n-points", "2", "--beta0", "0.7"],
+])
+def test_fractional_y_is_inside_the_sieved_range(capsys, argv):
+    # y = 100.5 needs the primes up to 100 only; the sieve must still
+    # reach y itself, or the y <= limit check refuses the command.
+    assert main(argv) == 0
+    assert capsys.readouterr().err == ""
+
+
 def test_lambda_matches_library(capsys):
     assert main(["lambda", "--x", "1000", "--y", "100"]) == 0
     out = capsys.readouterr().out

@@ -5,6 +5,7 @@ The enumeration oracle (greatest-prime-factor sieve) and the exact
 rational alpha oracle live in tests/oracles.py.
 """
 
+import bisect
 import math
 import os
 import subprocess
@@ -155,6 +156,50 @@ def test_rough_tree_below_p0_squared_is_one_lookup_row(gpf100k, x):
     assert smoothcount._walk_rough_tree(smooth, rough, x) == want
 
 
+def _phi(b, cap, smooth, rough):
+    """#{(s, d) : s listed, d a product of primes in rough[:cap], s d <= b},
+    by plain recursion over the largest prime index of d."""
+    total = bisect.bisect_right(smooth, b)
+    for c in range(cap):
+        if rough[c] > b:
+            break
+        total += _phi(b // rough[c], c + 1, smooth, rough)
+    return total
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 7, smoothcount._NODE_CHUNK])
+@pytest.mark.parametrize("table_bytes", ["fold list", "below p0", "one entry"])
+@pytest.mark.parametrize("x, folded, y", [(10**4, 7, 300), (3000, 2, 1500), (120, 7, 97)])
+def test_walk_matches_plain_recursion(gpf100k, monkeypatch, chunk, table_bytes, x, folded, y):
+    # The listed values are the numbers <= x built from primes <= folded,
+    # the rough primes the rest up to y.  Shrinking the leaf table below
+    # p0 makes nodes with budget under p0, whose cap is 0; one entry
+    # leaves no leaves at all, so every node is made and searched.
+    smooth = oracles.smooth_values(x, folded, gpf100k)
+    rough = np.array([p for p in range(folded + 1, y + 1) if gpf100k[p] == p], dtype=np.int64)
+    p0 = int(rough[0])
+    limit = {"fold list": smooth.nbytes, "below p0": 4 * (p0 - 1), "one entry": 4}[table_bytes]
+    build, charge = smoothcount._leaf_table, smoothcount._charge_leaves
+    caps = []
+
+    def recorded(budget, cap, primes, table):
+        caps.append(cap.copy())
+        return charge(budget, cap, primes, table)
+
+    monkeypatch.setattr(smoothcount, "_leaf_table", lambda s, r, x, _: build(s, r, x, limit))
+    monkeypatch.setattr(smoothcount, "_charge_leaves", recorded)
+    monkeypatch.setattr(smoothcount, "_NODE_CHUNK", chunk)
+    got = smoothcount._walk_rough_tree(smooth, rough, x)
+    assert got == _phi(x, rough.size, smooth.tolist(), rough.tolist())
+    assert got == oracles.psi_brute(x, y, gpf100k)
+    if x < p0 * p0:
+        return
+    made = np.concatenate(caps[1:])
+    assert (table_bytes == "fold list") == (0 not in made)
+    if chunk > 2:
+        assert any(np.unique(cap).size < cap.size for cap in caps)
+
+
 @pytest.mark.parametrize("bound", ["one row", "below p0", "one entry"])
 def test_psi_exact_leaf_table_bound_does_not_change_counts(pt100k, monkeypatch, bound):
     # Shrinking the table's byte bound moves children from the table
@@ -213,6 +258,12 @@ def test_psi_exact_frozen_grid_counts(pt100k):
     }
     for (x, y), count in want.items():
         assert smoothcount.psi_exact(x, y, pt100k) == count
+
+
+def test_psi_exact_frozen_count_at_large_x(pt100k):
+    # 10^11 with y = 10^4: a fold list of millions and a rough tree of
+    # about 0.9M nodes whose 150M leaves are charged column by column.
+    assert smoothcount.psi_exact(10**11, 10**4, pt100k) == 9091106074
 
 
 _MEMORY_CAP_CHILD = """
@@ -324,6 +375,15 @@ def test_psi_exact_resource_and_range_errors(pt100k, monkeypatch):
     monkeypatch.setenv("SMOOTHNUM_MAX_PSI_X", "1000")
     with pytest.raises(ResourceError):
         smoothcount.psi_exact(2000, 10, pt100k)
+
+
+def test_psi_exact_trivial_cases_come_before_the_envelope():
+    # None of these reads the prime table, which covers only [2, 10].
+    small = primes.sieve(10)
+    assert smoothcount.psi_exact(10, 9 * 10**8, small) == 10
+    assert smoothcount.psi_exact(2 * 10**6, 3 * 10**6, small) == 2 * 10**6
+    assert smoothcount.psi_exact(5 * 10**12, 1, small) == 1
+    assert smoothcount.psi_exact(0, 9 * 10**8, small) == 0
 
 
 # ----------------------------------------------------------------------
