@@ -39,13 +39,17 @@ __all__ = [
     "compute_point",
     "model_rhs",
     "li_density",
-    "empirical_log_density",
-    "sign_agreement",
 ]
 
 # Phase-buffer bytes per worker thread.  A chunk is as many samples as
 # fit, so li_density holds workers x this for any number of ordinates.
 _CHUNK_BYTES = 8 << 20
+
+
+def _check_beta0(beta0: float) -> None:
+    """The zero-sum model's 1/(2 beta0 - 1) is derived for beta0 in (1/2, 1)."""
+    if not 0.5 < beta0 < 1.0:
+        raise DomainError(f"beta0 must lie in (1/2, 1), got {beta0!r}")
 
 
 @dataclass(frozen=True)
@@ -59,8 +63,7 @@ class BiasConfig:
     n_samples: int
 
     def __post_init__(self):
-        if not 0.5 < self.beta0 < 1.0:
-            raise DomainError(f"beta0 must lie in (1/2, 1), got {self.beta0!r}")
+        _check_beta0(self.beta0)
         if self.n_samples < 1000:
             raise RangeError(f"need n_samples >= 1000, got {self.n_samples}")
         if not 0 <= self.seed < 2**64:
@@ -100,8 +103,10 @@ def x_of_y(y: float, beta0: float) -> float:
 
     By construction saddle(x(y), y).beta == beta0 exactly: with
     xi = (1-beta0) log y and u = log x/log y one has 1 + u*xi =
-    y^(1-beta0) = e^xi.
+    y^(1-beta0) = e^xi.  The curve needs 0 < beta0 < 1 (DomainError).
     """
+    if not 0.0 < beta0 < 1.0:
+        raise DomainError(f"the curve x(y) needs beta0 in (0, 1), got {beta0!r}")
     return (y ** (1.0 - beta0) - 1.0) / (1.0 - beta0)
 
 
@@ -115,9 +120,14 @@ def compute_point(
 ) -> BiasPoint:
     """Exact count, de Bruijn value, correction factor and deviation at
     one grid point; the exact-count envelope bounds how far up the curve
-    this can go (ResourceError beyond it)."""
+    this can go (ResourceError beyond it, as when x overflows a float).
+    The model is NaN without zeros and a cutoff, and for beta0 <= 1/2,
+    outside its range."""
     log_x = x_of_y(y, beta0)
-    x = math.exp(log_x)
+    try:
+        x = math.exp(log_x)
+    except OverflowError:
+        raise ResourceError(f"x(y) = exp({log_x:g}) overflows a float") from None
     sd = saddle(x, y, table)
     psi = psi_exact(x, y, pt)
     lam = lambda_xy(x, y, table)
@@ -126,7 +136,7 @@ def compute_point(
     deviation = (psi - lam) / lam * scale
     model = (
         model_rhs(y, beta0, big_t, zeros)
-        if zeros is not None and big_t is not None
+        if zeros is not None and big_t is not None and beta0 > 0.5
         else math.nan
     )
     return BiasPoint(
@@ -152,8 +162,10 @@ def model_rhs(y: float, beta0: float, big_t: float, zeros: ZeroList) -> float:
                                                      / (1/2 - beta0 + i gamma) )
 
     Conjugate pairing is done symbolically, so the result is real by
-    construction, not by cancellation.
+    construction, not by cancellation.  beta0 must lie in (1/2, 1)
+    (DomainError).
     """
+    _check_beta0(beta0)
     g = zeros.up_to(big_t)
     const = 1.0 / (2.0 * beta0 - 1.0)
     if g.size == 0:
@@ -275,58 +287,3 @@ def li_density(
         n_samples=n,
         seed=cfg.seed,
     )
-
-
-def _log_weights(ys: np.ndarray) -> np.ndarray:
-    """Trapezoid weights in log y (the logarithmic-density measure)."""
-    ly = np.log(ys)
-    w = np.empty_like(ly)
-    w[1:-1] = 0.5 * (ly[2:] - ly[:-2])
-    w[0] = 0.5 * (ly[1] - ly[0])
-    w[-1] = 0.5 * (ly[-1] - ly[-2])
-    return w
-
-
-def empirical_log_density(
-    y_grid,
-    beta0: float,
-    pt: PrimeTable,
-    table: RhoTable,
-) -> DensityEstimate:
-    """Log-weighted fraction of grid points where the exact count beats
-    the plain de Bruijn value (Psi > Lambda), i.e. the discretized
-    logarithmic density of the positivity set along the curve."""
-    ys = np.sort(np.asarray([float(v) for v in y_grid], dtype=np.float64))
-    points = [compute_point(y, beta0, pt, table) for y in ys]
-    indicator = np.array([1.0 if p.psi > p.lam else 0.0 for p in points])
-    if ys.size == 1:
-        d = float(indicator[0])
-    else:
-        w = _log_weights(ys)
-        d = float(np.dot(w, indicator) / np.sum(w))
-    n = int(ys.size)
-    return DensityEstimate(
-        density=d,
-        stderr=math.sqrt(max(d * (1.0 - d), 0.0) / n),
-        n_samples=n,
-        seed=0,
-    )
-
-
-def sign_agreement(
-    y_grid,
-    beta0: float,
-    big_t: float,
-    zeros: ZeroList,
-    pt: PrimeTable,
-    table: RhoTable,
-) -> float:
-    """Fraction of grid points where the measured deviation and the
-    zero-sum model have the same sign."""
-    ys = sorted(float(v) for v in y_grid)
-    agree = 0
-    for y in ys:
-        p = compute_point(y, beta0, pt, table, zeros=zeros, big_t=big_t)
-        if (p.deviation > 0) == (p.model > 0):
-            agree += 1
-    return agree / len(ys)

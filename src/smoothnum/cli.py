@@ -235,7 +235,7 @@ def _cmd_verify_psiover(args) -> int:
     table = specfun.default_rho_table()
     zeros = _load_zeros(args, required=True)
     pt = primes.sieve(max(4, math.ceil(args.y)))
-    rhs = gfactor.psiover_rhs(args.x, args.y, _cutoff(args, zeros), zeros, pt, table)
+    rhs = gfactor.psiover_rhs(args.x, args.y, _cutoff(args, zeros), zeros, table)
     sd = specfun.saddle(args.x, args.y, table)
     g = gfactor.g_direct(sd.beta, args.y, pt).real
     print(f"psiover_rhs = {_fmt(rhs)}")

@@ -44,17 +44,6 @@ class LambdaResult:
     est_error: float
 
 
-@dataclass(frozen=True)
-class LambdaAsymptotic:
-    """Lambda(x,y) next to its two saddle approximations x rho(u) K(.)."""
-
-    lambda_value: float
-    r_based: float  # x rho(u) K(-r(u)/log y)
-    xi_based: float  # x rho(u) K(-xi(u)/log y)
-    ratio_r: float
-    ratio_xi: float
-
-
 def _snap_floor(t: float) -> int:
     """floor(t), treating values within 1e-9 relative of an integer as
     that integer (right-continuity at integer y^u; powers computed in
@@ -341,22 +330,12 @@ def f_transform(s, y: float) -> complex:
     return EULER_GAMMA + big_i((1.0 - s) * log_y) + log_w + math.log(log_y)
 
 
-def lambda_asymptotic(x: float, y: float, table: RhoTable) -> LambdaAsymptotic:
-    """Lambda(x,y) against its saddle forms x rho(u) K(-r/log y) and
-    x rho(u) K(-xi/log y)."""
+def lambda_asymptotic(x: float, y: float, table: RhoTable) -> float:
+    """The first-order saddle form x rho(u) K(-xi(u)/log y) of Lambda(x, y)
+    (Saias 1989), for x >= y >= 2."""
     sd = saddle(x, y, table)
-    log_y = math.log(y)
     scale = math.exp(math.log(x) + specfun.log_rho(table, sd.u))
-    r_based = scale * k_factor(-sd.r / log_y).real
-    xi_based = scale * k_factor(-sd.xi / log_y).real
-    lam = lambda_xy(x, y, table)
-    return LambdaAsymptotic(
-        lambda_value=lam,
-        r_based=r_based,
-        xi_based=xi_based,
-        ratio_r=lam / r_based,
-        ratio_xi=lam / xi_based,
-    )
+    return scale * k_factor(-sd.xi / math.log(y)).real
 
 
 def buchstab_residual_lambda(

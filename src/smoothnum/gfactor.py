@@ -113,7 +113,6 @@ def psiover_rhs(
     y: float,
     big_t: float,
     zeros: ZeroList,
-    pt: PrimeTable,
     table: RhoTable,
 ) -> float:
     """Zero-sum prediction for the corrected ratio Psi/Lambda:

@@ -5,7 +5,7 @@
 * ``RhoTable``       -- tabulated log of the Dickman function rho.
 * ``rho_hat(s)``     -- exp(gamma + big_i(-s)), the Laplace transform of rho.
 * ``k_factor(t)``    -- t*zeta(t+1)/(t+1), continuous through t = 0.
-* ``saddle(x, y)``   -- u, xi, the saddle point beta, and the decay rate r.
+* ``saddle(x, y)``   -- u, xi and the saddle point beta.
 
 The Dickman function satisfies u*rho'(u) = -rho(u-1); we advance the
 equivalent integral form rho(u) = (1/u) * integral_{u-1}^{u} rho(t) dt
@@ -279,7 +279,8 @@ def _check_range(table: RhoTable, flat: np.ndarray) -> None:
         )
 
 
-def _eval_log_rho(table: RhoTable, u):
+def log_rho(table: RhoTable, u):
+    """log rho(u), interpolated from the table; exactly 0 for u <= 1."""
     arr = np.asarray(u, dtype=np.float64)
     scalar = arr.ndim == 0
     flat = np.atleast_1d(arr).ravel().astype(np.float64)
@@ -294,14 +295,9 @@ def _eval_log_rho(table: RhoTable, u):
     return out.reshape(arr.shape)
 
 
-def log_rho(table: RhoTable, u):
-    """log rho(u), interpolated from the table; exactly 0 for u <= 1."""
-    return _eval_log_rho(table, u)
-
-
 def rho(table: RhoTable, u):
     """Dickman rho(u), positive everywhere on [0, u_max]."""
-    value = _eval_log_rho(table, u)
+    value = log_rho(table, u)
     if isinstance(value, float):
         return math.exp(value)
     return np.exp(value)
@@ -317,7 +313,7 @@ def rho_prime(table: RhoTable, u):
     mask = flat > 1.0
     if np.any(mask):
         um = flat[mask]
-        out[mask] = -np.exp(_eval_log_rho(table, um - 1.0)) / um
+        out[mask] = -np.exp(log_rho(table, um - 1.0)) / um
     if scalar:
         return float(out[0])
     return out.reshape(arr.shape)
@@ -329,17 +325,18 @@ def rho_prime(table: RhoTable, u):
 
 @dataclass(frozen=True)
 class SaddleData:
-    """u = log x/log y, the root xi(u), beta = 1 - xi/log y, and the
-    local decay rate r = -rho'(u)/rho(u) (zero for u <= 1)."""
+    """u = log x/log y, the root xi(u) and beta = 1 - xi/log y."""
 
     u: float
     xi: float
     beta: float
-    r: float
 
 
 def saddle(x: float, y: float, table: RhoTable) -> SaddleData:
-    """Saddle data for the pair (x, y) with x >= y >= 2, both finite."""
+    """Saddle data for the pair (x, y) with x >= y >= 2, both finite.
+
+    The table is not read; perfbench calls saddle with it.
+    """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"saddle requires finite x and y, got x={x}, y={y}")
     if y < 2 or x < y:
@@ -348,11 +345,7 @@ def saddle(x: float, y: float, table: RhoTable) -> SaddleData:
     u = math.log(x) / log_y
     xi_u = xi(u)
     beta = 1.0 - xi_u / log_y
-    if u <= 1.0:
-        r = 0.0
-    else:
-        r = math.exp(_eval_log_rho(table, u - 1.0) - _eval_log_rho(table, u)) / u
-    return SaddleData(u=u, xi=xi_u, beta=beta, r=r)
+    return SaddleData(u=u, xi=xi_u, beta=beta)
 
 
 @lru_cache(maxsize=1)

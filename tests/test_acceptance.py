@@ -180,7 +180,7 @@ def test_criterion_07_correction_beats_plain_ratio(rho_table):
 
     ok = med_co <= med_un and agreement >= 0.7 and elapsed < 1800
     _report(7, ok, f"median_corrected={med_co:.3e} <= median_uncorrected={med_un:.3e}, "
-                   f"sign_agreement={agreement:.2f} on {len(signs)} feasible points "
+                   f"sign_match={agreement:.2f} on {len(signs)} feasible points "
                    f"({skipped} skipped), elapsed={elapsed:.0f}s")
     assert len(signs) >= 10
     assert med_co <= med_un

@@ -23,6 +23,12 @@ def test_x_of_y_arithmetic():
     assert bias.x_of_y(1.0, 0.75) == 0.0
 
 
+@pytest.mark.parametrize("beta0", [-1.0, 0.0, 1.0, 1.5])
+def test_x_of_y_needs_beta0_in_open_unit_interval(beta0):
+    with pytest.raises(DomainError):
+        bias.x_of_y(1e4, beta0)
+
+
 def test_saddle_pinned_on_curve(rho_table):
     # The curve is built so that beta(x(y), y) = beta0 identically.
     for y, beta0 in ((1e4, 0.75), (500.0, 0.7), (2718.28, 0.8)):
@@ -56,6 +62,19 @@ def test_compute_point_model_field(pt100k, rho_table, zeros10k):
     assert p.model == bias.model_rhs(800.0, 0.75, 1000.0, zeros10k)
 
 
+def test_compute_point_model_is_nan_outside_its_range(pt100k, rho_table, zeros10k):
+    # 1/(2 beta0 - 1) is derived for beta0 > 1/2; at 1/2 it divides by 0.
+    p = bias.compute_point(100.0, 0.5, pt100k, rho_table, zeros=zeros10k, big_t=100.0)
+    assert math.isnan(p.model)
+    assert p.beta == pytest.approx(0.5, abs=1e-10)
+
+
+def test_compute_point_x_overflow_is_resource_error(pt100k, rho_table):
+    # log x = (10^4.5 - 1)/0.9 is about 3.5e4, past the largest float.
+    with pytest.raises(ResourceError):
+        bias.compute_point(1e5, 0.1, pt100k, rho_table)
+
+
 # ----------------------------------------------------------------------
 # model_rhs
 # ----------------------------------------------------------------------
@@ -81,14 +100,20 @@ def test_model_rhs_oscillation_averages_out(zeros10k):
     assert abs(np.mean(vals - 2.0)) <= 0.02
 
 
-def test_model_rhs_matches_psiover_route(pt100k, rho_table, zeros10k):
+def test_model_rhs_matches_psiover_route(rho_table, zeros10k):
     # (psiover_rhs - 1) * y^(beta0 - 1/2) * log y telescopes to exactly
     # the model_rhs formula when beta = beta0 on the curve.
     y, beta0 = 1e4, 0.75
     x = math.exp(bias.x_of_y(y, beta0))
-    pv = gfactor.psiover_rhs(x, y, 1000.0, zeros10k, pt100k, rho_table)
+    pv = gfactor.psiover_rhs(x, y, 1000.0, zeros10k, rho_table)
     scaled = (pv - 1.0) * y ** (beta0 - 0.5) * math.log(y)
     assert abs(scaled - bias.model_rhs(y, beta0, 1000.0, zeros10k)) <= 1e-9
+
+
+@pytest.mark.parametrize("beta0", [0.25, 0.5, 1.0])
+def test_model_rhs_needs_beta0_above_half(zeros10k, beta0):
+    with pytest.raises(DomainError):
+        bias.model_rhs(100.0, beta0, 100.0, zeros10k)
 
 
 def test_model_rhs_range_error(zeros10k):
@@ -246,19 +271,14 @@ def test_li_density_range_error(zeros10k):
 # empirical density along the curve
 # ----------------------------------------------------------------------
 
-def test_empirical_log_density_single_point(pt100k, rho_table):
-    est = bias.empirical_log_density([1000.0], 0.75, pt100k, rho_table)
-    assert est.density in (0.0, 1.0)
-    assert est.stderr == 0.0
-    assert est.n_samples == 1
-
-
 def test_empirical_density_and_model_agreement(pt100k, rho_table, zeros10k):
     # Desk-scale slice of the positivity experiment: the exact count
     # stays above the de Bruijn value on this stretch of the curve, and
     # the zero-sum model gets every sign right (measured 1.0).
-    grid = list(np.exp(np.linspace(math.log(1000.0), math.log(2000.0), 5)))
-    est = bias.empirical_log_density(grid, 0.75, pt100k, rho_table)
-    assert est.density > 0.5
-    agreement = bias.sign_agreement(grid, 0.75, 1000.0, zeros10k, pt100k, rho_table)
-    assert agreement >= 0.6
+    grid = np.exp(np.linspace(math.log(1000.0), math.log(2000.0), 5))
+    points = [
+        bias.compute_point(y, 0.75, pt100k, rho_table, zeros=zeros10k, big_t=1000.0)
+        for y in grid
+    ]
+    assert np.mean([p.psi > p.lam for p in points]) > 0.5
+    assert np.mean([(p.deviation > 0) == (p.model > 0) for p in points]) >= 0.6

@@ -294,6 +294,39 @@ def test_bias_scan_plot_emission(tmp_path):
     compile(script.read_text(), str(script), "exec")
 
 
+def test_bias_scan_at_beta0_one_half_leaves_the_model_out(tmp_path):
+    # The model's 1/(2 beta0 - 1) has no value at 1/2: its column is nan.
+    out = tmp_path / "half.csv"
+    rc = main(["bias-scan", "--beta0", "0.5", "--y-min", "100", "--y-max", "200",
+               "--n-points", "2", "--zeros", ZEROS, "--T", "100", "--out", str(out)])
+    assert rc == 0
+    rows = [dict(zip(CSV_COLUMNS, row)) for row in _cells(out)]
+    assert len(rows) == 2
+    assert all(row["model_rhs"] == "nan" for row in rows)
+    assert all(math.isfinite(float(row["normalized_deviation"])) for row in rows)
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-theorem1", "--beta0", "1.0", "--y-min", "100", "--y-max", "200",
+     "--n-points", "2"],
+    ["bias-scan", "--beta0", "-1", "--y-min", "100", "--y-max", "200",
+     "--n-points", "2"],
+])
+def test_grid_beta0_off_the_curve_is_domain_error(capsys, argv):
+    assert main(argv) == EXIT_CODES[DomainError]
+    assert capsys.readouterr().err.startswith("smoothnum: DomainError:")
+
+
+def test_grid_point_with_x_past_float_range_is_infeasible(capsys):
+    # log x(10^5) at beta0 = 0.1 is about 3.5e4, so x overflows a float.
+    argv = ["bias-scan", "--beta0", "0.1", "--y-min", "1e5", "--y-max", "1e5",
+            "--n-points", "1"]
+    assert main(argv) == EXIT_CODES[ResourceError]
+    assert capsys.readouterr().err.startswith("smoothnum: ResourceError:")
+    assert main(argv + ["--skip-infeasible"]) == 0
+    assert capsys.readouterr().out == ",".join(CSV_COLUMNS) + "\n"
+
+
 # ----------------------------------------------------------------------
 # Monte Carlo commands
 # ----------------------------------------------------------------------

@@ -266,23 +266,29 @@ def test_f_transform_is_reciprocal_of_g(pt100k):
 def test_lambda_asymptotic_degenerate(rho_table):
     x = 1000.5
     la = debruijn.lambda_asymptotic(x, x, rho_table)
-    assert la.r_based == pytest.approx(x, rel=1e-12)  # K(0) = 1, rho(1) = 1
-    assert la.xi_based == pytest.approx(x, rel=1e-12)
-    assert abs(la.ratio_r - 1.0) <= 1.0 / x
+    assert la == pytest.approx(x, rel=1e-12)  # K(0) = 1, rho(1) = 1
+    assert abs(debruijn.lambda_xy(x, x, rho_table) / la - 1.0) <= 1.0 / x
 
 
 def test_lambda_asymptotic_accuracy(rho_table):
     x = 1e8
     y = x ** (1.0 / 3.0)
     la = debruijn.lambda_asymptotic(x, y, rho_table)
-    assert abs(la.ratio_r - 1.0) <= 10.0 / (math.log(x) * math.log(y))
+    assert abs(debruijn.lambda_xy(x, y, rho_table) / la - 1.0) <= 10.0 / (
+        math.log(x) * math.log(y)
+    )
 
 
-def test_lambda_asymptotic_r_vs_xi(rho_table):
-    for x, y in ((1e6, 1e2), (1e8, 464.16), (1e5, 50.0)):
-        la = debruijn.lambda_asymptotic(x, y, rho_table)
-        u = math.log(x) / math.log(y)
-        assert abs(la.r_based / la.xi_based - 1.0) <= 5.0 / (u * math.log(y))
+@pytest.mark.parametrize(
+    "x, deviation",
+    [(1e20, 5.819602610013241e-3), (1e25, 4.674628795307445e-3), (1e30, 3.8893711044285517e-3)],
+)
+def test_lambda_asymptotic_far_deviation_pinned(rho_table, x, deviation):
+    # Lambda / (x rho(3) K(-xi(3)/log y)) - 1 at u = 3: criterion 05's
+    # signed deviation, as BENCH_lambda.json's far_points record it.
+    y = x ** (1.0 / 3.0)
+    got = debruijn.lambda_xy(x, y, rho_table) / debruijn.lambda_asymptotic(x, y, rho_table)
+    assert got - 1.0 == pytest.approx(deviation, abs=1e-14)
 
 
 # ----------------------------------------------------------------------

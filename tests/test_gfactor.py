@@ -125,11 +125,11 @@ def test_corrected_prediction_domain_errors(pt100k, rho_table):
 # psiover_rhs
 # ----------------------------------------------------------------------
 
-def test_psiover_rhs_empty_zero_sum(pt100k, rho_table, zeros10k):
+def test_psiover_rhs_empty_zero_sum(rho_table, zeros10k):
     y = 1e4
     x = y**1.8
     beta = specfun.saddle(x, y, rho_table).beta
-    got = gfactor.psiover_rhs(x, y, 10.0, zeros10k, pt100k, rho_table)
+    got = gfactor.psiover_rhs(x, y, 10.0, zeros10k, rho_table)
     want = 1.0 + y ** (-beta) * math.sqrt(y) / ((2.0 * beta - 1.0) * math.log(y))
     assert got == want
     assert isinstance(got, float)
@@ -142,13 +142,13 @@ def test_psiover_rhs_agrees_with_g(pt100k, rho_table, zeros10k):
     for u, frozen in ((1.8, 1.0046571418662664), (2.5, 1.009279958141757)):
         x = y**u
         beta = specfun.saddle(x, y, rho_table).beta
-        rhs = gfactor.psiover_rhs(x, y, 1e4, zeros10k, pt100k, rho_table)
+        rhs = gfactor.psiover_rhs(x, y, 1e4, zeros10k, rho_table)
         g = gfactor.g_value(beta, y, pt100k).g_direct.real
         assert abs(rhs - g) <= 3.0 * y ** (0.5 - beta) / math.log(y), f"u={u}"
         assert rhs == frozen  # bit for bit
 
 
-def test_psiover_rhs_rejects_beta_near_half(pt100k, rho_table, zeros10k):
+def test_psiover_rhs_rejects_beta_near_half(rho_table, zeros10k):
     # (1e8, 100) has saddle abscissa 0.4926 < 0.55.
     with pytest.raises(DomainError):
-        gfactor.psiover_rhs(1e8, 100.0, 1e4, zeros10k, pt100k, rho_table)
+        gfactor.psiover_rhs(1e8, 100.0, 1e4, zeros10k, rho_table)

@@ -316,8 +316,6 @@ def test_saddle_basic_fields(rho_table):
     assert data.u == pytest.approx(2.0, rel=1e-15)
     assert data.xi == pytest.approx(oracles.xi_bisection(2.0), rel=1e-12)
     assert data.beta == pytest.approx(1.0 - data.xi / math.log(10.0), rel=1e-15)
-    # r = rho(u-1)/(u rho(u)) at u = 2: 1/(2 (1 - log 2)).
-    assert data.r == pytest.approx(0.5 / (1.0 - math.log(2.0)), rel=1e-10)
 
 
 def test_saddle_degenerate_at_u_equals_one(rho_table):
@@ -325,7 +323,6 @@ def test_saddle_degenerate_at_u_equals_one(rho_table):
     assert data.u == 1.0
     assert data.xi == 0.0
     assert data.beta == 1.0
-    assert data.r == 0.0
 
 
 @given(st.floats(min_value=2.0, max_value=30.0), st.floats(min_value=1.0, max_value=8.0))
@@ -336,7 +333,6 @@ def test_saddle_beta_below_one_for_u_above_one(log_y, u):
     assert data.beta <= 1.0
     if u > 1.01:
         assert data.beta < 1.0
-    assert data.r >= 0.0
 
 
 def test_saddle_rejects_bad_arguments(rho_table):
