@@ -8,6 +8,9 @@ tautology:
                       ODE, one series per unit interval (the package
                       advances the equivalent integral form implicitly
                       on a fine grid);
+* the rho table    -- the package's own discretization solved one grid
+                      point at a time (the package solves a unit block
+                      at a time);
 * I(s)             -- the entire Taylor series (the package integrates);
 * xi(u)            -- pure bisection (the package runs Newton);
 * smooth counts    -- greatest-prime-factor sieve enumeration (the
@@ -86,6 +89,64 @@ def dickman_rho_series(u_target: float, pad_dps: int = 30) -> float:
     if u_target <= 1.0:
         return 1.0
     return math.exp(dickman_log_rho(u_target, pad_dps))
+
+
+# ----------------------------------------------------------------------
+# The rho table's discretization, solved one grid point at a time
+# ----------------------------------------------------------------------
+#
+# specfun.build_rho_table solves each unit block of its discretized
+# integral equation as a lower-triangular system, a few dozen rows per
+# dense solve.  This is the same discretization (the same piece
+# weights, the same h^2/12 trapezoid repairs, the same exact seed on
+# [1, 2]), with each window's rule assembled on its own, advanced by
+# forward substitution: one grid point and one dot product at a time,
+# each window rescaled by its own first value.  Only the order of the
+# floating-point operations differs, so the two tables agree to
+# rounding.
+
+def _window_rule(residue: int, m: int, h: float):
+    """Weights over the m+1 grid points of one window [u-1, u], split at
+    its interior kink, and its single-interval pieces as (local_a,
+    local_b): these need the h^2/12 endpoint repair."""
+    from smoothnum import specfun
+
+    pieces = [(0, m)] if residue == 0 else [(0, m - residue), (m - residue, m)]
+    weights = np.zeros(m + 1)
+    needs_correction = []
+    for a, b in pieces:
+        weights[a : b + 1] += specfun._piece_weights(b - a, h)
+        if b - a == 1:
+            needs_correction.append((a, b))
+    return weights, needs_correction
+
+
+def rho_table_stepwise(u_max: float, step: float) -> np.ndarray:
+    """log rho on the grid j*step, j = 0..ceil(u_max)/step, point by point."""
+    m = int(round(1.0 / step))
+    h = step
+    n_last = int(math.ceil(u_max - 1e-9)) * m
+    log_rho = np.zeros(n_last + 1)
+    for n in range(m + 1, min(2 * m, n_last) + 1):
+        log_rho[n] = math.log1p(-math.log(n * h))
+
+    rules = {}
+    for n in range(2 * m + 1, n_last + 1):
+        r = n % m
+        if r not in rules:
+            rules[r] = _window_rule(r, m, h)
+        weights, corrections = rules[r]
+        base = log_rho[n - m]
+        vals = np.exp(log_rho[n - m : n] - base)
+        known = float(np.dot(weights[:m], vals))
+        for ja, jb in corrections:
+            ua = (n - m + ja) * h
+            ub = (n - m + jb) * h
+            ra = math.exp(log_rho[n - 2 * m + ja] - base)
+            rb = math.exp(log_rho[n - 2 * m + jb] - base)
+            known += h * h / 12.0 * (rb / ub - ra / ua)
+        log_rho[n] = base + math.log(known / (n * h - weights[m]))
+    return log_rho
 
 
 # ----------------------------------------------------------------------

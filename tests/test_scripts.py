@@ -1,5 +1,5 @@
 """Smoke tests of the helper scripts under scripts/ (the zero-table
-generator and the Lambda and psi_exact benches), each run in a
+generator and the Lambda, psi_exact and rho-table benches), each run in a
 subprocess on tiny inputs, so a script left calling a removed API fails
 here rather than in a long run.  The experiments themselves run
 through the CLI and are tested in test_cli.py."""
@@ -19,6 +19,7 @@ _RUNS = {
     "make_zero_fixture.py": ["--help"],
     "bench_lambda.py": ["--rev", "."],
     "bench_psi.py": ["--rev", ".", "--tiny"],
+    "bench_rho.py": ["--rev", ".", "--tiny"],
 }
 
 
