@@ -7,9 +7,10 @@ times REPEATS calls of debruijn.lambda_xy and keeps the median; it also
 counts the rho' evaluations of one call.  The points are the benchmark's
 prediction-sweep grid at seed 0.  The FAR_X points, at y = x^(1/3), run
 at the last revision only; there the signed criterion-05 deviation
-Lambda / (x rho(3) K(-xi(3)/log y)) - 1 is recorded too.
+Lambda / debruijn.lambda_asymptotic - 1 (the first-order form
+x rho(3) K(-xi(3)/log y)) is recorded too.
 
-    python scripts/bench_lambda.py --rev 990de1c --rev . --out BENCH_lambda.json
+    python scripts/bench_lambda.py --rev 2d7c63a --rev . --out BENCH_lambda.json
 """
 
 import argparse
@@ -29,7 +30,6 @@ FAR_X = (1e20, 1e25, 1e30)
 
 
 def _child(points: list, far: list) -> dict:
-    import math
     import resource
     import statistics
     import time
@@ -67,10 +67,8 @@ def _child(points: list, far: list) -> dict:
     far_rows = []
     for x in far:
         row = measure(x, x ** (1.0 / 3.0))
-        k = specfun.k_factor(-float(specfun.xi(3.0)) / math.log(row["y"])).real
-        row["criterion05_signed_deviation"] = (
-            row["lambda"] / (x * specfun.rho(table, 3.0) * k) - 1.0
-        )
+        asymptotic = debruijn.lambda_asymptotic(x, row["y"], table)
+        row["criterion05_signed_deviation"] = row["lambda"] / asymptotic - 1.0
         far_rows.append(row)
     return {
         "numpy": np.__version__,

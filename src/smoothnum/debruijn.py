@@ -11,9 +11,11 @@ d(floor(t)/t).  Two independent evaluations are provided:
   plus the density -floor(t)/t^2 dt.  Its cost is linear in y^u, so it
   serves as the cross-check of the other route.
 
-Both integrals are split at the integers, where the integrands kink, so
-each unit piece is a smooth product handled by short Gauss rules; the
-sawtooth integral only up to t = _EM_START.  Beyond it, Euler-Maclaurin
+Both integrals run over one sorted list of piece edges: the integers,
+where floor(t) jumps, the points t = y^(u-k), where rho's argument
+crosses an integer, and finer cuts below t = 16.  Each piece is then a
+smooth product under one 7-point Gauss rule.  The sawtooth integral
+takes these pieces only up to t = _EM_START; beyond it, Euler-Maclaurin
 leaves Gauss panels in u - log t/log y between the kinks t = y^(u-k).
 """
 
@@ -54,81 +56,43 @@ def _snap_floor(t: float) -> int:
     return math.floor(t)
 
 
-def _integrate_pieces(f, t_hi: float, kinks=()) -> float:
-    """Integral of f(t, floor(t)) over [1, t_hi], split at the integers.
+def _integrate_pieces(f, t_hi: float, kinks) -> float:
+    """Integral of f(t, floor(t)) over [1, t_hi].
 
-    f must be vectorized over (t values, matching floors).  Pieces below
-    t = 16 are subdivided ~16/n ways so the 1/t^2-type curvature near 1
-    cannot dominate; beyond that one 7-point Gauss rule per unit piece
-    leaves relative errors near 1e-14.  ``kinks`` lists interior points
-    where f loses smoothness (for these integrands, t = y^(u-k) where
-    the rho argument crosses an integer); the unit piece containing each
-    kink is split there so no Gauss rule straddles it.
+    f must be vectorized over (t values, matching floors).  The edges of
+    the pieces form one sorted list: the integers, ~16/n cuts inside
+    unit n below t = 16 (so the 1/t^2-type curvature near 1 cannot
+    dominate), the ``kinks`` inside (1, t_hi) and t_hi.  ``kinks`` are
+    the points where f loses smoothness (for these integrands t =
+    y^(u-k), where the rho argument crosses an integer), so no piece
+    straddles one.  Every piece gets one 7-point Gauss rule, which
+    leaves relative errors near 1e-14, with floor(t) taken at its left
+    edge; a piece of zero width adds exactly 0.  The list is built and
+    summed _CHUNK units at a time.
     """
     if t_hi <= 1.0:
         return 0.0
     xg, wg = gauss_legendre(_PIECE_NODES)
+    fine = [np.linspace(n, n + 1.0, math.ceil(16 / n) + 1)[1:-1] for n in range(1, 16)]
+    cuts = np.sort(np.concatenate(fine + [np.asarray(kinks, dtype=np.float64)]))
+    cuts = cuts[(1.0 < cuts) & (cuts < t_hi)]
     totals = []
-    n_full = math.floor(t_hi)
-
-    # Unit pieces needing explicit edges: the first 15, the final partial
-    # piece, and any piece containing a kink.
-    special: dict = {}
-    for n in range(1, min(16, n_full + 1)):
-        special[n] = []
-    if t_hi > n_full:
-        special.setdefault(n_full, [])
-    for kink in kinks:
-        if 1.0 < kink < t_hi:
-            n = math.floor(kink)
-            a, b = float(n), min(n + 1.0, t_hi)
-            margin = 1e-12 * max(1.0, b)
-            if a + margin < kink < b - margin:
-                special.setdefault(n, []).append(float(kink))
-
-    a_list, b_list, n_list = [], [], []
-    for n, cuts in special.items():
-        a, b = float(n), min(n + 1.0, t_hi)
-        if b <= a:
-            continue
-        base = np.linspace(a, b, (math.ceil(16 / n) if n < 16 else 1) + 1)
-        edges = np.unique(np.concatenate([base, np.asarray(cuts)]))
-        a_list.extend(edges[:-1])
-        b_list.extend(edges[1:])
-        n_list.extend([n] * (len(edges) - 1))
-    if a_list:
-        a = np.asarray(a_list)
-        length = np.asarray(b_list) - a
+    for lo in range(1, math.ceil(t_hi), _CHUNK):
+        hi = min(lo + _CHUNK, t_hi)
+        edges = np.append(np.arange(lo, hi, dtype=np.float64), hi)
+        inner = cuts[(lo < cuts) & (cuts < hi)]
+        edges = np.insert(edges, np.searchsorted(edges, inner), inner)
+        a, length = edges[:-1], np.diff(edges)
         t = a[:, None] + length[:, None] * xg
-        vals = f(t.ravel(), np.repeat(np.asarray(n_list, dtype=np.float64), _PIECE_NODES))
-        totals.append(float(np.sum(np.sum(vals.reshape(t.shape) * wg, axis=1) * length)))
-
-    special_ns = np.fromiter(special.keys(), dtype=np.int64)
-    for lo in range(16, n_full, _CHUNK):
-        hi = min(lo + _CHUNK, n_full)
-        nn = np.arange(lo, hi, dtype=np.int64)
-        nn = nn[~np.isin(nn, special_ns)].astype(np.float64)
-        if not nn.size:
-            continue
-        t = nn[:, None] + xg
-        vals = f(t.ravel(), np.repeat(nn, _PIECE_NODES))
-        totals.append(float(np.sum(np.sum(vals.reshape(t.shape) * wg, axis=1))))
+        vals = f(t.ravel(), np.repeat(np.floor(a), _PIECE_NODES)).reshape(t.shape)
+        totals.append(float(np.sum(np.sum(vals * wg, axis=1) * length)))
     return math.fsum(totals)
 
 
-def _rho_arg_kinks(u: float, y: float, t_hi: float, k_start: int) -> list:
-    """t = y^(u-k) values inside (1, t_hi): where rho's argument is an
+def _rho_arg_kinks(u: float, log_y: float, k_start: int) -> list:
+    """t = y^(u-k) for k_start <= k < u: where rho's argument is an
     integer and the integrand kinks."""
-    out = []
-    k = k_start
-    while True:
-        t_star = math.exp((u - k) * math.log(y))
-        if t_star <= 1.0 + 1e-12:
-            break
-        if t_star < t_hi * (1.0 - 1e-15):
-            out.append(t_star)
-        k += 1
-    return out
+    return [math.exp((u - k) * log_y) for k in range(k_start, math.ceil(u))]
 
 
 def _validate(u: float, y: float) -> float:
@@ -167,7 +131,7 @@ def lambda_atom_sum(u: float, y: float, table: RhoTable, *, _t_max=None) -> Lamb
     def density(t, floor_t):
         return floor_t / (t * t) * specfun.rho(table, u - np.log(t) / log_y)
 
-    integral = _integrate_pieces(density, t_max, kinks=_rho_arg_kinks(u, y, t_max, 1))
+    integral = _integrate_pieces(density, t_max, _rho_arg_kinks(u, log_y, 1))
     return LambdaResult(value=atom_part - integral, method="atom_sum", est_error=0.0)
 
 
@@ -277,7 +241,7 @@ def lambda_ibp(
         args = u - np.log(t) / log_y
         return -specfun.rho_prime(table, args) * (t - floor_t) / (t * t)
 
-    integral = _integrate_pieces(sawtooth, t_split, kinks=_rho_arg_kinks(u, y, t_split, 2))
+    integral = _integrate_pieces(sawtooth, t_split, _rho_arg_kinks(u, log_y, 2))
     tail, est = 0.0, 0.0
     if t_hi > t_split:
         tail, est = _sawtooth_tail(u, log_y, t_hi, table)
@@ -346,19 +310,23 @@ def buchstab_residual_lambda(
     Mathematically zero; what comes back is quadrature error.  The
     integrand jumps each time x/t crosses an integer, so composite
     Gauss panels (in log t) converge first order in n_panels -- the
-    residual roughly halves when n_panels doubles.
+    residual roughly halves when n_panels doubles.  Where x/t < t (z >
+    sqrt(x)), every n <= x/t is t-smooth and Lambda(x/t, t) = floor(x/t).
     """
     if not (2 <= y <= z <= x):
         raise DomainError("buchstab residual requires 2 <= y <= z <= x")
     if z == y:
         return 0.0
+
+    def lam(s, t):
+        return math.floor(s) if s < t else lambda_xy(s, t, table)
+
     xg, wg = gauss_legendre(6)
     va, vb = math.log(y), math.log(z)
     edges = np.linspace(va, vb, n_panels + 1)
     total = 0.0
     for a, b in zip(edges[:-1], edges[1:]):
         v = a + (b - a) * xg
-        vals = [lambda_xy(x / math.exp(vi), math.exp(vi), table) * math.exp(vi) / vi
-                for vi in v]
+        vals = [lam(x / math.exp(vi), math.exp(vi)) * math.exp(vi) / vi for vi in v]
         total += (b - a) * float(np.dot(wg, vals))
     return lambda_xy(x, y, table) - lambda_xy(x, z, table) + total

@@ -103,6 +103,54 @@ def test_lambda_ratio_to_rho_bound(rho_table):
 
 
 # ----------------------------------------------------------------------
+# the piecewise quadrature behind both routes
+# ----------------------------------------------------------------------
+
+@pytest.mark.parametrize("t_hi", [1.0, 1.5, 15.7, 16.0, 1000.25])
+def test_integrate_pieces_floor_over_t_squared(t_hi):
+    # integral_1^T floor(t)/t^2 dt = H_floor(T) - floor(T)/T.
+    got = debruijn._integrate_pieces(lambda t, n: n / (t * t), t_hi, [])
+    m = math.floor(t_hi)
+    want = math.fsum(1.0 / k for k in range(1, m + 1)) - m / t_hi
+    assert got == pytest.approx(want, rel=2e-15, abs=0.0)
+
+
+def test_integrate_pieces_passes_floor_of_every_node(monkeypatch):
+    monkeypatch.setattr(debruijn, "_CHUNK", 7)
+    seen = []
+
+    def f(t, n):
+        assert np.array_equal(n, np.floor(t))
+        seen.append(t.size)
+        return np.ones_like(t)
+
+    kinks = [2.5, 3.0 - 1e-13, 3.0 + 1e-13, 17.0, 30.25, 50.0]
+    assert debruijn._integrate_pieces(f, 40.5, kinks) == pytest.approx(39.5, rel=1e-15)
+    assert len(seen) == 6  # blocks of 7 units from 1, 8, ..., 36
+
+
+# (c, _CHUNK): c in the subdivided units below 16, at an integer, 1e-13
+# either side of one, and with blocks of 7 units on a block edge (22) and
+# inside a later block.
+KINK_CASES = [
+    (1.3, None), (7.77, None), (12.0, None), (20.0 - 1e-13, None), (20.0 + 1e-13, None),
+    (20.37, None), (20.37, 7), (22.0, 7), (29.6, 7), (3.0 + 1e-13, 7),
+]
+
+
+@pytest.mark.parametrize("c, chunk", KINK_CASES)
+def test_integrate_pieces_cuts_at_kink(monkeypatch, c, chunk):
+    # |t - c|, cut at c, integrates to ((c-1)^2 + (T-c)^2)/2; without
+    # the cut, a Gauss rule straddling c misses by 1e-8 to 1e-5.
+    if chunk is not None:
+        monkeypatch.setattr(debruijn, "_CHUNK", chunk)
+    t_hi = 40.5
+    want = ((c - 1.0) ** 2 + (t_hi - c) ** 2) / 2.0
+    got = debruijn._integrate_pieces(lambda t, n: np.abs(t - c), t_hi, [c])
+    assert got == pytest.approx(want, rel=1e-14)
+
+
+# ----------------------------------------------------------------------
 # the Euler-Maclaurin tail of lambda_ibp
 # ----------------------------------------------------------------------
 
@@ -316,6 +364,16 @@ def test_buchstab_residual_first_order_convergence(rho_table):
     for coarse, fine in zip(resids, resids[1:]):
         assert fine / coarse <= 0.8
     assert resids[-1] / resids[0] <= 0.25
+
+
+def test_buchstab_residual_beyond_sqrt_x(rho_table):
+    # z > sqrt(x): Lambda(x/t, t) = floor(x/t) where x/t < t.  The
+    # residual is not monotone in n_panels (measured 4.4e-4, 4.1e-4,
+    # 1.1e-4, 4.2e-4, 1.5e-6 of Lambda for 8 .. 128), so the bound is
+    # the measured 64-panel value with a little room.
+    resid = debruijn.buchstab_residual_lambda(1e6, 1e2, 1e4, rho_table, n_panels=64)
+    lam = debruijn.lambda_xy(1e6, 1e2, rho_table)
+    assert abs(resid) / lam <= 5e-4
 
 
 def test_buchstab_domain_error(rho_table):
