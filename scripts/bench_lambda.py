@@ -4,11 +4,13 @@ Each revision runs in its own child process: "." is this checkout's
 src/, anything else is a git revision whose src/ is extracted first.
 Per point the child builds the rho table, makes one warm-up call, then
 times REPEATS calls of debruijn.lambda_xy and keeps the median; it also
-counts the rho' evaluations of one call.  The points are the benchmark's
-prediction-sweep grid at seed 0.  The FAR_X points, at y = x^(1/3), run
-at the last revision only; there the signed criterion-05 deviation
-Lambda / debruijn.lambda_asymptotic - 1 (the first-order form
-x rho(3) K(-xi(3)/log y)) is recorded too.
+counts the rho' evaluations of one call.  At each point it also times
+the two routes of the correction factor G at the saddle beta of (x, y),
+gfactor.g_direct and gfactor.g_value, and keeps each one's median.  The
+points are the benchmark's prediction-sweep grid at seed 0.  The FAR_X
+points, at y = x^(1/3), run at the last revision only; there the signed
+criterion-05 deviation Lambda / debruijn.lambda_asymptotic - 1 (the
+first-order form x rho(3) K(-xi(3)/log y)) is recorded too.
 
     python scripts/bench_lambda.py --rev 2d7c63a --rev . --out BENCH_lambda.json
 """
@@ -36,9 +38,10 @@ def _child(points: list, far: list) -> dict:
 
     import numpy as np
 
-    from smoothnum import debruijn, specfun
+    from smoothnum import debruijn, gfactor, primes, specfun
 
     table = specfun.default_rho_table()
+    pt = primes.sieve(int(max(y for _, y in points)))
     rho_prime = specfun.rho_prime
     evaluated = []
 
@@ -46,24 +49,35 @@ def _child(points: list, far: list) -> dict:
         evaluated.append(np.size(u))
         return rho_prime(tab, u)
 
-    def measure(x, y):
-        lam = debruijn.lambda_xy(x, y, table)
+    def timed(call, *args):
+        """(value of a warm-up call, median and min of REPEATS timed calls)"""
+        value = call(*args)
         times = []
         for _ in range(REPEATS):
             start = time.perf_counter()
-            debruijn.lambda_xy(x, y, table)
+            call(*args)
             times.append(time.perf_counter() - start)
+        return value, statistics.median(times), min(times)
+
+    def measure(x, y):
+        lam, median, fastest = timed(debruijn.lambda_xy, x, y, table)
         specfun.rho_prime = counting
         evaluated.clear()
         debruijn.lambda_xy(x, y, table)
         specfun.rho_prime = rho_prime
         return {
             "x": x, "y": y, "lambda": lam,
-            "median_s": statistics.median(times), "min_s": min(times),
+            "median_s": median, "min_s": fastest,
             "rho_prime_evals": int(sum(evaluated)),
         }
 
-    rows = [measure(x, y) for x, y in points]
+    rows = []
+    for x, y in points:
+        row = measure(x, y)
+        beta = row["beta"] = specfun.saddle(x, y, table).beta
+        row["g_direct_median_s"] = timed(gfactor.g_direct, beta, y, pt)[1]
+        row["g_value_median_s"] = timed(gfactor.g_value, beta, y, pt)[1]
+        rows.append(row)
     far_rows = []
     for x in far:
         row = measure(x, x ** (1.0 / 3.0))
@@ -161,8 +175,12 @@ def main() -> int:
         json.dump(report, handle, indent=1)
         handle.write("\n")
     for run in runs:
-        total = sum(p["median_s"] for p in run["points"])
-        print(f"{run['rev']}: {len(run['points'])} points, {total:.3f} s in lambda_xy")
+        lam, direct, value = (
+            sum(p[key] for p in run["points"])
+            for key in ("median_s", "g_direct_median_s", "g_value_median_s")
+        )
+        print(f"{run['rev']}: {len(run['points'])} points, {lam:.4f} s in lambda_xy, "
+              f"{direct:.4f} s in g_direct, {value:.4f} s in g_value")
     return 0
 
 

@@ -29,7 +29,7 @@ from .errors import DomainError, RangeError, ResourceError
 from .primes import PrimeTable
 from .smoothcount import psi_exact
 from .specfun import RhoTable, saddle
-from .zetazeros import ZeroList, _pair_terms
+from .zetazeros import ZeroList, zero_sum
 
 __all__ = [
     "BiasConfig",
@@ -158,20 +158,15 @@ def compute_point(
 def model_rhs(y: float, beta0: float, big_t: float, zeros: ZeroList) -> float:
     """Zero-sum model for the normalized deviation:
 
-        1/(2 beta0 - 1) - sum_{0 < gamma <= T} 2 Re( e^(i gamma log y)
-                                                     / (1/2 - beta0 + i gamma) )
+        1/(2 beta0 - 1) - y^(-1/2) sum_{|gamma| <= T} y^rho / (rho - beta0)
 
-    Conjugate pairing is done symbolically, so the result is real by
-    construction, not by cancellation.  beta0 must lie in (1/2, 1)
-    (DomainError).
+    The zero sum is zetazeros.zero_sum at s0 = beta0, real by
+    construction with its pair terms exactly rounded; each pair adds
+    2 Re(e^(i gamma log y) / (1/2 - beta0 + i gamma)) here.  beta0 must
+    lie in (1/2, 1) (DomainError).
     """
     _check_beta0(beta0)
-    g = zeros.up_to(big_t)
-    const = 1.0 / (2.0 * beta0 - 1.0)
-    if g.size == 0:
-        return const
-    terms = _pair_terms(g, math.log(y), 0.5 - beta0)
-    return const - 2.0 * math.fsum(terms.tolist())
+    return 1.0 / (2.0 * beta0 - 1.0) - zero_sum(zeros, y, beta0, big_t) / math.sqrt(y)
 
 
 def _worker_count(n_chunks: int) -> int:
@@ -247,9 +242,8 @@ def li_density(
         const, a = 1.0 / (2.0 * cfg.beta0 - 1.0), 0.5 - cfg.beta0
     m = int(g.size)
     n = cfg.n_samples
-    if m == 0:
-        d = 1.0 if const > 0 else 0.0
-        return DensityEstimate(density=d, stderr=0.0, n_samples=n, seed=cfg.seed)
+    if m == 0:  # X = const > 0: 1 under calibration, 1/(2 beta0 - 1) > 1 otherwise
+        return DensityEstimate(density=1.0, stderr=0.0, n_samples=n, seed=cfg.seed)
     width = 4 * -(-m // 4)
     rows = min(n, max(1, _CHUNK_BYTES // (8 * width)))
     starts = range(0, n, rows)

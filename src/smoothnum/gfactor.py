@@ -7,12 +7,14 @@ At the saddle point beta the truncated Euler product splits as
 
 where F is the transform-side normalization (see debruijn.f_transform),
 G1 carries the prime-counting error psi(y) - y (and hence the zeta-zero
-oscillations), and G2 the prime powers p^k <= y-free tail already
+oscillations), and G2 the k >= 2 tail over prime powers p^k > y,
 isolated in primes.log_g2.  The product G = G1*G2 multiplies the de
-Bruijn main term.  Production callers take the direct route, g_direct;
-g_value assembles the factored route beside it, for `g --breakdown` and
-the route-identity check of criterion 04.  The module also evaluates
-the zero-sum prediction for the corrected ratio.
+Bruijn main term.  Production callers take the direct route, g_direct,
+which reads log zeta(s, y) from primes.partial_zeta (one closed-form
+-log(1 - p^-s) per prime).  g_value assembles the factored route
+beside it from the k-series of prime_power_sum and log_g2, for
+`g --breakdown` and the route-identity check of criterion 04.  The
+module also evaluates the zero-sum prediction for the corrected ratio.
 """
 
 from __future__ import annotations
@@ -78,9 +80,10 @@ def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:
     quotient exp(log zeta(s,y) - log F(s,y)).
 
     The two routes share f_transform but compute the truncated Euler
-    product independently (prime powers up to y plus the k-tail blocks,
-    versus full per-prime -log(1-p^-s) expansions), so their agreement
-    exercises the split identity rather than restating it.
+    product independently (the k-series over prime powers up to y plus
+    the k-tail blocks, versus one closed-form -log(1-p^-s) per prime),
+    so their agreement exercises the split identity rather than
+    restating it.
     """
     lg1 = log_g1(s, y, pt)
     lg2 = primes_mod.log_g2(pt, s, y)

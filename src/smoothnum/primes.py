@@ -1,8 +1,11 @@
 """Prime sieving, Chebyshev psi, and prime-power sums.
 
-These feed the truncated Euler product log zeta(s, y) and its k >= 2
-remainder.  All sums are evaluated in a fixed order (or exactly
-rounded), so repeated runs produce bit-identical floating-point output.
+partial_zeta is the truncated Euler product log zeta(s, y), one closed
+form -log(1 - p^-s) per prime.  prime_power_sum and log_g2 split the
+same double sum over p^(-ks)/k at p^k = y, as series in k; they are the
+factored route that gfactor checks partial_zeta against.  All sums are
+evaluated in a fixed order (or exactly rounded), so repeated runs
+produce bit-identical floating-point output.
 """
 
 import math
@@ -150,9 +153,14 @@ def _floor_root(n: int, k: int) -> int:
 def partial_zeta(pt: PrimeTable, s, y: float) -> complex:
     """log of the Euler product over p <= y: sum_{p<=y} -log(1 - p^-s).
 
-    Returned as the log value.  Each factor's log is the termwise series
-    sum_k p^(-ks)/k; blocks are summed k-major with iterated vector
-    powers until the remaining tail is below 1e-18.
+    Each factor's log is taken in closed form: with z = p^-s,
+
+        -log(1 - z) = -1/2 log1p(Re z (Re z - 2) + (Im z)^2)
+                      + i atan2(Im z, 1 - Re z),
+
+    the principal branch of sum_k z^k/k for |z| < 1, so one pass over
+    the primes serves every Re s > 0.  Near z = 1 (Re s -> 0 at small
+    p) log1p's argument cancels towards -1 and the term loses digits.
     """
     s = complex(s)
     if s.real <= 0:
@@ -161,22 +169,10 @@ def partial_zeta(pt: PrimeTable, s, y: float) -> complex:
     if y < 2:
         return complex(0.0, 0.0)
     idx = int(np.searchsorted(pt.primes, math.floor(y), side="right"))
-    base = np.exp(-s * np.log(pt.primes[:idx].astype(np.float64)))
-    sigma = s.real
-    decay = 2.0**-sigma
-    total = complex(0.0, 0.0)
-    powers = base.copy()
-    k = 1
-    while True:
-        total += complex(np.sum(powers)) / k
-        k += 1
-        # Tail over k' >= k is below idx * 2^(-k*sigma) / (k (1 - 2^-sigma)).
-        if idx * decay**k / (k * (1.0 - decay)) < 1e-18:
-            break
-        if k > 100000:
-            raise ResourceError("partial_zeta series did not converge")
-        powers *= base
-    return total
+    z = np.exp(-s * np.log(pt.primes[:idx].astype(np.float64)))
+    re, im = z.real, z.imag
+    log_abs = -0.5 * np.log1p(re * (re - 2.0) + im * im)
+    return complex(float(np.sum(log_abs)), float(np.sum(np.arctan2(im, 1.0 - re))))
 
 
 def log_g2(pt: PrimeTable, s, y: float) -> complex:

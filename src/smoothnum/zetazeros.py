@@ -244,11 +244,13 @@ def zero_sum(zeros: ZeroList, y: float, s0: float, big_t: float) -> float:
     together with the conjugate pair of each, for a real shift s0.
 
     Each pair contributes 2 Re(y^rho/(rho-s0)), so the result is real by
-    construction.
+    construction; the pair terms are summed exactly rounded (math.fsum),
+    so the value does not depend on summation order.
     """
     g = zeros.up_to(big_t)
     if y <= 1:
         raise RangeError("zero_sum needs y > 1")
     if g.size == 0:
         return 0.0
-    return float(2.0 * math.sqrt(y) * np.sum(_pair_terms(g, math.log(y), 0.5 - float(s0))))
+    terms = _pair_terms(g, math.log(y), 0.5 - float(s0))
+    return 2.0 * math.sqrt(y) * math.fsum(terms.tolist())

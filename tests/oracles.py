@@ -16,7 +16,10 @@ tautology:
 * smooth counts    -- greatest-prime-factor sieve enumeration (the
                       package folds lists and walks a product tree);
 * Chebyshev psi    -- log of an exact integer lcm (the package sums
-                      logs over prime powers).
+                      logs over prime powers);
+* log zeta(s, y)   -- sum of -log(1 - p^-s) in 40-digit mpmath over
+                      the primes of the gpf sieve (the package takes
+                      each term's closed form in float64).
 
 The slow ones are run once and their outputs frozen into the tests; the
 cheap ones are called live.
@@ -231,6 +234,21 @@ def chebyshev_psi_lcm(y: int) -> float:
     for n in range(2, y + 1):
         acc = math.lcm(acc, n)
     return math.log(acc)
+
+
+# ----------------------------------------------------------------------
+# Truncated Euler product log zeta(s, y) in extended precision
+# ----------------------------------------------------------------------
+
+def log_euler_product(s: complex, y: float, dps: int = 40) -> complex:
+    """sum_{p <= y} -log(1 - p^-s), principal branch, at dps digits."""
+    import mpmath as mp
+
+    gpf = gpf_sieve(int(y))
+    ps = np.nonzero(gpf == np.arange(gpf.size))[0][2:]  # drop 0 and 1
+    with mp.workdps(dps):
+        z = mp.mpc(complex(s))
+        return complex(mp.fsum(-mp.log(1 - mp.power(int(p), -z)) for p in ps))
 
 
 # ----------------------------------------------------------------------

@@ -113,6 +113,13 @@ def test_g_breakdown(capsys):
     assert capsys.readouterr().out == fields["g_direct"] + "\n"
 
 
+def test_g_near_zero_s_is_finite(capsys):
+    # Each Euler factor's log is taken in closed form, so s close to 0
+    # (p^-s close to 1) needs no series to converge.
+    assert main(["g", "--s", "1e-4", "--y", "100"]) == 0
+    assert math.isfinite(float(capsys.readouterr().out))
+
+
 def test_verify_psiover_reports_small_gap(capsys):
     x = format(math.exp(36.0), ".17g")  # saddle exponent 0.75 at y = 1e4
     rc = main(["verify-psiover", "--x", x, "--y", "10000", "--zeros", ZEROS])
