@@ -184,27 +184,100 @@ def _chunk_buffer(rows: int, width: int) -> np.ndarray:
     return np.empty((rows, width))
 
 
-def _chunk_sums(seed: int, j0: int, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """sum_g w[g] cos(theta_jg) for samples j = j0 .. j0+len(buf)-1.
+def _phases(seed: int, j0: int, buf: np.ndarray) -> np.ndarray:
+    """Fill buf with the phases of samples j = j0 .. j0+len(buf)-1 and
+    return it.
 
     Sample j owns counter blocks [j*bps, (j+1)*bps) of a Philox stream
-    keyed by the seed (4 words per block, bps = ceil(m/4)); its phases
-    are 2pi (word >> 11) 2^-53 for the first m = len(w) words.  buf has
-    shape (count, 4*bps) and is overwritten.  Every step is elementwise
-    or a numpy row reduction over one sample's m terms, so a sample's sum
-    never depends on chunking, evaluation order or a BLAS library.
+    keyed by the seed (4 words per block, bps = buf.shape[1] // 4); its
+    phases are 2pi (word >> 11) 2^-53.  The counter is a 256-bit integer,
+    so a first block at or past 2^64 carries into the second counter
+    word, where the sequential stream would be.
     """
-    m, bps = w.size, buf.shape[1] // 4
-    bit_gen = np.random.Philox(
-        key=np.array([seed, 0], dtype=np.uint64),
-        counter=np.array([j0 * bps, 0, 0, 0], dtype=np.uint64),
-    )
+    bps = buf.shape[1] // 4
+    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=j0 * bps)
     np.random.Generator(bit_gen).random(out=buf)
     np.multiply(buf, 2.0 * math.pi, out=buf)
-    np.cos(buf, out=buf)
-    terms = buf[:, :m]
+    return buf
+
+
+def _exact_sums(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """sum_g w[g] cos(theta_jg) per row of theta, in float64; the first
+    len(w) columns count and theta is overwritten.  Every step is
+    elementwise or a numpy row reduction over one sample's terms, so a
+    sample's sum never depends on which rows share the block, on
+    evaluation order or on a BLAS library.
+    """
+    np.cos(theta, out=theta)
+    terms = theta[:, : w.size]
     np.multiply(terms, w, out=terms)
     return np.add.reduce(terms, axis=1)
+
+
+def _chunk_sums(seed: int, j0: int, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """The exact float64 sums of samples j0 .. j0+len(buf)-1; buf has
+    shape (count, 4*ceil(len(w)/4)) and is overwritten."""
+    return _exact_sums(_phases(seed, j0, buf), w)
+
+
+# Rows per screening block: a block's float32 terms (256 KiB at 1000
+# ordinates) stay in cache between the cos, the product and the sum.
+_SCREEN_ROWS = 64
+# Error bound, in units of 2^-24, that the margin assumes for numpy's
+# float32 cos on [0, float32(2pi)]; measured at most 1.21 there
+# (scripts/bench_density.py, every float32).
+_COS32_ULPS = 4
+
+
+def _screen_sums(theta: np.ndarray, w32: np.ndarray) -> np.ndarray:
+    """float64 row sums of float32(w) * cos(float32(theta)), using numpy's
+    SIMD float32 cos; theta is left as it is."""
+    terms = theta[:, : w32.size].astype(np.float32)
+    np.cos(terms, out=terms)
+    np.multiply(terms, w32, out=terms)
+    return np.add.reduce(terms, axis=1, dtype=np.float64)
+
+
+def _screen_margin(w: np.ndarray, w32: np.ndarray) -> float:
+    """A bound on |_screen_sums - _exact_sums| for any phases in [0, 2pi).
+
+    Per term, against the real w cos(theta):
+    - the screen is off by |w - w32| from the weight, 2^-22 from rounding
+      theta < 8 to float32, _COS32_ULPS 2^-24 from the float32 cos and
+      2^-24 from the float32 product (2^-23 is charged);
+    - the exact route is off by 2^-53 from the float64 cos and 2^-53
+      from the product.
+    Each float64 sum of m terms adds at most (m - 1) 2^-53 sum(w).  The
+    slack in the charged constants covers w32 exceeding w in the last
+    bits and the rounding of the margin itself.
+    """
+    total = float(np.sum(w))
+    return (
+        float(np.sum(np.abs(w - w32)))
+        + total * (2.0**-22 + _COS32_ULPS * 2.0**-24 + 2.0**-23)
+        + (w.size + 2) * 2.0**-52 * total
+    )
+
+
+def _count_below(
+    theta: np.ndarray, w: np.ndarray, w32: np.ndarray, const: float, margin: float
+) -> int:
+    """How many rows of theta have _exact_sums(row, w) < const.
+
+    Each block of _SCREEN_ROWS rows is screened in float32; a row whose
+    screen sum lies more than margin from const has the sign of its
+    exact sum, and only the others are summed exactly, from a copy, so
+    theta is left as it is.
+    """
+    count = 0
+    for s in range(0, len(theta), _SCREEN_ROWS):
+        block = theta[s : s + _SCREEN_ROWS]
+        approx = _screen_sums(block, w32)
+        near = np.abs(approx - const) <= margin
+        count += int(np.count_nonzero(approx[~near] < const))
+        if near.any():
+            count += int(np.count_nonzero(_exact_sums(block[near], w) < const))
+    return count
 
 
 def li_density(
@@ -216,11 +289,20 @@ def li_density(
         X = 1/(2 beta0 - 1)
             - sum_{0 < gamma <= T} 2 Re( e^(i theta) / (1/2 - beta0 + i gamma) )
 
-    density = P(X > 0) estimated over cfg.n_samples draws.  The stream is
-    counter-based per sample and each sample's sum comes from
-    elementwise numpy steps and a row reduction (_chunk_sums), so the
-    result for a fixed (seed, n, T, beta0) is bit-identical by
-    construction, whatever the chunk size or the number of threads.
+    density = P(X > 0) estimated over cfg.n_samples draws.  A sample is
+    positive when its float64 sum from _chunk_sums is below the constant.
+    The stream is counter-based per sample and that sum comes from
+    elementwise numpy steps and a row reduction, so the result for a
+    fixed (seed, n, T, beta0) is bit-identical by construction, whatever
+    the chunk size or the number of threads.
+
+    The sign is decided in two stages.  A float32 screen (_screen_sums,
+    numpy's SIMD cos) decides every sample whose screen sum lies more
+    than _screen_margin from the constant; that margin bounds the
+    distance between the two sums, so such a sample has the sign of its
+    float64 sum.  The few others are summed in float64 by _exact_sums,
+    the steps of _chunk_sums, so the count is the same as summing every
+    sample in float64.
 
     With calibration=True the weights switch to the pi-vs-Li race
     (2 Re(e^(i theta)/rho), constant term 1), whose known density
@@ -232,7 +314,8 @@ def li_density(
     needs the sine half.
 
     Chunks run on one thread per CPU in the process's affinity set, each
-    with one _CHUNK_BYTES buffer and an integer count of positives.
+    with one _CHUNK_BYTES buffer and an integer count of positives; the
+    screen's float32 terms take _SCREEN_ROWS rows at a time on top.
     Running out of memory raises ResourceError.
     """
     g = zeros.up_to(cfg.T)
@@ -259,12 +342,14 @@ def li_density(
         for j0 in starts[k::workers]:
             if stop.is_set():
                 break
-            sums = _chunk_sums(cfg.seed, j0, w_mod, buf[: min(rows, n - j0)])
-            positives += int(np.count_nonzero(sums < const))
+            theta = _phases(cfg.seed, j0, buf[: min(rows, n - j0)])
+            positives += _count_below(theta, w_mod, w32, const, margin)
         return positives
 
     try:
         w_mod = 2.0 / np.sqrt(a * a + g * g)
+        w32 = w_mod.astype(np.float32)
+        margin = _screen_margin(w_mod, w32)
         with ThreadPoolExecutor(max_workers=workers) as pool:
             try:
                 positives = sum(pool.map(count_positives, range(workers)))

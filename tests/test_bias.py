@@ -187,6 +187,115 @@ def test_chunk_sums_golden_hash(zeros10k):
     )
 
 
+def test_phases_counter_carries_into_second_word():
+    # Past 2^64 blocks the first counter word wraps and the carry goes to
+    # the second word, as in one sequential Philox stream.
+    seed, w = 5, np.ones(8)  # bps = 2
+    j0 = 2**63 + 3  # first block 2^64 + 6
+    philox = np.random.Philox(
+        key=np.array([seed, 0], dtype=np.uint64),
+        counter=np.array([6, 1, 0, 0], dtype=np.uint64),
+    )
+    want = np.random.Generator(philox).random((3, 8)) * (2.0 * math.pi)
+    assert np.array_equal(bias._phases(seed, j0, np.empty((3, 8))), want)
+    # The chunk that straddles 2^64 blocks continues into the one past it.
+    straddle = bias._phases(seed, 2**63 - 1, np.empty((5, 8)))
+    assert np.array_equal(straddle[4:], bias._phases(seed, 2**63 + 3, np.empty((1, 8))))
+    assert np.array_equal(bias._chunk_sums(seed, j0, w, np.empty((3, 8))), np.cos(want).sum(axis=1))
+
+
+def _perfbench_check_zeros():
+    # perfbench's synthetic check set: density near 0.86 at seed 7.
+    return ZeroList(gammas=np.linspace(20.0, 30.0, 1000), height=30.0)
+
+
+def _near_three_quarters_zeros():
+    return ZeroList(gammas=np.linspace(5.0, 10.0, 250), height=10.0)
+
+
+@pytest.mark.parametrize("m", [1000, 997])
+def test_exact_fallback_rows_match_chunk_sums(zeros10k, m):
+    # The fallback sums any subset of a chunk's rows through the same
+    # steps as _chunk_sums, so each row's sum is the same float.
+    g = zeros10k.gammas[:m]
+    w = 2.0 / np.sqrt(0.25 + g * g)
+    width = 4 * -(-m // 4)
+    theta = bias._phases(3, 77, np.empty((200, width)))
+    whole = bias._chunk_sums(3, 77, w, np.empty((200, width)))
+    rng = np.random.default_rng(0)
+    masks = [rng.random(200) < p for p in (0.01, 0.3, 0.9)]
+    masks += [np.arange(200) == 0, np.arange(200) == 199, np.ones(200, bool)]
+    for mask in masks:
+        assert np.array_equal(bias._exact_sums(theta[mask], w), whole[mask])
+
+
+def _count_fallback_rows(monkeypatch):
+    rows = []
+    exact_sums = bias._exact_sums
+
+    def counting(theta, w):
+        rows.append(len(theta))
+        return exact_sums(theta, w)
+
+    monkeypatch.setattr(bias, "_exact_sums", counting)
+    return rows
+
+
+@pytest.mark.parametrize(
+    "zeros, seed, n, frozen",
+    [
+        (_near_three_quarters_zeros(), 8, 10**4, None),
+        (_perfbench_check_zeros(), 7, 20_000, 0.86245),
+    ],
+    ids=["250-near-0.75", "perfbench-check"],
+)
+def test_screen_density_equals_exact_route(monkeypatch, zeros, seed, n, frozen):
+    cfg = bias.BiasConfig(beta0=0.75, T=zeros.height, seed=seed, n_samples=n)
+    default = bias.li_density(cfg, zeros)
+    if frozen is not None:
+        assert default.density == frozen
+
+    rows = _count_fallback_rows(monkeypatch)
+    monkeypatch.setattr(bias, "_screen_margin", lambda w, w32: math.inf)
+    assert bias.li_density(cfg, zeros) == default
+    assert sum(rows) == n  # every row summed exactly
+
+    rows.clear()
+    monkeypatch.setattr(bias, "_screen_margin", lambda w, w32: 0.5)
+    assert bias.li_density(cfg, zeros) == default
+    assert 0 < sum(rows) < n  # both the screen and the fallback decided rows
+
+
+def test_float32_cos_error_within_margin_assumption():
+    # Every 256th float32 in [0, float32(2pi)], which covers any phase
+    # 2pi u rounded to float32.
+    top = np.array([2.0 * math.pi], dtype=np.float32).view(np.uint32)[0]
+    x = np.arange(0, top + 1, 256, dtype=np.uint32).view(np.float32)
+    err = np.max(np.abs(np.cos(x).astype(np.float64) - np.cos(x.astype(np.float64))))
+    ulps = err / 2.0**-24
+    assert ulps < bias._COS32_ULPS, f"float32 cos error {ulps:.3f} x 2^-24"
+
+
+@pytest.mark.parametrize("case", ["calibration", "li-0.75", "250-near-0.75", "perfbench-check"])
+def test_screen_margin_bounds_screen_error(zeros10k, case):
+    g, a = {
+        "calibration": (zeros10k.gammas[:1000], 0.5),
+        "li-0.75": (zeros10k.gammas[:1000], -0.25),
+        "250-near-0.75": (_near_three_quarters_zeros().gammas, -0.25),
+        "perfbench-check": (_perfbench_check_zeros().gammas, -0.25),
+    }[case]
+    w = 2.0 / np.sqrt(a * a + g * g)
+    w32 = w.astype(np.float32)
+    margin = bias._screen_margin(w, w32)
+    width = 4 * -(-g.size // 4)
+    worst = 0.0
+    for j0 in (0, 10**5, 10**9):
+        theta = bias._phases(21, j0, np.empty((256, width)))
+        approx = bias._screen_sums(theta, w32)
+        worst = max(worst, float(np.max(np.abs(approx - bias._exact_sums(theta, w)))))
+    assert worst <= margin, f"screen error / margin = {worst / margin:.3g}"
+
+
 def test_li_density_no_zeros_is_one(zeros10k):
     cfg = bias.BiasConfig(beta0=0.75, T=10.0, seed=5, n_samples=10**4)
     est = bias.li_density(cfg, zeros10k)

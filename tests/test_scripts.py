@@ -1,8 +1,8 @@
 """Smoke tests of the helper scripts under scripts/ (the zero-table
-generator and the Lambda, psi_exact and rho-table benches), each run in a
-subprocess on tiny inputs, so a script left calling a removed API fails
-here rather than in a long run.  The experiments themselves run
-through the CLI and are tested in test_cli.py."""
+generator and the Lambda, psi_exact, rho-table and density benches),
+each run in a subprocess on tiny inputs, so a script left calling a
+removed API fails here rather than in a long run.  The experiments
+themselves run through the CLI and are tested in test_cli.py."""
 
 import os
 import subprocess
@@ -20,6 +20,7 @@ _RUNS = {
     "bench_lambda.py": ["--rev", "."],
     "bench_psi.py": ["--rev", ".", "--tiny"],
     "bench_rho.py": ["--rev", ".", "--tiny"],
+    "bench_density.py": ["--rev", ".", "--tiny"],
 }
 
 
