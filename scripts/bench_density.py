@@ -27,46 +27,34 @@ units of 2^-24, the error the screen's margin charges _COS32_ULPS of.
     python scripts/bench_density.py --rev 7653250 --rev . --out BENCH_density.json
 """
 
-import argparse
-import json
 import math
-import os
 import statistics
-import subprocess
 import sys
-import tempfile
-import time
-from pathlib import Path
 
-from bench_lambda import ROOT, _machine, _src_of
+import _bench
 
 REPEATS = 5
 CLI_REPEATS = 3
 SAMPLES = 10**6
 TINY_SAMPLES = 10**4
-ZEROS = str(ROOT / "fixtures" / "zeros1e4.txt")
 # name -> (README command, beta0, seed, calibration)
 CONFIGS = {
-    "li-density": (
-        ["li-density", "--beta0", "0.75", "--zeros", ZEROS, "--T", "1419.5", "--seed", "42"],
-        0.75, 42, False,
-    ),
-    "calibrate-pi-li": (
-        ["calibrate-pi-li", "--zeros", ZEROS, "--ordinates", "1000", "--seed", "16"],
-        0.75, 16, True,
-    ),
+    "li-density": (_bench.LI_DENSITY, 0.75, 42, False),
+    "calibrate-pi-li": (_bench.CALIBRATE_PI_LI, 0.75, 16, True),
 }
 
 
-def _child(repeats: int, samples: int) -> dict:
+def _child(spec: dict) -> dict:
     import threading
+    import time
     import tracemalloc
 
     import numpy as np
 
     from smoothnum import bias, zetazeros
 
-    zeros = zetazeros.load_zeros(ZEROS, height=10010.0)
+    repeats, samples = spec["repeats"], spec["samples"]
+    zeros = zetazeros.load_zeros(_bench.ZEROS, height=10010.0)
     big_t = zeros.leading_height(1000)
     screened = hasattr(bias, "_count_below")
 
@@ -84,14 +72,7 @@ def _child(repeats: int, samples: int) -> dict:
         return buf
 
     def best(call, *args):
-        """The fastest of REPEATS timed calls, after one warm-up call."""
-        call(*args)
-        times = []
-        for _ in range(repeats):
-            start = time.perf_counter()
-            call(*args)
-            times.append(time.perf_counter() - start)
-        return min(times)
+        return min(_bench.timed(call, *args, repeats=repeats)[1])
 
     exact_rows, exact_s = [], []
     lock = threading.Lock()
@@ -150,17 +131,6 @@ def _child(repeats: int, samples: int) -> dict:
     return report
 
 
-def _cli(args: list, env: dict) -> tuple:
-    """(wall seconds, printed density) of one CLI run in a new interpreter."""
-    start = time.perf_counter()
-    run = subprocess.run(
-        [sys.executable, "-m", "smoothnum.cli", *args],
-        capture_output=True, text=True, env=env, check=True, timeout=600,
-    )
-    fields = dict(line.split(" = ", 1) for line in run.stdout.strip().splitlines())
-    return time.perf_counter() - start, float(fields["density"])
-
-
 def _cos32_error_ulps() -> float:
     """max |cos(float32 x) - cos(x)| / 2^-24 over every float32 x in
     [0, float32(2pi)], a block of 2^20 at a time."""
@@ -175,48 +145,23 @@ def _cos32_error_ulps() -> float:
     return worst / 2.0**-24
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("--rev", action="append", default=None,
-                        help='revision to time, repeatable; "." is the working tree')
-    parser.add_argument("--out", default="BENCH_density.json")
-    parser.add_argument("--tiny", action="store_true",
-                        help="one run per timing at 10^4 samples and no cos sweep, for a smoke run")
-    parser.add_argument("--child", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-
-    if args.child:
-        spec = json.loads(args.child)
-        json.dump(_child(spec["repeats"], spec["samples"]), sys.stdout)
-        return 0
-
-    repeats = 1 if args.tiny else REPEATS
-    cli_repeats = 1 if args.tiny else CLI_REPEATS
+def _revision(args, i, env, scratch) -> dict:
     samples = TINY_SAMPLES if args.tiny else SAMPLES
+    run = _bench.child({"repeats": 1 if args.tiny else REPEATS, "samples": samples}, env)
+    for name, (argv, *_) in CONFIGS.items():
+        argv = [*argv, "--n-samples", str(samples)]
+        timed = [_bench.cli(argv, env) for _ in range(1 if args.tiny else CLI_REPEATS)]
+        run["configs"][name]["cli"] = {
+            "cmd": "smoothnum " + " ".join(argv).replace(_bench.ZEROS, "fixtures/zeros1e4.txt"),
+            "median_s": statistics.median(t for t, _ in timed),
+            "density": float(dict(
+                line.split(" = ", 1) for line in timed[0][1].strip().splitlines()
+            )["density"]),
+        }
+    return run
 
-    runs = []
-    with tempfile.TemporaryDirectory() as scratch:
-        for rev in args.rev or ["."]:
-            src, commit = _src_of(rev, Path(scratch))
-            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-            spec = json.dumps({"repeats": repeats, "samples": samples})
-            child = subprocess.run(
-                [sys.executable, __file__, "--child", spec],
-                capture_output=True, text=True, env=env, check=True, timeout=3600,
-            )
-            run = dict(json.loads(child.stdout), rev=rev, commit=commit)
-            for name, (argv, *_) in CONFIGS.items():
-                argv = [*argv, "--n-samples", str(samples)]
-                timed = [_cli(argv, env) for _ in range(cli_repeats)]
-                run["configs"][name]["cli"] = {
-                    "cmd": "smoothnum " + " ".join(argv).replace(ZEROS, "fixtures/zeros1e4.txt"),
-                    "median_s": statistics.median(t for t, _ in timed),
-                    "density": timed[0][1],
-                }
-            runs.append(run)
 
+def _finish(args, runs) -> dict:
     first = runs[0]
     for run in runs:
         run["vs_rev"] = first["rev"]
@@ -224,33 +169,28 @@ def main() -> int:
             run["configs"][name][part]["density"] == first["configs"][name][part]["density"]
             for name in CONFIGS for part in ("run", "cli")
         )
+    return {"cos32_max_error_ulps": None if args.tiny else _cos32_error_ulps()}
 
-    report = {
-        "topic": "Monte Carlo density sampler: Philox fill, float32 screen, exact fallback",
-        "command": "python scripts/bench_density.py " + " ".join(sys.argv[1:]),
-        "machine": _machine(),
-        "blas_threads": 1,
-        "cos32_max_error_ulps": None if args.tiny else _cos32_error_ulps(),
-        "runs": runs,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=1)
-        handle.write("\n")
-    for run in runs:
-        for name, cfg in run["configs"].items():
-            layers = cfg["layers"]
-            screen = (
-                f", screen {layers['screen_s'] * 1e3:.1f} ms" if "screen_s" in layers else ""
-            )
-            print(
-                f"{run['rev']} {name}: fill {layers['fill_s'] * 1e3:.1f} ms, "
-                f"exact {layers['exact_s'] * 1e3:.1f} ms{screen} per chunk; "
-                f"{cfg['run']['exact_rows']} exact rows, "
-                f"peak {cfg['run']['tracemalloc_peak_mib']:.1f} MiB, "
-                f"CLI {cfg['cli']['median_s']:.2f} s, density {cfg['cli']['density']!r}"
-            )
-    return 0
+
+def _line(run) -> str:
+    lines = []
+    for name, cfg in run["configs"].items():
+        layers = cfg["layers"]
+        screen = f", screen {layers['screen_s'] * 1e3:.1f} ms" if "screen_s" in layers else ""
+        lines.append(
+            f"{run['rev']} {name}: fill {layers['fill_s'] * 1e3:.1f} ms, "
+            f"exact {layers['exact_s'] * 1e3:.1f} ms{screen} per chunk; "
+            f"{cfg['run']['exact_rows']} exact rows, "
+            f"peak {cfg['run']['tracemalloc_peak_mib']:.1f} MiB, "
+            f"CLI {cfg['cli']['median_s']:.2f} s, density {cfg['cli']['density']!r}"
+        )
+    return "\n".join(lines)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_bench.main(
+        __doc__, "Monte Carlo density sampler: Philox fill, float32 screen, exact fallback",
+        "BENCH_density.json", _child, _revision, _line,
+        tiny="one run per timing at 10^4 samples and no cos sweep, for a smoke run",
+        finish=_finish,
+    ))

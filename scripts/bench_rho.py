@@ -5,7 +5,8 @@ src/, anything else is a git revision whose src/ is extracted first.
 Per revision the report holds:
 
 - build: specfun.build_rho_table() at its defaults, the best of REPEATS
-  wall times, and the tracemalloc peak of one more build;
+  wall times after a warm-up build, and the tracemalloc peak of one
+  more build;
 - accuracy: max |delta log rho| against the first revision's table over
   the whole grid, and against tests/oracles.dickman_log_rho (the
   mpmath Taylor route) at the points ORACLE_U;
@@ -21,52 +22,31 @@ Per revision the report holds:
     python scripts/bench_rho.py --rev 077f7ad --rev . --out BENCH_rho.json
 """
 
-import argparse
 import csv
 import io
-import json
 import math
-import os
 import statistics
-import subprocess
 import sys
-import tempfile
-import time
-from pathlib import Path
 
-from bench_lambda import ROOT, _machine, _src_of
+import _bench
 
 REPEATS = 5
 ORACLE_U = (3.0, 10.0, 20.0, 40.0, 63.5)
-LAMBDA = ["lambda", "--x", "1e10", "--y", "100"]
-THEOREM1 = [
-    "verify-theorem1", "--y-min", "500", "--y-max", "5000", "--n-points", "8",
-    "--beta0", "0.7,0.8", "--skip-infeasible",
-]
-TINY_THEOREM1 = [
-    "verify-theorem1", "--y-min", "500", "--y-max", "694.748", "--n-points", "2",
-    "--beta0", "0.8",
-]
 
 
-def _child(repeats: int, out: str) -> dict:
-    import time
+def _child(spec: dict) -> dict:
     import tracemalloc
 
     import numpy as np
 
     from smoothnum import specfun
 
-    times = []
-    for _ in range(repeats):
-        start = time.perf_counter()
-        table = specfun.build_rho_table()
-        times.append(time.perf_counter() - start)
+    table, times = _bench.timed(specfun.build_rho_table, repeats=spec["repeats"])
     tracemalloc.start()
     specfun.build_rho_table()
     peak = tracemalloc.get_traced_memory()[1]
     tracemalloc.stop()
-    np.save(out, table.log_rho)
+    np.save(spec["out"], table.log_rho)
     return {
         "numpy": np.__version__,
         "build_best_s": min(times),
@@ -74,16 +54,6 @@ def _child(repeats: int, out: str) -> dict:
         "tracemalloc_peak_mib": peak / 2**20,
         "log_rho_at": {str(u): specfun.log_rho(table, u) for u in ORACLE_U},
     }
-
-
-def _cli(args: list, env: dict) -> tuple:
-    """(wall seconds, stdout) of one CLI run in a new interpreter."""
-    start = time.perf_counter()
-    run = subprocess.run(
-        [sys.executable, "-m", "smoothnum.cli", *args],
-        capture_output=True, text=True, env=env, check=True, timeout=600,
-    )
-    return time.perf_counter() - start, run.stdout
 
 
 def _column_changes(base: str, csv_text: str) -> dict:
@@ -105,88 +75,57 @@ def _column_changes(base: str, csv_text: str) -> dict:
     return changes
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser(
-        description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
-    )
-    parser.add_argument("--rev", action="append", default=None,
-                        help='revision to time, repeatable; "." is the working tree')
-    parser.add_argument("--out", default="BENCH_rho.json")
-    parser.add_argument("--tiny", action="store_true",
-                        help="one run per timing and a two-point grid, for a smoke run")
-    parser.add_argument("--child", help=argparse.SUPPRESS)
-    args = parser.parse_args()
-
-    if args.child:
-        spec = json.loads(args.child)
-        json.dump(_child(spec["repeats"], spec["out"]), sys.stdout)
-        return 0
-
+def _revision(args, i, env, scratch) -> dict:
+    """The run of the i-th revision; its rho table and theorem1 CSV are
+    kept in scratch, where later revisions compare against the first's."""
     import numpy as np
 
-    sys.path[:0] = [str(ROOT / "tests")]
+    repeats = 1 if args.tiny else REPEATS
+    theorem1 = _bench.theorem1(args.tiny)
+    run = _bench.child({"repeats": repeats, "out": str(scratch / f"log_rho_{i}.npy")}, env)
+    lambda_runs = [_bench.cli(_bench.LAMBDA, env) for _ in range(repeats)]
+    run["lambda_cmd"] = "smoothnum " + " ".join(_bench.LAMBDA)
+    run["lambda_median_s"] = statistics.median(t for t, _ in lambda_runs)
+    run["lambda_stdout"] = lambda_runs[0][1].strip()
+    (scratch / f"theorem1_{i}.csv").write_text(_bench.cli(theorem1, env)[1])
+    run["theorem1_cmd"] = "smoothnum " + " ".join(theorem1)
+
+    log_rho, base_rho = (np.load(scratch / f"log_rho_{k}.npy") for k in (i, 0))
+    grid_csv, base_csv = ((scratch / f"theorem1_{k}.csv").read_text() for k in (i, 0))
+    run["vs_rev"] = args.rev[0]
+    run["max_abs_dlog_rho_vs_rev"] = float(np.max(np.abs(log_rho - base_rho)))
+    run["theorem1_max_rel_change_vs_rev"] = _column_changes(base_csv, grid_csv)
+    run["theorem1_psi_exact_identical_vs_rev"] = [
+        row["psi_exact"] for row in csv.DictReader(io.StringIO(grid_csv))
+    ] == [row["psi_exact"] for row in csv.DictReader(io.StringIO(base_csv))]
+    return run
+
+
+def _finish(args, runs) -> dict:
+    sys.path.insert(0, str(_bench.ROOT / "tests"))
     import oracles
 
-    repeats = 1 if args.tiny else REPEATS
-    theorem1 = TINY_THEOREM1 if args.tiny else THEOREM1
     oracle = {u: oracles.dickman_log_rho(u) for u in ORACLE_U}
-
-    runs = []
-    with tempfile.TemporaryDirectory() as scratch:
-        first = None
-        for i, rev in enumerate(args.rev or ["."]):
-            src, commit = _src_of(rev, Path(scratch))
-            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-            saved = str(Path(scratch) / f"log_rho_{i}.npy")
-            spec = json.dumps({"repeats": repeats, "out": saved})
-            child = subprocess.run(
-                [sys.executable, __file__, "--child", spec],
-                capture_output=True, text=True, env=env, check=True, timeout=600,
-            )
-            run = dict(json.loads(child.stdout), rev=rev, commit=commit)
-            log_rho = np.load(saved)
-            run["max_abs_dlog_rho_vs_oracle"] = max(
-                abs(run["log_rho_at"][str(u)] - want) for u, want in oracle.items()
-            )
-
-            lambda_runs = [_cli(LAMBDA, env) for _ in range(repeats)]
-            run["lambda_cmd"] = "smoothnum " + " ".join(LAMBDA)
-            run["lambda_median_s"] = statistics.median(t for t, _ in lambda_runs)
-            run["lambda_stdout"] = lambda_runs[0][1].strip()
-            _, grid_csv = _cli(theorem1, env)
-            run["theorem1_cmd"] = "smoothnum " + " ".join(theorem1)
-
-            if first is None:
-                first = {"rev": rev, "log_rho": log_rho, "csv": grid_csv}
-            run["vs_rev"] = first["rev"]
-            run["max_abs_dlog_rho_vs_rev"] = float(np.max(np.abs(log_rho - first["log_rho"])))
-            run["theorem1_max_rel_change_vs_rev"] = _column_changes(first["csv"], grid_csv)
-            run["theorem1_psi_exact_identical_vs_rev"] = [
-                row["psi_exact"] for row in csv.DictReader(io.StringIO(grid_csv))
-            ] == [row["psi_exact"] for row in csv.DictReader(io.StringIO(first["csv"]))]
-            runs.append(run)
-
-    report = {
-        "topic": "Dickman rho table build: time, memory and accuracy",
-        "command": "python scripts/bench_rho.py " + " ".join(sys.argv[1:]),
-        "machine": _machine(),
-        "blas_threads": 1,
-        "oracle_log_rho": {str(u): v for u, v in oracle.items()},
-        "runs": runs,
-    }
-    with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=1)
-        handle.write("\n")
     for run in runs:
-        print(
-            f"{run['rev']}: build {run['build_best_s'] * 1e3:.1f} ms, "
-            f"peak {run['tracemalloc_peak_mib']:.2f} MiB, "
-            f"|dlog rho| {run['max_abs_dlog_rho_vs_rev']:.1e} vs {run['vs_rev']}, "
-            f"{run['max_abs_dlog_rho_vs_oracle']:.1e} vs oracle, "
-            f"lambda CLI {run['lambda_median_s']:.3f} s"
+        run["max_abs_dlog_rho_vs_oracle"] = max(
+            abs(run["log_rho_at"][str(u)] - want) for u, want in oracle.items()
         )
-    return 0
+    return {"oracle_log_rho": {str(u): v for u, v in oracle.items()}}
+
+
+def _line(run) -> str:
+    return (
+        f"{run['rev']}: build {run['build_best_s'] * 1e3:.1f} ms, "
+        f"peak {run['tracemalloc_peak_mib']:.2f} MiB, "
+        f"|dlog rho| {run['max_abs_dlog_rho_vs_rev']:.1e} vs {run['vs_rev']}, "
+        f"{run['max_abs_dlog_rho_vs_oracle']:.1e} vs oracle, "
+        f"lambda CLI {run['lambda_median_s']:.3f} s"
+    )
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(_bench.main(
+        __doc__, "Dickman rho table build: time, memory and accuracy", "BENCH_rho.json",
+        _child, _revision, _line,
+        tiny="one run per timing and a two-point grid, for a smoke run", finish=_finish,
+    ))

@@ -50,11 +50,22 @@ class GBreakdown:
     g_direct: complex
 
 
-def _check_args(s: complex, y: float) -> None:
+def _log_f(s, y: float) -> complex:
+    """log F(s,y) after the argument checks; f_transform checks zeta's
+    domain, so this runs before any prime sum."""
     if complex(s).real <= 0.0:
         raise DomainError(f"need Re s > 0, got {s}")
     if y < 4.0:
         raise DomainError(f"need y >= 4, got {y:g}")
+    return f_transform(s, y)
+
+
+def _log_g1(s, y: float, pt: PrimeTable, log_f: complex) -> complex:
+    return primes_mod.prime_power_sum(pt, s, y) - log_f
+
+
+def _g_direct(s, y: float, pt: PrimeTable, log_f: complex) -> complex:
+    return cmath.exp(primes_mod.partial_zeta(pt, s, y) - log_f)
 
 
 def log_g1(s, y: float, pt: PrimeTable) -> complex:
@@ -63,16 +74,12 @@ def log_g1(s, y: float, pt: PrimeTable) -> complex:
 
     Near a zero of zeta the log branch blows up (SingularityError).
     """
-    _check_args(s, y)
-    log_f = f_transform(s, y)  # checks zeta's domain before the prime sum runs
-    return primes_mod.prime_power_sum(pt, s, y) - log_f
+    return _log_g1(s, y, pt, _log_f(s, y))
 
 
 def g_direct(s, y: float, pt: PrimeTable) -> complex:
     """G(s,y) by the direct quotient exp(log zeta(s,y) - log F(s,y))."""
-    _check_args(s, y)
-    log_f = f_transform(s, y)  # checks zeta's domain before the Euler product runs
-    return cmath.exp(primes_mod.partial_zeta(pt, s, y) - log_f)
+    return _g_direct(s, y, pt, _log_f(s, y))
 
 
 def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:
@@ -85,13 +92,14 @@ def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:
     so their agreement exercises the split identity rather than
     restating it.
     """
-    lg1 = log_g1(s, y, pt)
+    log_f = _log_f(s, y)
+    lg1 = _log_g1(s, y, pt, log_f)
     lg2 = primes_mod.log_g2(pt, s, y)
     return GBreakdown(
         log_g1=lg1,
         log_g2=lg2,
         g_factored=cmath.exp(lg1 + lg2),
-        g_direct=g_direct(s, y, pt),
+        g_direct=_g_direct(s, y, pt, log_f),
     )
 
 

@@ -47,7 +47,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, ResourceError
 from .limits import env_limit
-from .primes import PrimeTable
+from .primes import PrimeTable, _power_tops
 
 _SMOOTH_LIST_CAP = 8_000_000
 # Stop folding at the first prime whose fold would add fewer than this
@@ -104,9 +104,10 @@ def _fold_list(primes: np.ndarray, x: int) -> tuple:
 def _leaf_table(smooth: np.ndarray, rough: np.ndarray, x: int, max_bytes: int) -> np.ndarray:
     """The int32 table F[c, v] = #{listed s <= v} + sum_{j <= c} v // rough[j]
     for v < V: the subtree of a node with budget v whose children may use
-    rough[:c + 1], when V <= p0^2.  V starts at min(p0^2, x + 1) and is
-    halved until F fits in max_bytes.  A prime above v adds nothing, so
-    F keeps one row per rough prime below V, and at least one.  An entry
+    rough[:c + 1], when V <= p0^2.  Column V is a zero sentinel for
+    _charge_leaves.  V starts at min(p0^2, x + 1) and is halved until
+    the V columns fit in max_bytes.  A prime above v adds nothing, so F
+    keeps one row per rough prime below V, and at least one.  An entry
     is at most v (1 + sum 1/p over primes below V) < 5V, and V <= max_bytes
     / 4, which the fold list's bytes keep far below 2^31 / 5.
     """
@@ -119,9 +120,11 @@ def _leaf_table(smooth: np.ndarray, rough: np.ndarray, x: int, max_bytes: int) -
     while size > 1 and 4 * rows(size) * size > max_bytes:
         size //= 2
     v = np.arange(size, dtype=np.int32)
-    table = v // rough[: rows(size), None].astype(np.int32)
-    np.cumsum(table, axis=0, out=table)
-    table += np.searchsorted(smooth, v, side="right").astype(np.int32)
+    table = np.zeros((rows(size), size + 1), dtype=np.int32)
+    body = table[:, :size]
+    np.floor_divide(v, rough[: rows(size), None].astype(np.int32), out=body)
+    np.cumsum(body, axis=0, out=body)
+    body += np.searchsorted(smooth, v, side="right").astype(np.int32)
     return table
 
 
@@ -159,8 +162,7 @@ def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
     the prefix sums of their inner-child counts and a cursor into those
     children.
     """
-    # F and a zero sentinel column at index V, for _charge_leaves.
-    table = np.pad(_leaf_table(smooth, rough, x, smooth.nbytes), ((0, 0), (0, 1)))
+    table = _leaf_table(smooth, rough, x, smooth.nbytes)
     size = table.shape[1] - 1
     rough_ints = rough.tolist()
     total = int(np.searchsorted(smooth, x, side="right"))
@@ -245,16 +247,12 @@ def buchstab_residual_psi(x: int, y: int, z: int, pt: PrimeTable) -> int:
 
 
 def _prime_power_weights(pt: PrimeTable, x: int, y: int):
-    """(q, log p) for prime powers q = p^k <= min(x, y)."""
-    bound = min(x, y)
+    """(q, log p) for prime powers q = p^k <= min(x, y), in (p, k) order."""
+    tops = _power_tops(pt, min(x, y))
     out = []
-    for p in pt.primes[: np.searchsorted(pt.primes, bound, side="right")]:
-        p = int(p)
+    for i, p in enumerate(pt.primes[: tops[0] if tops else 0].tolist()):
         w = math.log(p)
-        q = p
-        while q <= bound:
-            out.append((q, w))
-            q *= p
+        out += [(p**k, w) for k in range(1, 1 + sum(top > i for top in tops))]
     return out
 
 

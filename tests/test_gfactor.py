@@ -2,6 +2,7 @@
 two ways, the corrected smooth-count prediction, and the zero-sum form.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -74,6 +75,19 @@ def test_g_real_positive_on_real_axis(pt100k):
         assert gb.g_direct.imag == 0.0
         assert gb.g_factored.imag == 0.0
         assert gb.g_direct.real > 0.0
+
+
+@pytest.mark.parametrize("s", [0.75, complex(0.75, 0.1)])
+def test_g_value_fields_equal_separate_routes(pt100k, s):
+    # One f_transform feeds both routes; each field stays bit for bit
+    # what its own public route gives.
+    gb = gfactor.g_value(s, 1e4, pt100k)
+    lg1 = gfactor.log_g1(s, 1e4, pt100k)
+    lg2 = primes.log_g2(pt100k, s, 1e4)
+    assert gb.log_g1 == lg1
+    assert gb.log_g2 == lg2
+    assert gb.g_factored == cmath.exp(lg1 + lg2)
+    assert gb.g_direct == gfactor.g_direct(s, 1e4, pt100k)
 
 
 def test_g_deviation_band(pt100k):

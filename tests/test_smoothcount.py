@@ -136,12 +136,14 @@ def test_leaf_table_matches_one_rough_prime_counts(gpf100k):
     smooth = oracles.smooth_values(x, 7, gpf100k)
     rough = np.array([p for p in range(11, 400) if gpf100k[p] == p], dtype=np.int64)
     full = smoothcount._leaf_table(smooth, rough, x, 1 << 20)
-    assert full.dtype == np.int32 and full.shape == (26, 121)
-    assert np.array_equal(full, _one_rough_prime_counts(rough, 121))
+    assert full.dtype == np.int32 and full.shape == (26, 122)
+    assert np.array_equal(full[:, :121], _one_rough_prime_counts(rough, 121))
+    assert not full[:, 121].any()
     # The fold list's own bound halves V to 30, keeping a corner of F.
     small = smoothcount._leaf_table(smooth, rough, x, smooth.nbytes)
-    assert small.shape == (6, 30) and small.nbytes <= smooth.nbytes
-    assert np.array_equal(small, full[:6, :30])
+    assert small.shape == (6, 31) and small.nbytes <= smooth.nbytes
+    assert np.array_equal(small[:, :30], full[:6, :30])
+    assert not small[:, 30].any()
 
 
 @pytest.mark.parametrize("x", [11, 60, 100, 120])
@@ -150,7 +152,7 @@ def test_rough_tree_below_p0_squared_is_one_lookup_row(gpf100k, x):
     smooth = oracles.smooth_values(x, 7, gpf100k)
     rough = np.array([p for p in range(11, 98) if gpf100k[p] == p], dtype=np.int64)
     table = smoothcount._leaf_table(smooth, rough, x, 1 << 20)
-    assert table.shape[1] == x + 1
+    assert table.shape[1] == x + 2
     want = oracles.psi_brute(x, 97, gpf100k)
     assert table[-1, x] == want
     assert smoothcount._walk_rough_tree(smooth, rough, x) == want
@@ -220,7 +222,8 @@ def test_psi_exact_leaf_table_bound_does_not_change_counts(pt100k, monkeypatch, 
     monkeypatch.setattr(smoothcount, "_leaf_table", bounded)
     assert [smoothcount.psi_exact(x, y, pt100k) for x, y in points] == want
     assert shapes
-    for (rows, size), p0, limit in shapes:
+    for (rows, width), p0, limit in shapes:
+        size = width - 1  # V columns and the zero sentinel
         assert 4 * rows * size <= limit
         assert bound == "one row" or size < p0
 
