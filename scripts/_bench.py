@@ -49,10 +49,12 @@ def theorem1(tiny: bool) -> list:
 
 def timed(call, *args, repeats: int) -> tuple:
     """(value of the last call, wall times of `repeats` calls made after
-    one untimed warm-up call)."""
+    one untimed warm-up call).  Each call's value is dropped before the
+    next call, so a peak RSS taken after them is one call's."""
     call(*args)
-    value, times = None, []
+    times = []
     for _ in range(repeats):
+        value = None
         start = time.perf_counter()
         value = call(*args)
         times.append(time.perf_counter() - start)

@@ -7,19 +7,22 @@ sections are:
 
 - grid: the README verify-theorem1 grid (beta0 = 0.7 and 0.8, eight y
   from 500 to 5000, points above x = 10^12 skipped).  Per point the
-  child times the fold and the rough-tree walk of psi_exact separately,
-  REPEATS times after a warm-up call, keeping the medians, and records
-  the fold-list size, the first rough prime p0, the leaf table's width V
-  (None at revisions without one) and the count.
-- big: the points (10^11, 10^4) and (10^12, 10^5), the corner of the
-  psi_exact envelope, each timed once after a warm-up call, in a child
-  of its own, so each has its own peak RSS.
+  child records fold_peak_mb, the tracemalloc peak of one untimed fold
+  (the bytes numpy's arrays hold at once while the list is built,
+  without the sort's scratch), then times the fold and the rough-tree
+  walk of psi_exact separately, REPEATS times after a warm-up call,
+  keeping the medians, and records the fold-list size, the first rough
+  prime p0, the leaf table's width V (None at revisions without one)
+  and the count.
+- big: the points (10^11, 10^4), (10^12, 10^4) and (10^12, 10^5), the
+  corner of the psi_exact envelope, measured the same way, each in a
+  child of its own, so each has its own peak RSS.
 - bias-scan: the README bias-scan command, timed once end to end; the
   sha256 of its CSV shows whether two revisions print the same bytes.
 
 --tiny keeps two cheap grid points and drops the other sections.
 
-    python scripts/bench_psi.py --rev 687b01c --rev . --out BENCH_psi.json
+    python scripts/bench_psi.py --rev 08faf7e --rev . --out BENCH_psi.json
 """
 
 import math
@@ -29,7 +32,7 @@ import _bench
 
 REPEATS = 3
 MAX_X = 10**12
-BIG = [(10**11, 10**4), (10**12, 10**5)]
+BIG = [(10**11, 10**4), (10**12, 10**4), (10**12, 10**5)]
 
 
 def _child(job: list) -> dict:
@@ -39,22 +42,26 @@ def _child(job: list) -> dict:
     import resource
     import statistics
     import time
+    import tracemalloc
 
     import numpy as np
 
     from smoothnum import cli, primes, smoothcount
 
     section, spec = job
-    repeats = REPEATS if section == "grid" else 1
 
     def phases(x, y, pt):
         top = int(np.searchsorted(pt.primes, y, side="right"))
+        tracemalloc.start()
+        smoothcount._fold_list(pt.primes[:top], x)
+        fold_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
         (smooth, first), fold_s = _bench.timed(
-            smoothcount._fold_list, pt.primes[:top], x, repeats=repeats
+            smoothcount._fold_list, pt.primes[:top], x, repeats=REPEATS
         )
         rough = pt.primes[first:top].astype(np.int64)
         count, tree_s = (
-            _bench.timed(smoothcount._walk_rough_tree, smooth, rough, x, repeats=repeats)
+            _bench.timed(smoothcount._walk_rough_tree, smooth, rough, x, repeats=REPEATS)
             if rough.size else (smooth.size, [0.0])
         )
         table = getattr(smoothcount, "_leaf_table", None)
@@ -68,6 +75,7 @@ def _child(job: list) -> dict:
             "x": x, "y": y, "count": int(count), "list_size": int(smooth.size),
             "p0": int(rough[0]) if rough.size else None, "V": width,
             "fold_s": statistics.median(fold_s), "tree_s": statistics.median(tree_s),
+            "fold_peak_mb": fold_peak / (1 << 20),
         }
 
     out = {"numpy": np.__version__}
@@ -115,6 +123,7 @@ def _line(run) -> str:
     fold = sum(p["fold_s"] for p in points)
     tree = sum(p["tree_s"] for p in points)
     line = f"{run['rev']}: {len(points)} points, fold {fold:.3f} s, tree {tree:.3f} s"
+    line += f", fold peak {max(p['fold_peak_mb'] for p in points):.1f} MB"
     for big in run.get("big", []):
         point = big["points"][0]
         line += f"; ({point['x']:.0e}, {point['y']:.0e}) {point['fold_s'] + point['tree_s']:.2f} s"

@@ -5,12 +5,14 @@ integer arithmetic, in two phases.
 
 Fold phase: the small primes are folded, in increasing order, into an
 explicit sorted int64 list of every number <= x built from them.
-Folding p appends the sorted runs list[:idx_k] * p^k, and numpy's
-stable sort (a timsort) finds the runs and merges them; nothing is
-sorted from scratch.  A fold costs a pass over the whole list, so
-folding stops at the first prime whose fold would grow the list by
-less than a fixed fraction of its size, or would push it past
-_SMOOTH_LIST_CAP entries.
+Folding p writes the list and the sorted runs list[:idx_k] * p^k into
+one new buffer, frees the old list, and only then sorts the buffer:
+numpy's stable sort (a timsort) finds the runs and merges them, nothing
+is sorted from scratch.  So a fold holds the old and the new list at
+once, and later the new one beside timsort's scratch, never all three.
+A fold costs a pass over the whole list, so folding stops at the first
+prime whose fold would grow the list by less than a fixed fraction of
+its size, or would push it past _SMOOTH_LIST_CAP entries.
 
 Tree phase: the remaining "rough" primes p0 < ... <= y form a tree of
 products d (multisets enumerated by non-increasing prime index), and
@@ -51,16 +53,22 @@ from .primes import PrimeTable, _power_tops
 
 _SMOOTH_LIST_CAP = 8_000_000
 # Stop folding at the first prime whose fold would add fewer than this
-# fraction of the list's size.  psi_exact time over the 12 points of the
-# README verify-theorem1 grid (2-vCPU shared x86 host, three runs each):
-# 1/10 1.13-1.19 s, 1/5 0.54-0.57 s, 1/4 0.44-0.47 s, 0.3 0.32-0.36 s,
-# 1/3 0.29-0.31 s, 2/5 0.25-0.26 s, 1/2 0.27 s, 1 0.61-0.64 s.
-# (10^11, 10^4), two runs each: 0.52-0.54 s from 1/10 to 0.3, 0.57 s at
-# 1/3, 0.61-0.69 s at 2/5, 0.66 s at 1/2, 1.37 s at 1.  At 0.3 the grid
-# point (1.29e11, 1341) folds to 4.55M entries and needs more than 72 MiB
-# of address space; from 0.32 up it folds to 3.46M and fits in 64 MiB,
-# the cap under which tests/test_smoothcount.py expects it to fail.
-_FOLD_MIN_GROWTH = 0.3
+# fraction of the list's size.  Time and peak RSS of a process that runs
+# only psi_exact (30 MB before the first call), on a 2-vCPU shared x86
+# host: over the 12 points of the README verify-theorem1 grid (three
+# runs), at (10^11, 10^4) (median and quartiles of ten runs), and at
+# (10^12, 10^4) and (10^12, 10^5) (three runs).
+#   0.3   0.50-0.60 s  99 MB | 0.85 (0.81-0.88) s  93 MB | 2.3-2.7 s 131 MB | 16.5-18.6 s 131 MB
+#   1/3   0.44-0.50 s  83 MB | 0.88 (0.81-0.96) s  77 MB | 2.6-3.0 s 131 MB | 18.4-20.0 s 131 MB
+#   0.35  0.38-0.49 s  86 MB | 0.95 (0.92-0.98) s  65 MB | 2.7-3.1 s 131 MB | 17.4-18.1 s 131 MB
+#   0.4   0.33-0.41 s  59 MB | 1.00 (0.95-1.03) s  55 MB | 2.6-3.1 s 102 MB | 17.0-20.1 s 102 MB
+#   0.45  0.38-0.41 s  50 MB | 1.07 (1.03-1.10) s  48 MB | 2.9-3.4 s  80 MB | 19.1-21.3 s  81 MB
+# The rule: the lowest grid peak among the stops no slower than 0.3 on
+# the grid and within 20% of it at (10^11, 10^4) and (10^12, 10^5).
+# 0.45 is 26% slower at (10^11, 10^4), 0.4 18%.  So 0.4: the corner
+# (10^12, 10^5) trades up to a tenth more time for 29 MB less memory,
+# and (10^12, 10^4), outside the rule, 10-30% more for the same 29 MB.
+_FOLD_MIN_GROWTH = 0.4
 # Children made per batch.  Same grid: 0.33-0.38 s at every size from
 # 2^12 to 2^20.  (10^11, 10^4): 2^12 0.75 s, 2^14 0.58 s, 2^16
 # 0.53-0.54 s, 2^18 0.54 s, 2^20 0.53-0.54 s.
@@ -76,14 +84,19 @@ def _fold_projection(smooth: np.ndarray, p: int, x: int) -> np.ndarray:
 
 
 def _fold(smooth: np.ndarray, p: int, idx: np.ndarray) -> np.ndarray:
-    """The list with p folded in.  The listed values are coprime to p,
-    so the sorted runs smooth[:idx[k-1]] * p^k are disjoint from the
-    list and from each other.  numpy's stable sort is a timsort: it finds
-    the runs in their concatenation and merges them, nothing is re-sorted."""
-    runs = [smooth] + [smooth[:k] * p**e for e, k in enumerate(idx.tolist(), start=1)]
-    merged = np.concatenate(runs)
-    merged.sort(kind="stable")
-    return merged
+    """The list with p folded in, unsorted: one buffer holding the list
+    followed by the runs smooth[:idx[k-1]] * p^k, each multiplied straight
+    into its place.  The listed values are coprime to p, so the runs are
+    sorted and disjoint from the list and from each other; numpy's stable
+    sort is a timsort, which finds them and merges them, nothing is
+    re-sorted."""
+    buf = np.empty(smooth.size + int(idx.sum()), dtype=np.int64)
+    buf[: smooth.size] = smooth
+    start = smooth.size
+    for e, k in enumerate(idx.tolist(), start=1):
+        np.multiply(smooth[:k], p**e, out=buf[start : start + k])
+        start += k
+    return buf
 
 
 def _fold_list(primes: np.ndarray, x: int) -> tuple:
@@ -97,7 +110,9 @@ def _fold_list(primes: np.ndarray, x: int) -> tuple:
             or growth < _FOLD_MIN_GROWTH * smooth.size
         ):
             return smooth, i
+        # Rebinding frees the old list before timsort takes its scratch.
         smooth = _fold(smooth, p, idx)
+        smooth.sort(kind="stable")
     return smooth, len(primes)
 
 

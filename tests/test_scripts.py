@@ -52,8 +52,12 @@ def smoke(tmp_path_factory):
 
 @pytest.mark.parametrize("script", list(_RUNS))
 def test_script_runs(smoke, script):
-    run, _ = smoke(script)
+    run, cwd = smoke(script)
     assert run.returncode == 0, run.stderr
+    if script == "bench_psi.py":
+        report = json.loads((cwd / "BENCH_psi.json").read_text(encoding="utf-8"))
+        (entry,) = report["runs"]
+        assert all(p["fold_peak_mb"] > 0 for p in entry["grid"]["points"])
 
 
 @pytest.mark.parametrize("topic", ["lambda", "psi", "rho", "density"])

@@ -10,6 +10,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -18,7 +19,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracles
-from smoothnum import cli, debruijn, primes, smoothcount, specfun
+from smoothnum import bias, cli, debruijn, primes, smoothcount, specfun
 from smoothnum.errors import DomainError, RangeError, ResourceError
 
 
@@ -111,6 +112,59 @@ def test_psi_exact_small_fold_list_matches_enumeration(pt100k, gpf300k, x, y, ca
     with mock.patch.object(smoothcount, "_SMOOTH_LIST_CAP", cap):
         got = smoothcount.psi_exact(x, y, pt100k)
     assert got == oracles.psi_brute(x, y, gpf300k)
+
+
+def _products_up_to(x, ps):
+    """Every number <= x built from the primes ps, sorted, by enumeration."""
+    values = [1]
+    for p in ps:
+        grown = []
+        for v in values:
+            while v <= x:
+                grown.append(v)
+                v *= p
+        values = grown
+    return sorted(values)
+
+
+def _fold_at(x, y, pt):
+    """(the primes <= y, psi_exact's fold list at (x, y), how many of the
+    primes it folded)."""
+    primes_y = pt.primes[: int(np.searchsorted(pt.primes, y, side="right"))]
+    return (primes_y, *smoothcount._fold_list(primes_y, x))
+
+
+def _two_lists_bytes(smooth, p):
+    """Bytes of a fold list and of the list it was folded from by p: the
+    fold list's values coprime to p."""
+    return (np.count_nonzero(smooth % p) + smooth.size) * smooth.itemsize
+
+
+@pytest.mark.parametrize("stop", [0.3, 0.45])
+@pytest.mark.parametrize("x, y", [(10**6, 100), (3 * 10**7, 1000), (10**5, 3)])
+def test_fold_list_matches_enumerated_products(pt100k, monkeypatch, stop, x, y):
+    # The folded primes are a prefix primes[:i] from p = 2: both of them
+    # at y = 3, and 7 to 11 of them elsewhere, fewer at the higher stop.
+    monkeypatch.setattr(smoothcount, "_FOLD_MIN_GROWTH", stop)
+    primes_y, smooth, i = _fold_at(x, y, pt100k)
+    assert 1 <= i <= primes_y.size and smooth.dtype == np.int64
+    assert smooth.tolist() == _products_up_to(x, primes_y[:i].tolist())
+    if i < primes_y.size:
+        growth = int(smoothcount._fold_projection(smooth, int(primes_y[i]), x).sum())
+        assert growth < stop * smooth.size
+
+
+def test_fold_list_peak_is_the_last_two_lists(pt100k):
+    # While p is folded in, numpy holds the old list and the new one and
+    # nothing else of their size; timsort's scratch is not traced.
+    tracemalloc.start()
+    try:
+        primes_y, smooth, i = _fold_at(10**9, 100, pt100k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert smooth.size > 10**5
+    assert peak <= 1.05 * _two_lists_bytes(smooth, primes_y[i - 1])
 
 
 def _one_rough_prime_counts(rough, size):
@@ -285,9 +339,9 @@ resource.setrlimit(resource.RLIMIT_AS, (mapped + ({headroom_mib} << 20), resourc
 """
 
 
-def _run_under_memory_cap(body, headroom_mib=64):
+def _run_under_memory_cap(body, headroom_mib=64, env=None):
     src = Path(smoothcount.__file__).resolve().parents[1]
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    env = dict(os.environ, **(env or {}), PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     child = _MEMORY_CAP_CHILD.format(body=body, headroom_mib=headroom_mib)
     return subprocess.run(
         [sys.executable, "-c", child],
@@ -298,27 +352,40 @@ def _run_under_memory_cap(body, headroom_mib=64):
 @pytest.mark.skipif(
     not os.path.exists("/proc/self/statm"), reason="needs Linux address-space accounting"
 )
-def test_psi_exact_out_of_memory_is_resource_error():
-    # Under a 64 MB address-space cap the 8M-entry list cannot be built.
+def test_psi_exact_out_of_memory_is_resource_error(pt100k):
+    # Both infeasible points stop folding at _SMOOTH_LIST_CAP, not at the
+    # growth stop, so the two lists of their last fold, which it holds at
+    # once (6.64M and 7.25M entries after it, at every stop from 0.3 to
+    # 0.45), exceed the 64 MiB headroom whatever the stop is.  That
+    # premise is checked here, without a cap.
+    x_grid = int(math.exp(bias.x_of_y(2600.0, 0.7)))  # ~7.4e13
+    for x, y in [(10**13, 10**4), (x_grid, 2600)]:
+        primes_y, smooth, i = _fold_at(x, y, pt100k)
+        assert _two_lists_bytes(smooth, primes_y[i - 1]) > 64 << 20
+    env = {"SMOOTHNUM_MAX_PSI_X": "1e14"}
     lib = _run_under_memory_cap(
         "print(smoothcount.psi_exact(10**5, 31, pt))\n"
         "try:\n"
-        "    smoothcount.psi_exact(10**12, 10**4, pt)\n"
+        "    smoothcount.psi_exact(10**13, 10**4, pt)\n"
         "except ResourceError as exc:\n"
-        "    print(exc)\n"
+        "    print(exc)\n",
+        env=env,
     )
     assert lib.returncode == 0, lib.stderr
     assert lib.stdout.splitlines() == [
         "6070",
-        "psi_exact(1000000000000, 10000) ran out of memory in the fold phase",
+        "psi_exact(10000000000000, 10000) ran out of memory in the fold phase",
     ]
-    psi = _run_under_memory_cap("sys.exit(cli.main(['psi', '--x', '1e12', '--y', '1e4']))")
+    psi = _run_under_memory_cap(
+        "sys.exit(cli.main(['psi', '--x', '1e13', '--y', '1e4']))", env=env
+    )
     assert psi.returncode == 4, psi.stderr
     assert psi.stderr.startswith("smoothnum: ResourceError: psi_exact(")
-    # x(50) ~ 1718 fits; x(1341) ~ 1.3e11 needs a list of millions.
+    # x(50) ~ 1718 fits; x(2600) does not.
     grid = _run_under_memory_cap(
-        "sys.exit(cli.main(['verify-theorem1', '--y-min', '50', '--y-max', '1341.348',"
-        " '--n-points', '2', '--beta0', '0.7', '--skip-infeasible']))"
+        "sys.exit(cli.main(['verify-theorem1', '--y-min', '50', '--y-max', '2600',"
+        " '--n-points', '2', '--beta0', '0.7', '--skip-infeasible']))",
+        env=env,
     )
     assert grid.returncode == 0, grid.stderr
     rows = grid.stdout.splitlines()
