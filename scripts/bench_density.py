@@ -6,14 +6,16 @@ src/, anything else is a git revision whose src/ is extracted first.
 Per revision and per README configuration (li-density at beta0 0.75 and
 calibrate-pi-li, the first 1000 ordinates each) the report holds:
 
-- layers: for one full chunk, the best of REPEATS wall times, after a
-  warm-up call, of the Philox fill (phases) and of _chunk_sums; their
-  difference is the exact float64 route over every row (cos, product
-  and row sum).  Where the revision has the float32 screen, also the
-  screen's time and its exact fallback's mean time per chunk;
+- layers: for BLOCKS blocks of the revision's bias._SCREEN_ROWS rows
+  (1024 samples at 64 rows), the best of REPEATS wall times, after a
+  warm-up call, of the Philox fill (the bench's own numpy stream, block
+  after block into one buffer, so the same numpy work at every
+  revision), of the exact float64 route over every row (_exact_sums on
+  a copy of each block, the copy included) and of the float32 screen
+  (_count_below, less its exact fallback, whose mean time is reported
+  apart);
 - run: one in-process li_density call at SAMPLES samples, with its
-  density, its tracemalloc peak and how many rows it summed in float64
-  (every row at a revision without the screen);
+  density, its tracemalloc peak and how many rows it summed in float64;
 - cli: the median wall time of CLI_REPEATS runs of the README command at
   SAMPLES samples, each in a new interpreter, and the density it
   printed.
@@ -24,7 +26,7 @@ units of 2^-24, the error the screen's margin charges _COS32_ULPS of.
 
 --tiny runs each timing once at 10^4 samples and skips the cos sweep.
 
-    python scripts/bench_density.py --rev 7653250 --rev . --out BENCH_density.json
+    python scripts/bench_density.py --rev 589d2ae --rev . --out BENCH_density.json
 """
 
 import math
@@ -37,6 +39,7 @@ REPEATS = 5
 CLI_REPEATS = 3
 SAMPLES = 10**6
 TINY_SAMPLES = 10**4
+BLOCKS = 16
 # name -> (README command, beta0, seed, calibration)
 CONFIGS = {
     "li-density": (_bench.LI_DENSITY, 0.75, 42, False),
@@ -56,20 +59,18 @@ def _child(spec: dict) -> dict:
     repeats, samples = spec["repeats"], spec["samples"]
     zeros = zetazeros.load_zeros(_bench.ZEROS, height=10010.0)
     big_t = zeros.leading_height(1000)
-    screened = hasattr(bias, "_count_below")
 
-    def fill(seed, j0, buf):
-        """The revision's Philox fill, or the same steps where _chunk_sums
-        still does them inline."""
-        if screened:
-            return bias._phases(seed, j0, buf)
-        bit_gen = np.random.Philox(
-            key=np.array([seed, 0], dtype=np.uint64),
-            counter=np.array([j0 * (buf.shape[1] // 4), 0, 0, 0], dtype=np.uint64),
-        )
-        np.random.Generator(bit_gen).random(out=buf)
-        np.multiply(buf, 2.0 * math.pi, out=buf)
-        return buf
+    def fill(seed, out):
+        """Fill out's blocks in turn from one Philox stream, as a worker does."""
+        stream = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+        for block in out:
+            stream.random(out=block)
+            np.multiply(block, 2.0 * math.pi, out=block)
+
+    def exact(blocks, w, buf):
+        for block in blocks:
+            np.copyto(buf, block)
+            exact_sums(buf, w)
 
     def best(call, *args):
         return min(_bench.timed(call, *args, repeats=repeats)[1])
@@ -85,31 +86,29 @@ def _child(spec: dict) -> dict:
             exact_s.append(time.perf_counter() - start)
         return sums
 
-    if screened:
-        exact_sums = bias._exact_sums
-        bias._exact_sums = counting
+    exact_sums = bias._exact_sums
+    bias._exact_sums = counting
 
-    report = {"numpy": np.__version__, "screen": screened, "configs": {}}
+    report = {"numpy": np.__version__, "configs": {}}
     for name, (_, beta0, seed, calibration) in CONFIGS.items():
         a = 0.5 if calibration else 0.5 - beta0
         const = 1.0 if calibration else 1.0 / (2.0 * beta0 - 1.0)
         g = zeros.up_to(big_t)
         w = 2.0 / np.sqrt(a * a + g * g)
+        w32 = w.astype(np.float32)
+        margin = bias._screen_margin(w, w32)
         width = 4 * -(-g.size // 4)
-        buf = np.empty((bias._CHUNK_BYTES // (8 * width), width))
-        layers = {"rows": len(buf), "ordinates": int(g.size)}
-        layers["fill_s"] = best(fill, seed, 0, buf)
-        layers["chunk_sums_s"] = best(bias._chunk_sums, seed, 0, w, buf)
-        layers["exact_s"] = layers["chunk_sums_s"] - layers["fill_s"]
-        if screened:
-            theta = fill(seed, 0, buf)
-            w32 = w.astype(np.float32)
-            margin = bias._screen_margin(w, w32)
-            exact_s.clear()
-            count_s = best(bias._count_below, theta, w, w32, const, margin)
-            layers["fallback_s"] = sum(exact_s) / (repeats + 1)
-            layers["screen_s"] = count_s - layers["fallback_s"]
-            layers["margin"] = margin
+        blocks = np.empty((BLOCKS, bias._SCREEN_ROWS, width))
+        buf = np.empty(blocks.shape[1:])
+        layers = {"rows": BLOCKS * len(buf), "ordinates": int(g.size)}
+        layers["fill_s"] = best(fill, seed, [buf] * BLOCKS)
+        fill(seed, blocks)
+        layers["exact_s"] = best(exact, blocks, w, buf)
+        exact_s.clear()
+        count_s = best(lambda: sum(bias._count_below(b, w, w32, const, margin) for b in blocks))
+        layers["fallback_s"] = sum(exact_s) / (repeats + 1)
+        layers["screen_s"] = count_s - layers["fallback_s"]
+        layers["margin"] = margin
         cfg = bias.BiasConfig(beta0=beta0, T=big_t, seed=seed, n_samples=samples)
         exact_rows.clear()
         tracemalloc.start()
@@ -125,7 +124,7 @@ def _child(spec: dict) -> dict:
                 "wall_s": run_s,
                 "density": est.density,
                 "tracemalloc_peak_mib": peak / 2**20,
-                "exact_rows": sum(exact_rows) if screened else samples,
+                "exact_rows": sum(exact_rows),
             },
         }
     return report
@@ -176,10 +175,10 @@ def _line(run) -> str:
     lines = []
     for name, cfg in run["configs"].items():
         layers = cfg["layers"]
-        screen = f", screen {layers['screen_s'] * 1e3:.1f} ms" if "screen_s" in layers else ""
         lines.append(
             f"{run['rev']} {name}: fill {layers['fill_s'] * 1e3:.1f} ms, "
-            f"exact {layers['exact_s'] * 1e3:.1f} ms{screen} per chunk; "
+            f"exact {layers['exact_s'] * 1e3:.1f} ms, "
+            f"screen {layers['screen_s'] * 1e3:.1f} ms per {layers['rows']} samples; "
             f"{cfg['run']['exact_rows']} exact rows, "
             f"peak {cfg['run']['tracemalloc_peak_mib']:.1f} MiB, "
             f"CLI {cfg['cli']['median_s']:.2f} s, density {cfg['cli']['density']!r}"

@@ -12,8 +12,8 @@ sections are:
   without the sort's scratch), then times the fold and the rough-tree
   walk of psi_exact separately, REPEATS times after a warm-up call,
   keeping the medians, and records the fold-list size, the first rough
-  prime p0, the leaf table's width V (None at revisions without one)
-  and the count.
+  prime p0, the leaf table's width V (None without rough primes) and
+  the count.
 - big: the points (10^11, 10^4), (10^12, 10^4) and (10^12, 10^5), the
   corner of the psi_exact envelope, measured the same way, each in a
   child of its own, so each has its own peak RSS.
@@ -64,13 +64,11 @@ def _child(job: list) -> dict:
             _bench.timed(smoothcount._walk_rough_tree, smooth, rough, x, repeats=REPEATS)
             if rough.size else (smooth.size, [0.0])
         )
-        table = getattr(smoothcount, "_leaf_table", None)
-        width = None
-        if table and rough.size:
-            leaf = table(smooth, rough, x, smooth.nbytes)
-            # F[c, v] >= 1 for v >= 1, since 1 is listed: an all-zero last
-            # column is the sentinel that later revisions append.
-            width = leaf.shape[1] - int(not leaf[:, -1].any())
+        # The leaf table's last column is a zero sentinel.
+        width = (
+            smoothcount._leaf_table(smooth, rough, x, smooth.nbytes).shape[1] - 1
+            if rough.size else None
+        )
         return {
             "x": x, "y": y, "count": int(count), "list_size": int(smooth.size),
             "p0": int(rough[0]) if rough.size else None, "V": width,

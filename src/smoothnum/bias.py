@@ -41,11 +41,6 @@ __all__ = [
     "li_density",
 ]
 
-# Phase-buffer bytes per worker thread.  A chunk is as many samples as
-# fit, so li_density holds workers x this for any number of ordinates.
-_CHUNK_BYTES = 8 << 20
-
-
 def _check_beta0(beta0: float) -> None:
     """The zero-sum model's 1/(2 beta0 - 1) is derived for beta0 in (1/2, 1)."""
     if not 0.5 < beta0 < 1.0:
@@ -169,34 +164,41 @@ def model_rhs(y: float, beta0: float, big_t: float, zeros: ZeroList) -> float:
     return 1.0 / (2.0 * beta0 - 1.0) - zero_sum(zeros, y, beta0, big_t) / math.sqrt(y)
 
 
-def _worker_count(n_chunks: int) -> int:
+def _worker_count(n_blocks: int) -> int:
     """Threads for li_density: one per CPU the process may run on, and no
-    more than there are chunks."""
+    more than there are blocks."""
     try:
         cpus = len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         cpus = os.cpu_count() or 1
-    return min(cpus, n_chunks)
+    return min(cpus, n_blocks)
 
 
-def _chunk_buffer(rows: int, width: int) -> np.ndarray:
+def _block_buffer(rows: int, width: int) -> np.ndarray:
     """One worker's phase buffer."""
     return np.empty((rows, width))
 
 
-def _phases(seed: int, j0: int, buf: np.ndarray) -> np.ndarray:
-    """Fill buf with the phases of samples j = j0 .. j0+len(buf)-1 and
-    return it.
+def _stream(seed: int, j0: int, width: int) -> np.random.Generator:
+    """The phase stream of samples j0, j0+1, ... at `width` phases each.
 
     Sample j owns counter blocks [j*bps, (j+1)*bps) of a Philox stream
-    keyed by the seed (4 words per block, bps = buf.shape[1] // 4); its
-    phases are 2pi (word >> 11) 2^-53.  The counter is a 256-bit integer,
-    so a first block at or past 2^64 carries into the second counter
-    word, where the sequential stream would be.
+    keyed by the seed (4 words per block, bps = width // 4).  The counter
+    is a 256-bit integer, so a first block at or past 2^64 carries into
+    the second counter word, where the sequential stream would be.
     """
-    bps = buf.shape[1] // 4
-    bit_gen = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64), counter=j0 * bps)
-    np.random.Generator(bit_gen).random(out=buf)
+    bit_gen = np.random.Philox(
+        key=np.array([seed, 0], dtype=np.uint64), counter=j0 * (width // 4)
+    )
+    return np.random.Generator(bit_gen)
+
+
+def _phases(stream: np.random.Generator, buf: np.ndarray) -> np.ndarray:
+    """Fill buf with the phases of the stream's next len(buf) samples and
+    return it.  A phase is 2pi (word >> 11) 2^-53; consecutive fills
+    read the same words as one fill of all their rows would.
+    """
+    stream.random(out=buf)
     np.multiply(buf, 2.0 * math.pi, out=buf)
     return buf
 
@@ -214,14 +216,9 @@ def _exact_sums(theta: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=1)
 
 
-def _chunk_sums(seed: int, j0: int, w: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """The exact float64 sums of samples j0 .. j0+len(buf)-1; buf has
-    shape (count, 4*ceil(len(w)/4)) and is overwritten."""
-    return _exact_sums(_phases(seed, j0, buf), w)
-
-
-# Rows per screening block: a block's float32 terms (256 KiB at 1000
-# ordinates) stay in cache between the cos, the product and the sum.
+# Samples per block, the sampler's unit of work: a block's float64 phases
+# (512 KiB at 1000 ordinates) and its float32 terms (256 KiB) stay in
+# cache between the fill, the cos, the product and the sum.
 _SCREEN_ROWS = 64
 # Error bound, in units of 2^-24, that the margin assumes for numpy's
 # float32 cos on [0, float32(2pi)]; measured at most 1.21 there
@@ -264,19 +261,15 @@ def _count_below(
 ) -> int:
     """How many rows of theta have _exact_sums(row, w) < const.
 
-    Each block of _SCREEN_ROWS rows is screened in float32; a row whose
-    screen sum lies more than margin from const has the sign of its
-    exact sum, and only the others are summed exactly, from a copy, so
-    theta is left as it is.
+    The rows are screened in float32; a row whose screen sum lies more
+    than margin from const has the sign of its exact sum, and only the
+    others are summed exactly, from a copy, so theta is left as it is.
     """
-    count = 0
-    for s in range(0, len(theta), _SCREEN_ROWS):
-        block = theta[s : s + _SCREEN_ROWS]
-        approx = _screen_sums(block, w32)
-        near = np.abs(approx - const) <= margin
-        count += int(np.count_nonzero(approx[~near] < const))
-        if near.any():
-            count += int(np.count_nonzero(_exact_sums(block[near], w) < const))
+    approx = _screen_sums(theta, w32)
+    near = np.abs(approx - const) <= margin
+    count = int(np.count_nonzero(approx[~near] < const))
+    if near.any():
+        count += int(np.count_nonzero(_exact_sums(theta[near], w) < const))
     return count
 
 
@@ -290,19 +283,18 @@ def li_density(
             - sum_{0 < gamma <= T} 2 Re( e^(i theta) / (1/2 - beta0 + i gamma) )
 
     density = P(X > 0) estimated over cfg.n_samples draws.  A sample is
-    positive when its float64 sum from _chunk_sums is below the constant.
+    positive when its float64 sum from _exact_sums is below the constant.
     The stream is counter-based per sample and that sum comes from
     elementwise numpy steps and a row reduction, so the result for a
     fixed (seed, n, T, beta0) is bit-identical by construction, whatever
-    the chunk size or the number of threads.
+    the block size or the number of threads.
 
     The sign is decided in two stages.  A float32 screen (_screen_sums,
     numpy's SIMD cos) decides every sample whose screen sum lies more
     than _screen_margin from the constant; that margin bounds the
     distance between the two sums, so such a sample has the sign of its
     float64 sum.  The few others are summed in float64 by _exact_sums,
-    the steps of _chunk_sums, so the count is the same as summing every
-    sample in float64.
+    so the count is the same as summing every sample in float64.
 
     With calibration=True the weights switch to the pi-vs-Li race
     (2 Re(e^(i theta)/rho), constant term 1), whose known density
@@ -313,10 +305,12 @@ def li_density(
     argument phi, so the sampler draws R cos(theta) directly and never
     needs the sine half.
 
-    Chunks run on one thread per CPU in the process's affinity set, each
-    with one _CHUNK_BYTES buffer and an integer count of positives; the
-    screen's float32 terms take _SCREEN_ROWS rows at a time on top.
-    Running out of memory raises ResourceError.
+    The samples are split into one contiguous range per CPU in the
+    process's affinity set, each run on a thread of its own.  A thread
+    opens one Philox stream at its first sample and fills, screens and
+    counts _SCREEN_ROWS samples at a time in one small buffer, so it
+    holds about _SCREEN_ROWS x 12 bytes per ordinate whatever the sample
+    count.  Running out of memory raises ResourceError.
     """
     g = zeros.up_to(cfg.T)
     if calibration:
@@ -328,21 +322,21 @@ def li_density(
     if m == 0:  # X = const > 0: 1 under calibration, 1/(2 beta0 - 1) > 1 otherwise
         return DensityEstimate(density=1.0, stderr=0.0, n_samples=n, seed=cfg.seed)
     width = 4 * -(-m // 4)
-    rows = min(n, max(1, _CHUNK_BYTES // (8 * width)))
-    starts = range(0, n, rows)
-    workers = _worker_count(len(starts))
+    workers = _worker_count(-(-n // _SCREEN_ROWS))
 
     # Set when the caller stops waiting (an error, Ctrl-C), so that the
-    # pool's shutdown does not wait for the remaining chunks.
+    # pool's shutdown does not wait for the remaining blocks.
     stop = threading.Event()
 
     def count_positives(k: int) -> int:
-        buf = _chunk_buffer(rows, width)
+        first, end = k * n // workers, (k + 1) * n // workers
+        stream = _stream(cfg.seed, first, width)
+        buf = _block_buffer(min(_SCREEN_ROWS, end - first), width)
         positives = 0
-        for j0 in starts[k::workers]:
+        for j0 in range(first, end, len(buf)):
             if stop.is_set():
                 break
-            theta = _phases(cfg.seed, j0, buf[: min(rows, n - j0)])
+            theta = _phases(stream, buf[: end - j0])
             positives += _count_below(theta, w_mod, w32, const, margin)
         return positives
 

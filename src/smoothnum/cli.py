@@ -71,10 +71,13 @@ def _fmt(value) -> str:
 
 
 def _load_zeros(args, required: bool = False) -> zetazeros.ZeroList | None:
-    """The --zeros table; None when none is given and none is required."""
+    """The --zeros table; None when none is given and none is required.
+    --T and --zeros-height describe the table, so they need --zeros."""
     if args.zeros is None:
         if required:
             raise ParseError(f"command {args.command!r} needs --zeros PATH")
+        if args.zeros_height is not None or getattr(args, "T", None) is not None:
+            raise ParseError("--T and --zeros-height need --zeros PATH")
         return None
     return zetazeros.load_zeros(args.zeros, height=args.zeros_height)
 

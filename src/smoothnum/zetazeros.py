@@ -217,15 +217,15 @@ def load_zeros(path, height: float | None = None) -> ZeroList:
         height = values[-1]
     gammas = np.array(values, dtype=np.float64)
     gammas = gammas[gammas <= height]
-    if gammas.size:
-        # Sanity: |count - N(height)| should be small if the table really is
-        # complete up to `height`.  N(T) = T/2pi log(T/2pi e) + 7/8 + O(log T).
-        expected = height / (2 * math.pi) * math.log(height / (2 * math.pi * math.e)) + 0.875
-        if abs(gammas.size - expected) > max(5.0, 0.05 * expected):
-            raise ParseError(
-                f"table holds {gammas.size} ordinates below {height:g} "
-                f"but about {expected:.0f} were expected"
-            )
+    # Sanity: |count - N(height)| should be small if the table really is
+    # complete up to `height`, empty or not.  N(T) = T/2pi log(T/2pi e) + 7/8
+    # + O(log T).
+    expected = height / (2 * math.pi) * math.log(height / (2 * math.pi * math.e)) + 0.875
+    if abs(gammas.size - expected) > max(5.0, 0.05 * expected):
+        raise ParseError(
+            f"table holds {gammas.size} ordinates below {height:g} "
+            f"but about {expected:.0f} were expected"
+        )
     return ZeroList(gammas=gammas, height=float(height))
 
 

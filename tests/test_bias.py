@@ -139,12 +139,14 @@ def test_bias_config_validation():
 
 
 def _sums(seed, j0, count, w):
-    return bias._chunk_sums(seed, j0, w, np.empty((count, 4 * -(-w.size // 4))))
+    width = 4 * -(-w.size // 4)
+    theta = bias._phases(bias._stream(seed, j0, width), np.empty((count, width)))
+    return bias._exact_sums(theta, w)
 
 
 def test_phase_matrix_counter_based_chunking():
     # Sample j's phases are 2pi (word >> 11) 2^-53 over its own Philox
-    # counter blocks, so they do not depend on which chunk produced them.
+    # counter blocks, so they do not depend on which block produced them.
     # A unit weight picks one phase's cosine out of the sum.
     m = 7
     philox = np.random.Philox(key=np.array([9, 0], dtype=np.uint64))
@@ -160,8 +162,8 @@ def test_phase_matrix_counter_based_chunking():
 
 @pytest.mark.parametrize("m", [1000, 997])
 def test_chunk_sums_bit_equal_across_splits(zeros10k, m):
-    # A sample's sum is the same float however the samples are chunked;
-    # a BLAS matvec does not promise that (it blocks by chunk size).
+    # A sample's sum is the same float however the samples are split into
+    # blocks; a BLAS matvec does not promise that (it blocks by row count).
     g = zeros10k.gammas[:m]
     w = 2.0 / np.sqrt(0.25 + g * g)
     j0, count = 123, 1000
@@ -175,7 +177,7 @@ def test_chunk_sums_bit_equal_across_splits(zeros10k, m):
 
 
 def test_chunk_sums_golden_hash(zeros10k):
-    # One chunk of the calibration sampler (seed 16, first 1000 ordinates).
+    # One block of the calibration sampler (seed 16, first 1000 ordinates).
     # The sums involve Philox, numpy's cos and numpy's add.reduce only.
     g = zeros10k.gammas[:1000]
     sums = _sums(16, 0, 64, 2.0 / np.sqrt(0.25 + g * g))
@@ -197,11 +199,26 @@ def test_phases_counter_carries_into_second_word():
         counter=np.array([6, 1, 0, 0], dtype=np.uint64),
     )
     want = np.random.Generator(philox).random((3, 8)) * (2.0 * math.pi)
-    assert np.array_equal(bias._phases(seed, j0, np.empty((3, 8))), want)
-    # The chunk that straddles 2^64 blocks continues into the one past it.
-    straddle = bias._phases(seed, 2**63 - 1, np.empty((5, 8)))
-    assert np.array_equal(straddle[4:], bias._phases(seed, 2**63 + 3, np.empty((1, 8))))
-    assert np.array_equal(bias._chunk_sums(seed, j0, w, np.empty((3, 8))), np.cos(want).sum(axis=1))
+    assert np.array_equal(bias._phases(bias._stream(seed, j0, 8), np.empty((3, 8))), want)
+    # The fill that straddles 2^64 blocks continues into the one past it.
+    straddle = bias._phases(bias._stream(seed, 2**63 - 1, 8), np.empty((5, 8)))
+    fresh = bias._phases(bias._stream(seed, 2**63 + 3, 8), np.empty((1, 8)))
+    assert np.array_equal(straddle[4:], fresh)
+    assert np.array_equal(_sums(seed, j0, 3, w), np.cos(want).sum(axis=1))
+
+
+@pytest.mark.parametrize("j0", [0, 2**63 - 5])
+def test_stream_fills_continue_one_another(j0):
+    # A worker fills block after block from one stream; those fills must
+    # read the words that one large fill would, and a fresh stream opened
+    # at a later sample must start where the running one has got to.  At
+    # j0 = 2^63 - 5 with bps 2 the fills cross counter block 2^64.
+    stream = bias._stream(11, j0, 8)
+    parts = [bias._phases(stream, np.empty((rows, 8))) for rows in (3, 1, 7, 2)]
+    whole = bias._phases(bias._stream(11, j0, 8), np.empty((13, 8)))
+    assert np.array_equal(np.concatenate(parts), whole)
+    later = bias._phases(bias._stream(11, j0 + 4, 8), np.empty((9, 8)))
+    assert np.array_equal(whole[4:], later)
 
 
 def _perfbench_check_zeros():
@@ -215,13 +232,13 @@ def _near_three_quarters_zeros():
 
 @pytest.mark.parametrize("m", [1000, 997])
 def test_exact_fallback_rows_match_chunk_sums(zeros10k, m):
-    # The fallback sums any subset of a chunk's rows through the same
-    # steps as _chunk_sums, so each row's sum is the same float.
+    # The fallback sums any subset of a block's rows through the same
+    # steps as a sum of the whole block, so each row's sum is the same float.
     g = zeros10k.gammas[:m]
     w = 2.0 / np.sqrt(0.25 + g * g)
     width = 4 * -(-m // 4)
-    theta = bias._phases(3, 77, np.empty((200, width)))
-    whole = bias._chunk_sums(3, 77, w, np.empty((200, width)))
+    theta = bias._phases(bias._stream(3, 77, width), np.empty((200, width)))
+    whole = _sums(3, 77, 200, w)
     rng = np.random.default_rng(0)
     masks = [rng.random(200) < p for p in (0.01, 0.3, 0.9)]
     masks += [np.arange(200) == 0, np.arange(200) == 199, np.ones(200, bool)]
@@ -290,7 +307,7 @@ def test_screen_margin_bounds_screen_error(zeros10k, case):
     width = 4 * -(-g.size // 4)
     worst = 0.0
     for j0 in (0, 10**5, 10**9):
-        theta = bias._phases(21, j0, np.empty((256, width)))
+        theta = bias._phases(bias._stream(21, j0, width), np.empty((256, width)))
         approx = bias._screen_sums(theta, w32)
         worst = max(worst, float(np.max(np.abs(approx - bias._exact_sums(theta, w)))))
     assert worst <= margin, f"screen error / margin = {worst / margin:.3g}"
@@ -311,21 +328,21 @@ def test_li_density_deterministic_and_chunk_independent(zeros10k, monkeypatch):
     first = bias.li_density(cfg, zeros10k)
     second = bias.li_density(cfg, zeros10k)
     assert first == second
-    monkeypatch.setattr(bias, "_CHUNK_BYTES", 977 * 8 * 100)  # 977 samples
-    rechunked = bias.li_density(cfg, zeros10k)
-    assert rechunked == first
+    for rows in (7, 977):
+        monkeypatch.setattr(bias, "_SCREEN_ROWS", rows)
+        assert bias.li_density(cfg, zeros10k) == first, rows
 
 
 @pytest.mark.parametrize("workers", [1, 2, 3])
 def test_li_density_worker_count_independent(monkeypatch, workers):
     # 250 near-equal weights put the density near 0.75, so every sample's
-    # sign counts.  The reference is one chunk on one thread.
+    # sign counts.
     zeros = ZeroList(gammas=np.linspace(5.0, 10.0, 250), height=10.0)
     cfg = bias.BiasConfig(beta0=0.75, T=10.0, seed=8, n_samples=10**4)
     reference = bias.li_density(cfg, zeros)
     assert 0.6 < reference.density < 0.9
-    monkeypatch.setattr(bias, "_worker_count", lambda n_chunks: workers)
-    monkeypatch.setattr(bias, "_CHUNK_BYTES", 331 * 8 * 252 + 5)  # 331 samples
+    monkeypatch.setattr(bias, "_worker_count", lambda n_blocks: workers)
+    monkeypatch.setattr(bias, "_SCREEN_ROWS", 331)
     assert bias.li_density(cfg, zeros) == reference
 
 
@@ -333,7 +350,7 @@ def test_li_density_memory_error_is_resource_error(zeros10k, monkeypatch):
     def no_memory(rows, width):
         raise MemoryError
 
-    monkeypatch.setattr(bias, "_chunk_buffer", no_memory)
+    monkeypatch.setattr(bias, "_block_buffer", no_memory)
     cfg = bias.BiasConfig(beta0=0.75, T=float(zeros10k.gammas[99]), seed=3, n_samples=10**4)
     with pytest.raises(ResourceError):
         bias.li_density(cfg, zeros10k)

@@ -174,6 +174,27 @@ def test_parse_error_when_zeros_missing(capsys):
     assert "--zeros" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--T", "1000"], ["--zeros-height", "1000"]])
+@pytest.mark.parametrize("command", ["verify-theorem1", "bias-scan"])
+def test_zero_table_flags_without_zeros_are_parse_errors(capsys, command, flags):
+    # Without a table the model column would be NaN and the flag ignored.
+    rc = main([command, "--beta0", "0.75", "--y-min", "500", "--y-max", "600",
+               "--n-points", "1", *flags])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("smoothnum: ParseError:")
+
+
+def test_empty_zero_table_with_height_is_parse_error(tmp_path, capsys):
+    # About 9.4 ordinates lie below 50, so an empty table is not complete
+    # there; the count check applies to an empty table too.
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    rc = main(["li-density", "--beta0", "0.75", "--n-samples", "1000",
+               "--zeros", str(empty), "--zeros-height", "50"])
+    assert rc == 2
+    assert "ordinates below 50" in capsys.readouterr().err
+
+
 def test_parse_error_is_line_numbered(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("14.134725141734695\nbanana\n16.0\n")
@@ -364,7 +385,7 @@ def test_li_density_out_of_memory_exit(monkeypatch, capsys):
     def no_memory(rows, width):
         raise MemoryError
 
-    monkeypatch.setattr(bias, "_chunk_buffer", no_memory)
+    monkeypatch.setattr(bias, "_block_buffer", no_memory)
     rc = main(["li-density", "--beta0", "0.75", "--n-samples", "1000",
                "--zeros", ZEROS, "--T", "240"])
     assert rc == 4

@@ -2,10 +2,11 @@
 generator and the Lambda, psi_exact, rho-table and density benches),
 each run in a subprocess on tiny inputs, so a script left calling a
 removed API fails here rather than in a long run.  A bench's report
-must keep the top-level keys of its committed BENCH_<topic>.json, and
-one bench runs against a git revision, the path that extracts an old
-src/.  The experiments themselves run through the CLI and are tested in
-test_cli.py."""
+must keep the top-level keys of its committed BENCH_<topic>.json.  The
+psi and density benches also run against a git revision, the path that
+extracts an old src/, and the density bench must report the same
+densities at HEAD as in the working tree.  The experiments themselves
+run through the CLI and are tested in test_cli.py."""
 
 import json
 import os
@@ -18,13 +19,28 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def _head():
+    """The commit HEAD names, or None without git or outside a checkout."""
+    try:
+        head = subprocess.run(
+            ["git", "rev-parse", "--verify", "HEAD"],
+            cwd=ROOT, capture_output=True, text=True, timeout=60,
+        )
+    except OSError:
+        return None
+    return None if head.returncode else head.stdout.strip()
+
+
+_HEAD = _head()
+# revisions the density bench compares: HEAD, where there is one, then the tree
+_DENSITY_REVS = ["HEAD", "."] if _HEAD else ["."]
 # script -> its arguments
 _RUNS = {
     "make_zero_fixture.py": ["--help"],
     "bench_lambda.py": ["--rev", "."],
     "bench_psi.py": ["--rev", ".", "--tiny"],
     "bench_rho.py": ["--rev", ".", "--tiny"],
-    "bench_density.py": ["--rev", ".", "--tiny"],
+    "bench_density.py": [*(arg for rev in _DENSITY_REVS for arg in ("--rev", rev)), "--tiny"],
 }
 
 
@@ -58,6 +74,12 @@ def test_script_runs(smoke, script):
         report = json.loads((cwd / "BENCH_psi.json").read_text(encoding="utf-8"))
         (entry,) = report["runs"]
         assert all(p["fold_peak_mb"] > 0 for p in entry["grid"]["points"])
+    if script == "bench_density.py":
+        # The bench's own code times every revision, and the working tree
+        # must sample exactly as the last commit does.
+        report = json.loads((cwd / "BENCH_density.json").read_text(encoding="utf-8"))
+        assert [run["rev"] for run in report["runs"]] == _DENSITY_REVS
+        assert all(run["densities_identical_vs_rev"] for run in report["runs"])
 
 
 @pytest.mark.parametrize("topic", ["lambda", "psi", "rho", "density"])
@@ -71,18 +93,11 @@ def test_bench_report_keys_match_committed(smoke, topic):
 
 
 def test_bench_runs_against_git_revision(tmp_path):
-    try:
-        head = subprocess.run(
-            ["git", "rev-parse", "--verify", "HEAD"],
-            cwd=ROOT, capture_output=True, text=True, timeout=60,
-        )
-    except OSError:
-        pytest.skip("git is not installed")
-    if head.returncode:
-        pytest.skip("not a git checkout")
+    if _HEAD is None:
+        pytest.skip("git is not installed or this is not a git checkout")
     run = _run("bench_psi.py", ["--rev", "HEAD", "--tiny"], tmp_path)
     assert run.returncode == 0, run.stderr
     report = json.loads((tmp_path / "BENCH_psi.json").read_text(encoding="utf-8"))
     (entry,) = report["runs"]
-    assert entry["rev"] == "HEAD" and entry["commit"] == head.stdout.strip()
+    assert entry["rev"] == "HEAD" and entry["commit"] == _HEAD
     assert [p["count"] for p in entry["grid"]["points"]]

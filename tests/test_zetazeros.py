@@ -129,9 +129,13 @@ def test_load_zeros_truncation(tmp_path):
 def test_load_zeros_empty_file(tmp_path):
     path = tmp_path / "empty.txt"
     path.write_text("")
-    zl = zetazeros.load_zeros(path, height=50.0)
+    # N(10) is about 0, so an empty table is complete up to 10; about 9.4
+    # ordinates lie below 50, so claiming that height for it is an error.
+    zl = zetazeros.load_zeros(path, height=10.0)
     assert zl.count == 0
-    assert zl.height == 50.0
+    assert zl.height == 10.0
+    with pytest.raises(ParseError):
+        zetazeros.load_zeros(path, height=50.0)
 
 
 def test_load_zeros_first_hundred(tmp_path, zeros10k):
