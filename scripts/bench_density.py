@@ -16,9 +16,12 @@ calibrate-pi-li, the first 1000 ordinates each) the report holds:
   apart);
 - run: one in-process li_density call at SAMPLES samples, with its
   density, its tracemalloc peak and how many rows it summed in float64;
+  it is not timed: one call per revision cannot tell two revisions
+  apart on a shared host (seven calls of the same code at 10^6 samples
+  took 5.96-7.56 s on a 2-vCPU Xeon);
 - cli: the median wall time of CLI_REPEATS runs of the README command at
   SAMPLES samples, each in a new interpreter, and the density it
-  printed.
+  printed.  This median is the bench's end-to-end time.
 
 Once per report, since it depends on numpy alone: the largest
 |cos(float32 x) - cos(x)| over every float32 x in [0, float32(2pi)], in
@@ -112,16 +115,13 @@ def _child(spec: dict) -> dict:
         cfg = bias.BiasConfig(beta0=beta0, T=big_t, seed=seed, n_samples=samples)
         exact_rows.clear()
         tracemalloc.start()
-        start = time.perf_counter()
         est = bias.li_density(cfg, zeros, calibration=calibration)
-        run_s = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
         tracemalloc.stop()
         report["configs"][name] = {
             "layers": layers,
             "run": {
                 "n_samples": samples,
-                "wall_s": run_s,
                 "density": est.density,
                 "tracemalloc_peak_mib": peak / 2**20,
                 "exact_rows": sum(exact_rows),

@@ -22,7 +22,7 @@ sections are:
 
 --tiny keeps two cheap grid points and drops the other sections.
 
-    python scripts/bench_psi.py --rev 08faf7e --rev . --out BENCH_psi.json
+    python scripts/bench_psi.py --rev 67a67ef --rev . --out BENCH_psi.json
 """
 
 import math

@@ -8,6 +8,7 @@ evaluated in a fixed order (or exactly rounded), so repeated runs
 produce bit-identical floating-point output.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -17,6 +18,7 @@ from .errors import DomainError, RangeError, ResourceError
 from .limits import env_limit
 
 _SEGMENT_ODDS = 1 << 21  # odd numbers per segment above sqrt(limit)
+_LOG_G2_MAX_K = 100_000  # the last k log_g2 may sum
 
 
 @dataclass(frozen=True)
@@ -180,8 +182,14 @@ def log_g2(pt: PrimeTable, s, y: float) -> complex:
 
     The inner block at each k keeps the primes with p^k > y: those past
     _power_tops' count, or all of them once 2^k > y.  The k loop stops
-    once the worst-case remaining tail (all primes from 2, i.e.
-    pi(y) * 2^(-k sigma)/k, summed geometrically) drops below 1e-18.
+    at the first k >= 3 where the worst-case remaining tail (all primes
+    from 2, i.e. pi(y) * 2^(-k sigma)/k, summed geometrically) is below
+    1e-18, found by bisection before the loop.
+
+    Domain: Re s > 0 with that stop reached by k = _LOG_G2_MAX_K + 1,
+    which needs Re s above 5.6e-4 at y = 4 and above 6.5e-4 at y = 10^4
+    (the bound grows with log pi(y)).  Below it DomainError is raised
+    before any term is summed.
     """
     s = complex(s)
     if s.real <= 0:
@@ -191,19 +199,22 @@ def log_g2(pt: PrimeTable, s, y: float) -> complex:
         return complex(0.0, 0.0)
     tops = _power_tops(pt, math.floor(y))
     idx_y = tops[0]
+    decay = 2.0**-s.real
+
+    def stopped(k):
+        return idx_y * decay**k / (k * (1.0 - decay)) < 1e-18
+
+    # The tail falls with k, so the first k >= 3 where it stops is bisected.
+    stop = bisect.bisect_left(range(_LOG_G2_MAX_K + 2), True, lo=3, key=stopped)
+    if stop > _LOG_G2_MAX_K + 1:
+        raise DomainError(
+            f"log_g2 needs more than {_LOG_G2_MAX_K} terms at Re s = {s.real:g}, y = {y:g}"
+        )
     log_p = np.log(pt.primes[:idx_y].astype(np.float64))
-    sigma = s.real
-    decay = 2.0**-sigma
     total = complex(0.0, 0.0)
-    k = 2
-    while True:
+    for k in range(2, stop):
         lo = tops[k - 1] if k <= len(tops) else 0
         if lo < idx_y:
             block = np.exp(-k * s * log_p[lo:])
             total += complex(np.sum(block)) / k
-        k += 1
-        if idx_y * decay**k / (k * (1.0 - decay)) < 1e-18:
-            break
-        if k > 100000:
-            raise ResourceError("log_g2 series did not converge")
     return total

@@ -5,11 +5,11 @@ integer arithmetic, in two phases.
 
 Fold phase: the small primes are folded, in increasing order, into an
 explicit sorted int64 list of every number <= x built from them.
-Folding p writes the list and the sorted runs list[:idx_k] * p^k into
-one new buffer, frees the old list, and only then sorts the buffer:
-numpy's stable sort (a timsort) finds the runs and merges them, nothing
-is sorted from scratch.  So a fold holds the old and the new list at
-once, and later the new one beside timsort's scratch, never all three.
+Folding p grows that one list in place (a realloc), writes the sorted
+runs list[:idx_k] * p^k into its new tail, and sorts it: numpy's stable
+sort (a timsort) finds the runs and merges them, nothing is sorted from
+scratch.  So a fold holds one list, and while it sorts, timsort's merge
+scratch (at most half the list) beside it.
 A fold costs a pass over the whole list, so folding stops at the first
 prime whose fold would grow the list by less than a fixed fraction of
 its size, or would push it past _SMOOTH_LIST_CAP entries.
@@ -53,25 +53,31 @@ from .primes import PrimeTable, _power_tops
 
 _SMOOTH_LIST_CAP = 8_000_000
 # Stop folding at the first prime whose fold would add fewer than this
-# fraction of the list's size.  Time and peak RSS of a process that runs
-# only psi_exact (30 MB before the first call), on a 2-vCPU shared x86
-# host: over the 12 points of the README verify-theorem1 grid (three
-# runs), at (10^11, 10^4) (median and quartiles of ten runs), and at
-# (10^12, 10^4) and (10^12, 10^5) (three runs).
-#   0.3   0.50-0.60 s  99 MB | 0.85 (0.81-0.88) s  93 MB | 2.3-2.7 s 131 MB | 16.5-18.6 s 131 MB
-#   1/3   0.44-0.50 s  83 MB | 0.88 (0.81-0.96) s  77 MB | 2.6-3.0 s 131 MB | 18.4-20.0 s 131 MB
-#   0.35  0.38-0.49 s  86 MB | 0.95 (0.92-0.98) s  65 MB | 2.7-3.1 s 131 MB | 17.4-18.1 s 131 MB
-#   0.4   0.33-0.41 s  59 MB | 1.00 (0.95-1.03) s  55 MB | 2.6-3.1 s 102 MB | 17.0-20.1 s 102 MB
-#   0.45  0.38-0.41 s  50 MB | 1.07 (1.03-1.10) s  48 MB | 2.9-3.4 s  80 MB | 19.1-21.3 s  81 MB
-# The rule: the lowest grid peak among the stops no slower than 0.3 on
-# the grid and within 20% of it at (10^11, 10^4) and (10^12, 10^5).
-# 0.45 is 26% slower at (10^11, 10^4), 0.4 18%.  So 0.4: the corner
-# (10^12, 10^5) trades up to a tenth more time for 29 MB less memory,
-# and (10^12, 10^4), outside the rule, 10-30% more for the same 29 MB.
+# fraction of the list's size; a higher stop leaves a smaller list and a
+# larger rough tree.  Swept on a 2-vCPU shared x86 host, _NODE_CHUNK 2^16:
+# perfbench theorem-grid wall_s (median of 4-10 runs) and peak_rss_mb,
+# then psi_exact alone, median (range) of 3-15 processes' medians.  "two
+# lists" is the previous fold, which wrote each list into a new buffer.
+#              grid           | (10^11, 10^4)      | (10^12, 10^4)      | (10^12, 10^5)
+#   two lists  0.44 s  79 MB  | 1.34 (1.24-1.38) s | 3.28 (2.96-3.53) s | 20.3 (18.3-24.7) s
+#   0.4        0.42 s  61 MB  | 1.07 (1.02-1.23) s | 3.12 (2.83-3.51) s | 19.6 (17.9-22.2) s
+#   0.45       0.45 s  57 MB  | 1.14 (1.06-1.19) s | 3.37 (2.99-3.83) s | 20.2 (17.0-23.7) s
+#   0.5        0.46 s  57 MB  | 1.15 (1.09-1.22) s | 4.11 (3.96-4.24) s | 25.1 (24.3-26.2) s
+# A process that runs only psi_exact peaks at 56, 102 and 103 MB at the
+# three points with two lists, 52, 82, 82 at 0.4, 48, 67, 68 at 0.45 and
+# 48, 58, 58 at 0.5.  The rule: the lowest grid peak among the stops
+# whose medians are no slower than the two-list fold's on the grid and at
+# the three points.  0.45 is 3% slower at (10^12, 10^4) and level at
+# (10^12, 10^5), 0.5 slower at both, so 0.4, in place no slower anywhere.
 _FOLD_MIN_GROWTH = 0.4
-# Children made per batch.  Same grid: 0.33-0.38 s at every size from
-# 2^12 to 2^20.  (10^11, 10^4): 2^12 0.75 s, 2^14 0.58 s, 2^16
-# 0.53-0.54 s, 2^18 0.54 s, 2^20 0.53-0.54 s.
+# Children made per batch: the walk holds about depth * _NODE_CHUNK nodes.
+# Same sweep (2-4 runs each for 2^14 and 2^15), grid peak and the three
+# points' median times:
+#   stop 0.4   2^15  61 MB  1.08 s  3.40 s  20.6 s | 2^16  61 MB  1.07 s  3.12 s  19.6 s
+#   stop 0.45  2^14  55 MB  1.25 s  3.71 s  24.1 s | 2^15  55 MB  1.20 s  3.69 s  22.2 s
+#              2^16  57 MB  1.14 s  3.37 s  20.2 s
+# At stop 0.4 the grid peak is the fold's (one list and timsort's scratch),
+# so a smaller chunk saves nothing; the tree's batches only set it at 0.45.
 _NODE_CHUNK = 1 << 16
 
 
@@ -84,19 +90,23 @@ def _fold_projection(smooth: np.ndarray, p: int, x: int) -> np.ndarray:
 
 
 def _fold(smooth: np.ndarray, p: int, idx: np.ndarray) -> np.ndarray:
-    """The list with p folded in, unsorted: one buffer holding the list
-    followed by the runs smooth[:idx[k-1]] * p^k, each multiplied straight
-    into its place.  The listed values are coprime to p, so the runs are
-    sorted and disjoint from the list and from each other; numpy's stable
-    sort is a timsort, which finds them and merges them, nothing is
-    re-sorted."""
-    buf = np.empty(smooth.size + int(idx.sum()), dtype=np.int64)
-    buf[: smooth.size] = smooth
-    start = smooth.size
+    """Fold p into the list in place and return it, sorted.
+
+    The list grows by ndarray.resize, a realloc (for a large block an
+    mremap, with no copy), and each run smooth[:idx[k-1]] * p^k is
+    multiplied straight into the new tail.  The listed values are coprime
+    to p, so the runs are sorted and disjoint from the list and from each
+    other; numpy's stable sort is a timsort, which finds them and merges
+    them, nothing is re-sorted.  The caller must hold no view of smooth:
+    resize may move its buffer."""
+    size = smooth.size
+    smooth.resize(size + int(idx.sum()), refcheck=False)
+    start = size
     for e, k in enumerate(idx.tolist(), start=1):
-        np.multiply(smooth[:k], p**e, out=buf[start : start + k])
+        np.multiply(smooth[:k], p**e, out=smooth[start : start + k])
         start += k
-    return buf
+    smooth.sort(kind="stable")
+    return smooth
 
 
 def _fold_list(primes: np.ndarray, x: int) -> tuple:
@@ -110,9 +120,7 @@ def _fold_list(primes: np.ndarray, x: int) -> tuple:
             or growth < _FOLD_MIN_GROWTH * smooth.size
         ):
             return smooth, i
-        # Rebinding frees the old list before timsort takes its scratch.
         smooth = _fold(smooth, p, idx)
-        smooth.sort(kind="stable")
     return smooth, len(primes)
 
 

@@ -1,9 +1,9 @@
 """End-to-end tests of the command-line front end.
 
-Everything runs in-process through main(argv) except a subprocess
-smoke test of the installed console script and one command run in a
-child under a timeout, so that a hang fails instead of stalling the
-suite.
+Everything runs in-process through main(argv) except subprocess smoke
+tests of the installed console script and of `python -m smoothnum.cli`,
+and one command run in a child under a timeout, so that a hang fails
+instead of stalling the suite.
 """
 
 import csv
@@ -111,6 +111,18 @@ def test_g_breakdown(capsys):
     assert abs(factored / direct - 1.0) <= 1e-8
     assert main(["g", "--s", "0.8", "--y", "1000"]) == 0
     assert capsys.readouterr().out == fields["g_direct"] + "\n"
+
+
+def test_g_breakdown_near_zero_is_domain_error(capsys):
+    # log_g2's k-series would need more passes than its cap at Re s =
+    # 10^-4, so it refuses before summing.  g without --breakdown does not
+    # sum that series (test_g_near_zero_s_is_finite).
+    assert main(["g", "--s", "1e-4", "--y", "100", "--breakdown"]) == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "smoothnum: DomainError: log_g2 needs more than 100000 terms at Re s = 0.0001, y = 100\n"
+    )
 
 
 def test_g_near_zero_s_is_finite(capsys):
@@ -562,3 +574,15 @@ def test_console_script_smoke():
     )
     assert proc.returncode == 0
     assert proc.stdout == "7\n"
+
+
+def test_module_entry_point_smoke():
+    # `python -m smoothnum.cli` runs the same front end with no installed script.
+    src = Path(specfun.__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-m", "smoothnum.cli", "psi", "--x", "100", "--y", "5"],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "34\n"
+    assert proc.stderr == ""
