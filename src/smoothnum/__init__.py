@@ -10,14 +10,15 @@ Layers, bottom to top:
 - debruijn: the refined approximation Lambda(x, y) two independent ways;
 - smoothcount: exact Psi(x, y) and the weighted variants;
 - gfactor: the correction factor G = zeta(s,y)/F(s,y) assembled along
-  two routes, plus zero-sum predictions for Psi/Lambda;
-- bias: the pinned-saddle curve x(y), normalized deviations, and Monte
-  Carlo logarithmic densities;
+  two routes, and the corrected prediction Lambda * G;
+- bias: the pinned-saddle curve x(y), normalized deviations, the
+  zero-sum model and its prediction of Psi/Lambda, and Monte Carlo
+  logarithmic densities;
 - cli: deterministic command-line front end (import smoothnum.cli).
 """
 
 from . import bias, debruijn, gfactor, primes, smoothcount, specfun, zetazeros
-from .bias import BiasConfig, DensityEstimate, li_density, model_rhs, x_of_y
+from .bias import BiasConfig, DensityEstimate, li_density, model_rhs, psiover_rhs, x_of_y
 from .debruijn import LambdaResult, lambda_atom_sum, lambda_ibp, lambda_xy
 from .errors import (
     DomainError,
@@ -28,7 +29,7 @@ from .errors import (
     SingularityError,
     SmoothnumError,
 )
-from .gfactor import GBreakdown, corrected_prediction, g_value, psiover_rhs
+from .gfactor import GBreakdown, corrected_prediction, g_value
 from .primes import PrimeTable, chebyshev_psi, partial_zeta, sieve
 from .smoothcount import alpha_summatory, psi_exact
 from .specfun import RhoTable, build_rho_table, default_rho_table, rho, saddle, xi
@@ -48,6 +49,7 @@ __all__ = [
     "DensityEstimate",
     "li_density",
     "model_rhs",
+    "psiover_rhs",
     "x_of_y",
     "LambdaResult",
     "lambda_atom_sum",
@@ -63,7 +65,6 @@ __all__ = [
     "GBreakdown",
     "corrected_prediction",
     "g_value",
-    "psiover_rhs",
     "PrimeTable",
     "chebyshev_psi",
     "partial_zeta",

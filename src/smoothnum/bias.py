@@ -9,8 +9,10 @@ excess (Psi - Lambda)/Lambda, rescaled by y^(beta0-1/2) log y, stays
 bounded and oscillates around the positive constant 1/(2 beta0 - 1)
 coming from the squares of primes; the zero ordinates supply the
 oscillation.  This module computes the empirical curve, the zero-sum
-model for it, and Monte Carlo logarithmic densities under independent
-uniform phases (the linear-independence heuristic).
+model for it (model_rhs, and psiover_rhs, the same sum as a prediction
+of Psi/Lambda to set beside G(beta, y)), and Monte Carlo logarithmic
+densities under independent uniform phases (the linear-independence
+heuristic).
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ __all__ = [
     "x_of_y",
     "compute_point",
     "model_rhs",
+    "psiover_rhs",
     "li_density",
 ]
 
@@ -162,6 +165,25 @@ def model_rhs(y: float, beta0: float, big_t: float, zeros: ZeroList) -> float:
     """
     _check_beta0(beta0)
     return 1.0 / (2.0 * beta0 - 1.0) - zero_sum(zeros, y, beta0, big_t) / math.sqrt(y)
+
+
+def psiover_rhs(y: float, beta: float, big_t: float, zeros: ZeroList) -> float:
+    """Zero-sum prediction for the corrected ratio Psi/Lambda at saddle
+    abscissa beta, model_rhs rescaled:
+
+        1 + y^(1/2 - beta)/log y * model_rhs(y, beta)
+          = 1 + y^(-beta)/log y * ( -sum_{|Im rho| <= T} y^rho/(rho - beta)
+                                    + y^(1/2)/(2 beta - 1) )
+
+    The 1/(2 beta - 1) term degenerates as beta -> 1/2, so beta must
+    stay clear of the critical line (beta >= 0.55), and model_rhs needs
+    beta < 1 (DomainError).
+    """
+    if beta < 0.55:
+        raise DomainError(
+            f"saddle abscissa {beta:.6f} too close to 1/2 (need beta >= 0.55)"
+        )
+    return 1.0 + y ** (0.5 - beta) * model_rhs(y, beta, big_t, zeros) / math.log(y)
 
 
 def _worker_count(n_blocks: int) -> int:

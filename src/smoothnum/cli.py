@@ -238,9 +238,10 @@ def _cmd_verify_psiover(args) -> int:
     table = specfun.default_rho_table()
     zeros = _load_zeros(args, required=True)
     pt = primes.sieve(max(4, math.ceil(args.y)))
-    rhs = gfactor.psiover_rhs(args.x, args.y, _cutoff(args, zeros), zeros, table)
-    sd = specfun.saddle(args.x, args.y, table)
-    g = gfactor.g_direct(sd.beta, args.y, pt).real
+    big_t = _cutoff(args, zeros)
+    beta = specfun.saddle(args.x, args.y, table).beta
+    rhs = bias.psiover_rhs(args.y, beta, big_t, zeros)
+    g = gfactor.g_direct(beta, args.y, pt).real
     print(f"psiover_rhs = {_fmt(rhs)}")
     print(f"g_beta = {_fmt(g)}")
     print(f"abs_diff = {_fmt(abs(rhs - g))}")

@@ -14,13 +14,12 @@ which reads log zeta(s, y) from primes.partial_zeta (one closed-form
 -log(1 - p^-s) per prime).  g_value assembles the factored route
 beside it from the k-series of prime_power_sum and log_g2, for
 `g --breakdown` and the route-identity check of criterion 04.  The
-module also evaluates the zero-sum prediction for the corrected ratio.
+zero-sum side of the correction lives in bias.
 """
 
 from __future__ import annotations
 
 import cmath
-import math
 from dataclasses import dataclass
 
 from . import primes as primes_mod
@@ -28,21 +27,22 @@ from .debruijn import f_transform, lambda_xy
 from .errors import DomainError
 from .primes import PrimeTable
 from .specfun import RhoTable, saddle
-from .zetazeros import ZeroList, zero_sum
 
 __all__ = [
     "GBreakdown",
-    "log_g1",
     "g_direct",
     "g_value",
     "corrected_prediction",
-    "psiover_rhs",
 ]
 
 
 @dataclass(frozen=True)
 class GBreakdown:
-    """Both assembly routes for G(s, y); they agree to rounding error."""
+    """Both assembly routes for G(s, y); they agree to rounding error.
+
+    log_g1 = sum_{p^k <= y} p^(-ks)/k - log F(s,y), with the log log y
+    normalization folded into f_transform.
+    """
 
     log_g1: complex
     log_g2: complex
@@ -60,26 +60,10 @@ def _log_f(s, y: float) -> complex:
     return f_transform(s, y)
 
 
-def _log_g1(s, y: float, pt: PrimeTable, log_f: complex) -> complex:
-    return primes_mod.prime_power_sum(pt, s, y) - log_f
-
-
-def _g_direct(s, y: float, pt: PrimeTable, log_f: complex) -> complex:
-    return cmath.exp(primes_mod.partial_zeta(pt, s, y) - log_f)
-
-
-def log_g1(s, y: float, pt: PrimeTable) -> complex:
-    """log G1(s,y) = sum_{p^k <= y} p^(-ks)/k - log F(s,y) with the
-    log log y normalization folded into f_transform.
-
-    Near a zero of zeta the log branch blows up (SingularityError).
-    """
-    return _log_g1(s, y, pt, _log_f(s, y))
-
-
 def g_direct(s, y: float, pt: PrimeTable) -> complex:
     """G(s,y) by the direct quotient exp(log zeta(s,y) - log F(s,y))."""
-    return _g_direct(s, y, pt, _log_f(s, y))
+    log_f = _log_f(s, y)
+    return cmath.exp(primes_mod.partial_zeta(pt, s, y) - log_f)
 
 
 def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:
@@ -90,16 +74,17 @@ def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:
     product independently (the k-series over prime powers up to y plus
     the k-tail blocks, versus one closed-form -log(1-p^-s) per prime),
     so their agreement exercises the split identity rather than
-    restating it.
+    restating it.  Near a zero of zeta the log branch blows up
+    (SingularityError).
     """
     log_f = _log_f(s, y)
-    lg1 = _log_g1(s, y, pt, log_f)
+    lg1 = primes_mod.prime_power_sum(pt, s, y) - log_f
     lg2 = primes_mod.log_g2(pt, s, y)
     return GBreakdown(
         log_g1=lg1,
         log_g2=lg2,
         g_factored=cmath.exp(lg1 + lg2),
-        g_direct=_g_direct(s, y, pt, log_f),
+        g_direct=cmath.exp(primes_mod.partial_zeta(pt, s, y) - log_f),
     )
 
 
@@ -108,40 +93,10 @@ def corrected_prediction(x: float, y: float, pt: PrimeTable, table: RhoTable) ->
 
     Smoothness bounds above x degenerate to u = 1: every integer up to x
     counts, the saddle sits at beta = 1, and the prediction collapses to
-    floor(x) * G(1, x).
+    floor(x) * G(1, x).  x < 2 or y < 2 is a DomainError from saddle.
     """
-    if x < 2.0 or y < 2.0:
-        raise DomainError(f"need x >= 2 and y >= 2, got x={x:g}, y={y:g}")
     y_eff = min(float(y), float(x))
     sd = saddle(x, y_eff, table)
     lam = lambda_xy(x, y_eff, table)
     g = g_direct(sd.beta, y_eff, pt).real
     return lam * g
-
-
-def psiover_rhs(
-    x: float,
-    y: float,
-    big_t: float,
-    zeros: ZeroList,
-    table: RhoTable,
-) -> float:
-    """Zero-sum prediction for the corrected ratio Psi/Lambda:
-
-        1 + y^(-beta)/log y * ( -sum_{|Im rho| <= T} y^rho/(rho - beta)
-                                + y^(1/2)/(2 beta - 1) )
-
-    beta is the saddle abscissa of (x, y).  The 1/(2 beta - 1) term
-    degenerates as beta -> 1/2, so the saddle must stay clear of the
-    critical line (beta >= 0.55).
-    """
-    sd = saddle(x, y, table)
-    beta = sd.beta
-    if beta < 0.55:
-        raise DomainError(
-            f"saddle abscissa {beta:.6f} too close to 1/2 (need beta >= 0.55)"
-        )
-    zsum = zero_sum(zeros, y, beta, big_t)
-    log_y = math.log(y)
-    main = -zsum + math.sqrt(y) / (2.0 * beta - 1.0)
-    return 1.0 + y ** (-beta) / log_y * main

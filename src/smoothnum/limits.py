@@ -25,8 +25,8 @@ def env_limit(name: str) -> int:
         return DEFAULTS[name]
     try:
         value = int(float(raw))
-    except ValueError:
-        raise ResourceError(f"{name} must be numeric, got {raw!r}") from None
+    except (ValueError, OverflowError):  # nan, inf, 1e400, not a number
+        raise ResourceError(f"{name} must be a finite number, got {raw!r}") from None
     if value <= 0:
         raise ResourceError(f"{name} must be positive, got {raw!r}")
     return value

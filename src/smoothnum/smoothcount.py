@@ -234,7 +234,8 @@ def psi_exact(x: int, y: int, pt: PrimeTable) -> int:
         return x
     if y < 2:
         return 1
-    max_x = env_limit("SMOOTHNUM_MAX_PSI_X")
+    # The fold list is int64, so no setting admits x >= 2^63.
+    max_x = min(env_limit("SMOOTHNUM_MAX_PSI_X"), 2**63 - 1)
     max_y = env_limit("SMOOTHNUM_MAX_PSI_Y")
     if x > max_x or y > max_y:
         raise ResourceError(

@@ -1,5 +1,6 @@
 """Tests for smoothnum.bias: the pinned-saddle curve, the normalized
-deviation, the zero-sum model, and Monte Carlo logarithmic densities.
+deviation, the zero-sum model and its prediction of Psi/Lambda, and
+Monte Carlo logarithmic densities.
 """
 
 import hashlib
@@ -105,7 +106,8 @@ def test_model_rhs_matches_psiover_route(rho_table, zeros10k):
     # the model_rhs formula when beta = beta0 on the curve.
     y, beta0 = 1e4, 0.75
     x = math.exp(bias.x_of_y(y, beta0))
-    pv = gfactor.psiover_rhs(x, y, 1000.0, zeros10k, rho_table)
+    beta = specfun.saddle(x, y, rho_table).beta
+    pv = bias.psiover_rhs(y, beta, 1000.0, zeros10k)
     scaled = (pv - 1.0) * y ** (beta0 - 0.5) * math.log(y)
     assert abs(scaled - bias.model_rhs(y, beta0, 1000.0, zeros10k)) <= 1e-9
 
@@ -119,6 +121,40 @@ def test_model_rhs_needs_beta0_above_half(zeros10k, beta0):
 def test_model_rhs_range_error(zeros10k):
     with pytest.raises(RangeError):
         bias.model_rhs(100.0, 0.75, 2e4, zeros10k)
+
+
+# ----------------------------------------------------------------------
+# psiover_rhs
+# ----------------------------------------------------------------------
+
+def test_psiover_rhs_empty_zero_sum(rho_table, zeros10k):
+    y = 1e4
+    x = y**1.8
+    beta = specfun.saddle(x, y, rho_table).beta
+    got = bias.psiover_rhs(y, beta, 10.0, zeros10k)
+    want = 1.0 + y ** (-beta) * math.sqrt(y) / ((2.0 * beta - 1.0) * math.log(y))
+    assert got == want
+    assert isinstance(got, float)
+
+
+def test_psiover_rhs_agrees_with_g(pt100k, rho_table, zeros10k):
+    # Both forms approximate the same correction; the corollary's error
+    # envelope 3 y^(1/2-beta)/log y comfortably covers the gap.
+    y = 1e4
+    for u, frozen in ((1.8, 1.0046571418662664), (2.5, 1.009279958141757)):
+        x = y**u
+        beta = specfun.saddle(x, y, rho_table).beta
+        rhs = bias.psiover_rhs(y, beta, 1e4, zeros10k)
+        g = gfactor.g_value(beta, y, pt100k).g_direct.real
+        assert abs(rhs - g) <= 3.0 * y ** (0.5 - beta) / math.log(y), f"u={u}"
+        assert rhs == frozen  # bit for bit
+
+
+def test_psiover_rhs_rejects_beta_near_half(rho_table, zeros10k):
+    # (1e8, 100) has saddle abscissa 0.4926 < 0.55.
+    beta = specfun.saddle(1e8, 100.0, rho_table).beta
+    with pytest.raises(DomainError):
+        bias.psiover_rhs(100.0, beta, 1e4, zeros10k)
 
 
 # ----------------------------------------------------------------------

@@ -145,6 +145,16 @@ def test_verify_psiover_reports_small_gap(capsys):
     )
 
 
+def test_verify_psiover_at_u_one_is_domain_error(capsys):
+    # x = y puts the saddle at beta = 1, outside the zero-sum model's
+    # (1/2, 1).
+    rc = main(["verify-psiover", "--x", "1000", "--y", "1000", "--zeros", ZEROS])
+    assert rc == 5
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("smoothnum: DomainError: beta0 must lie in (1/2, 1)")
+
+
 # ----------------------------------------------------------------------
 # error taxonomy -> exit codes
 # ----------------------------------------------------------------------

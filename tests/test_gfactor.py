@@ -1,15 +1,13 @@
 """Tests for smoothnum.gfactor: the correction factor G(s,y) assembled
-two ways, the corrected smooth-count prediction, and the zero-sum form.
+two ways and the corrected smooth-count prediction.
 """
 
 import cmath
 import math
 
-import numpy as np
 import pytest
 
-from conftest import ZEROS_PATH
-from smoothnum import debruijn, gfactor, primes, specfun, zetazeros
+from smoothnum import debruijn, gfactor, primes, specfun
 from smoothnum.errors import DomainError, SingularityError
 
 
@@ -22,7 +20,7 @@ def test_four_piece_identity(pt100k):
     # computed pieces must reassemble the truncated Euler product.
     for s, y in ((0.8, 1e3), (0.65 + 0.1j, 1e4)):
         lhs = (
-            gfactor.log_g1(s, y, pt100k)
+            gfactor.g_value(s, y, pt100k).log_g1
             + primes.log_g2(pt100k, s, y)
             + debruijn.f_transform(s, y)
         )
@@ -36,25 +34,25 @@ def test_log_g1_tracks_chebyshev_deviation(pt100k):
     y = 1e4
     psi = primes.chebyshev_psi(pt100k, y).psi
     for beta in (0.6, 0.75, 0.9):
-        lg1 = gfactor.log_g1(beta, y, pt100k).real
+        lg1 = gfactor.g_value(beta, y, pt100k).log_g1.real
         target = y ** (-beta) * (psi - y) / math.log(y)
         slack = 3.0 * y ** (0.5 - beta) / math.log(y)
         assert abs(lg1 - target) <= slack, f"beta={beta}"
 
 
 def test_log_g1_conjugate_symmetry(pt100k):
-    a = gfactor.log_g1(0.8 + 0.3j, 1e4, pt100k)
-    b = gfactor.log_g1(0.8 - 0.3j, 1e4, pt100k)
+    a = gfactor.g_value(0.8 + 0.3j, 1e4, pt100k).log_g1
+    b = gfactor.g_value(0.8 - 0.3j, 1e4, pt100k).log_g1
     assert a == b.conjugate()
 
 
 def test_log_g1_domain_and_singularity(pt100k):
     with pytest.raises(DomainError):
-        gfactor.log_g1(-0.2, 1e3, pt100k)
+        gfactor.g_value(-0.2, 1e3, pt100k)
     with pytest.raises(DomainError):
-        gfactor.log_g1(0.8, 3.0, pt100k)
+        gfactor.g_value(0.8, 3.0, pt100k)
     with pytest.raises(SingularityError):
-        gfactor.log_g1(complex(0.5, 14.134725141734694), 1e3, pt100k)
+        gfactor.g_value(complex(0.5, 14.134725141734694), 1e3, pt100k)
 
 
 # ----------------------------------------------------------------------
@@ -82,7 +80,7 @@ def test_g_value_fields_equal_separate_routes(pt100k, s):
     # One f_transform feeds both routes; each field stays bit for bit
     # what its own public route gives.
     gb = gfactor.g_value(s, 1e4, pt100k)
-    lg1 = gfactor.log_g1(s, 1e4, pt100k)
+    lg1 = primes.prime_power_sum(pt100k, s, 1e4) - debruijn.f_transform(s, 1e4)
     lg2 = primes.log_g2(pt100k, s, 1e4)
     assert gb.log_g1 == lg1
     assert gb.log_g2 == lg2
@@ -133,36 +131,3 @@ def test_corrected_prediction_domain_errors(pt100k, rho_table):
         gfactor.corrected_prediction(1.0, 100.0, pt100k, rho_table)
     with pytest.raises(DomainError):
         gfactor.corrected_prediction(100.0, 1.0, pt100k, rho_table)
-
-
-# ----------------------------------------------------------------------
-# psiover_rhs
-# ----------------------------------------------------------------------
-
-def test_psiover_rhs_empty_zero_sum(rho_table, zeros10k):
-    y = 1e4
-    x = y**1.8
-    beta = specfun.saddle(x, y, rho_table).beta
-    got = gfactor.psiover_rhs(x, y, 10.0, zeros10k, rho_table)
-    want = 1.0 + y ** (-beta) * math.sqrt(y) / ((2.0 * beta - 1.0) * math.log(y))
-    assert got == want
-    assert isinstance(got, float)
-
-
-def test_psiover_rhs_agrees_with_g(pt100k, rho_table, zeros10k):
-    # Both forms approximate the same correction; the corollary's error
-    # envelope 3 y^(1/2-beta)/log y comfortably covers the gap.
-    y = 1e4
-    for u, frozen in ((1.8, 1.0046571418662664), (2.5, 1.009279958141757)):
-        x = y**u
-        beta = specfun.saddle(x, y, rho_table).beta
-        rhs = gfactor.psiover_rhs(x, y, 1e4, zeros10k, rho_table)
-        g = gfactor.g_value(beta, y, pt100k).g_direct.real
-        assert abs(rhs - g) <= 3.0 * y ** (0.5 - beta) / math.log(y), f"u={u}"
-        assert rhs == frozen  # bit for bit
-
-
-def test_psiover_rhs_rejects_beta_near_half(rho_table, zeros10k):
-    # (1e8, 100) has saddle abscissa 0.4926 < 0.55.
-    with pytest.raises(DomainError):
-        gfactor.psiover_rhs(1e8, 100.0, 1e4, zeros10k, rho_table)

@@ -75,9 +75,10 @@ def test_sieve_resource_errors(monkeypatch):
     with pytest.raises(ResourceError):
         primes.sieve(2000)
     assert primes.sieve(1000).count == 168
-    monkeypatch.setenv("SMOOTHNUM_MAX_SIEVE", "not-a-number")
-    with pytest.raises(ResourceError):
-        primes.sieve(10)
+    for raw in ("not-a-number", "nan", "inf", "-inf", "1e400"):
+        monkeypatch.setenv("SMOOTHNUM_MAX_SIEVE", raw)
+        with pytest.raises(ResourceError):
+            primes.sieve(10)
 
 
 # ----------------------------------------------------------------------

@@ -462,6 +462,22 @@ def test_psi_exact_resource_and_range_errors(pt100k, monkeypatch):
         smoothcount.psi_exact(2000, 10, pt100k)
 
 
+def test_psi_exact_refuses_x_past_int64_whatever_the_setting(pt100k, monkeypatch, capsys):
+    # The fold list is int64; 2^63 - 1 is the largest x it can hold.
+    monkeypatch.setenv("SMOOTHNUM_MAX_PSI_X", "1e19")
+    with pytest.raises(ResourceError):
+        smoothcount.psi_exact(2**63, 3, pt100k)
+    assert cli.main(["psi", "--x", "1e19", "--y", "3"]) == 4
+    assert capsys.readouterr().err.startswith("smoothnum: ResourceError: psi_exact")
+    x = 2**63 - 1
+    want, power3 = 0, 1
+    while power3 <= x:  # 2^a 3^b <= x for the a below (x // 3^b).bit_length()
+        want += (x // power3).bit_length()
+        power3 *= 3
+    assert want == 1303
+    assert smoothcount.psi_exact(x, 3, pt100k) == want
+
+
 def test_psi_exact_trivial_cases_come_before_the_envelope():
     # None of these reads the prime table, which covers only [2, 10].
     small = primes.sieve(10)
