@@ -119,8 +119,9 @@ def compute_point(
     """Exact count, de Bruijn value, correction factor and deviation at
     one grid point; the exact-count envelope bounds how far up the curve
     this can go (ResourceError beyond it, as when x overflows a float).
-    The model is NaN without zeros and a cutoff, and for beta0 <= 1/2,
-    outside its range."""
+    The model is NaN without zeros and a cutoff.  The deviation's scale
+    y^(beta0 - 1/2) log y and the model are derived for beta0 > 1/2, so
+    both are NaN for beta0 <= 1/2."""
     log_x = x_of_y(y, beta0)
     try:
         x = math.exp(log_x)
@@ -130,13 +131,11 @@ def compute_point(
     psi = psi_exact(x, y, pt)
     lam = lambda_xy(x, y, table)
     g = gfactor.g_direct(sd.beta, y, pt).real
-    scale = y ** (beta0 - 0.5) * math.log(y)
-    deviation = (psi - lam) / lam * scale
-    model = (
-        model_rhs(y, beta0, big_t, zeros)
-        if zeros is not None and big_t is not None and beta0 > 0.5
-        else math.nan
-    )
+    deviation = model = math.nan
+    if beta0 > 0.5:
+        deviation = (psi - lam) / lam * (y ** (beta0 - 0.5) * math.log(y))
+        if zeros is not None and big_t is not None:
+            model = model_rhs(y, beta0, big_t, zeros)
     return BiasPoint(
         y=float(y),
         log_x=log_x,

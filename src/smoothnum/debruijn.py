@@ -27,7 +27,7 @@ import numpy as np
 from .errors import DomainError
 from .errors import ResourceError
 from .limits import env_limit
-from .quadrature import gauss_legendre
+from .quadrature import gauss_legendre, panel_sum
 from . import specfun
 from .specfun import EULER_GAMMA, RhoTable, big_i, k_factor, saddle
 from .zetazeros import log_zeta_times_s_minus_1
@@ -59,7 +59,7 @@ def _snap_floor(t: float) -> int:
 def _integrate_pieces(f, t_hi: float, kinks) -> float:
     """Integral of f(t, floor(t)) over [1, t_hi].
 
-    f must be vectorized over (t values, matching floors).  The edges of
+    f takes (pieces, nodes) arrays of t and floor(t).  The edges of
     the pieces form one sorted list: the integers, ~16/n cuts inside
     unit n below t = 16 (so the 1/t^2-type curvature near 1 cannot
     dominate), the ``kinks`` inside (1, t_hi) and t_hi.  ``kinks`` are
@@ -72,7 +72,6 @@ def _integrate_pieces(f, t_hi: float, kinks) -> float:
     """
     if t_hi <= 1.0:
         return 0.0
-    xg, wg = gauss_legendre(_PIECE_NODES)
     fine = [np.linspace(n, n + 1.0, math.ceil(16 / n) + 1)[1:-1] for n in range(1, 16)]
     cuts = np.sort(np.concatenate(fine + [np.asarray(kinks, dtype=np.float64)]))
     cuts = cuts[(1.0 < cuts) & (cuts < t_hi)]
@@ -82,10 +81,9 @@ def _integrate_pieces(f, t_hi: float, kinks) -> float:
         edges = np.append(np.arange(lo, hi, dtype=np.float64), hi)
         inner = cuts[(lo < cuts) & (cuts < hi)]
         edges = np.insert(edges, np.searchsorted(edges, inner), inner)
-        a, length = edges[:-1], np.diff(edges)
-        t = a[:, None] + length[:, None] * xg
-        vals = f(t.ravel(), np.repeat(np.floor(a), _PIECE_NODES)).reshape(t.shape)
-        totals.append(float(np.sum(np.sum(vals * wg, axis=1) * length)))
+        a, width = edges[:-1], np.diff(edges)
+        floors = np.repeat(np.floor(a)[:, None], _PIECE_NODES, axis=1)
+        totals.append(float(panel_sum(lambda t: f(t, floors), a, width, _PIECE_NODES)))
     return math.fsum(totals)
 
 
@@ -182,10 +180,10 @@ def _sawtooth_tail(u: float, log_y: float, t_hi: float, table: RhoTable) -> tupl
     first = np.repeat(np.cumsum(n_panels) - n_panels, n_panels)
     width = np.repeat((hi - lo) / n_panels, n_panels)
     a = np.repeat(lo, n_panels) + (np.arange(first.size) - first) * width
-    xg, wg = gauss_legendre(_PANEL_NODES)
-    v = a[:, None] + width[:, None] * xg
-    vals = -specfun.rho_prime(table, v.ravel()).reshape(v.shape) * np.exp(-(u - v) * log_y)
-    half_plain = 0.5 * log_y * float(np.sum(np.sum(vals * wg, axis=1) * width))
+    plain = panel_sum(
+        lambda v: -specfun.rho_prime(table, v) * np.exp(-(u - v) * log_y), a, width, _PANEL_NODES
+    )
+    half_plain = 0.5 * log_y * float(plain)
 
     # Endpoint terms F(t(lo)) - F(t(hi)), each on its segment's branch;
     # t is exact at both ends of the range and shared at interior kinks.

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import primes as primes_mod
 from .debruijn import f_transform, lambda_xy
-from .errors import DomainError
+from .errors import DomainError, RangeError
 from .primes import PrimeTable
 from .specfun import RhoTable, saddle
 
@@ -61,9 +61,13 @@ def _log_f(s, y: float) -> complex:
 
 
 def g_direct(s, y: float, pt: PrimeTable) -> complex:
-    """G(s,y) by the direct quotient exp(log zeta(s,y) - log F(s,y))."""
+    """G(s,y) by the direct quotient exp(log zeta(s,y) - log F(s,y));
+    RangeError where G overflows a float (at y = 100, from s near 1e-300)."""
     log_f = _log_f(s, y)
-    return cmath.exp(primes_mod.partial_zeta(pt, s, y) - log_f)
+    try:
+        return cmath.exp(primes_mod.partial_zeta(pt, s, y) - log_f)
+    except OverflowError:
+        raise RangeError(f"G({s}, {y:g}) overflows a float") from None
 
 
 def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:

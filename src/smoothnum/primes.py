@@ -155,14 +155,12 @@ def _floor_root(n: int, k: int) -> int:
 def partial_zeta(pt: PrimeTable, s, y: float) -> complex:
     """log of the Euler product over p <= y: sum_{p<=y} -log(1 - p^-s).
 
-    Each factor's log is taken in closed form: with z = p^-s,
-
-        -log(1 - z) = -1/2 log1p(Re z (Re z - 2) + (Im z)^2)
-                      + i atan2(Im z, 1 - Re z),
-
-    the principal branch of sum_k z^k/k for |z| < 1, so one pass over
-    the primes serves every Re s > 0.  Near z = 1 (Re s -> 0 at small
-    p) log1p's argument cancels towards -1 and the term loses digits.
+    Each factor -log(1 - z), z = p^-s, is taken in closed form.  Where
+    |z| > 1/2 it is -log|w| - i arg w, w = 1 - z = -expm1(-s log p),
+    accurate to rounding however close z is to 1; elsewhere it is
+    -1/2 log1p(Re z (Re z - 2) + (Im z)^2) + i atan2(Im z, 1 - Re z),
+    which keeps the digits log|w| would lose.  This is the principal
+    branch of sum_k z^k/k, so one pass serves every Re s > 0.
     """
     s = complex(s)
     if s.real <= 0:
@@ -171,10 +169,17 @@ def partial_zeta(pt: PrimeTable, s, y: float) -> complex:
     if y < 2:
         return complex(0.0, 0.0)
     idx = int(np.searchsorted(pt.primes, math.floor(y), side="right"))
-    z = np.exp(-s * np.log(pt.primes[:idx].astype(np.float64)))
+    exponent = -s * np.log(pt.primes[:idx].astype(np.float64))
+    z = np.exp(exponent)
     re, im = z.real, z.imag
-    log_abs = -0.5 * np.log1p(re * (re - 2.0) + im * im)
-    return complex(float(np.sum(log_abs)), float(np.sum(np.arctan2(im, 1.0 - re))))
+    near = np.abs(z) > 0.5
+    w = -np.expm1(exponent[near])
+    far = np.where(near, 0.0, re * (re - 2.0) + im * im)  # never log1p(-1)
+    log_abs = -0.5 * np.log1p(far)
+    log_abs[near] = -np.log(np.abs(w))
+    arg = np.arctan2(im, 1.0 - re)
+    arg[near] = np.arctan2(-w.imag, w.real)
+    return complex(float(np.sum(log_abs)), float(np.sum(arg)))
 
 
 def log_g2(pt: PrimeTable, s, y: float) -> complex:

@@ -1,11 +1,10 @@
-"""Gauss-Legendre helpers shared by the integral-heavy modules."""
+"""Fixed Gauss-Legendre rules on panels that the caller lays out from what
+it knows of the integrand (its scale, its kinks), so the work is set by
+the panel count, never by the integrand's values."""
 
 import functools
 
 import numpy as np
-
-_TOL_REL = 1e-13
-_MAX_DEPTH = 28
 
 
 @functools.lru_cache(maxsize=16)
@@ -15,28 +14,11 @@ def gauss_legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
     return (x + 1.0) / 2.0, w / 2.0
 
 
-def adaptive_complex(f):
-    """Adaptively integrate a complex-valued f over [0, 1].
-
-    Bisects until a 20-point rule agrees with its two-half refinement to
-    _TOL_REL of the whole integral, or _MAX_DEPTH levels down.
-    f must accept an ndarray of nodes in (0, 1).
-    """
-    nodes, weights = gauss_legendre(20)
-
-    def rule(a: float, b: float) -> complex:
-        return (b - a) * np.sum(weights * f(a + (b - a) * nodes))
-
-    whole = rule(0.0, 1.0)
-    scale = max(abs(whole), 1e-290)
-
-    def recurse(a: float, b: float, coarse: complex, depth: int) -> complex:
-        mid = 0.5 * (a + b)
-        left = rule(a, mid)
-        right = rule(mid, b)
-        fine = left + right
-        if abs(fine - coarse) <= _TOL_REL * scale or depth >= _MAX_DEPTH:
-            return fine
-        return recurse(a, mid, left, depth + 1) + recurse(mid, b, right, depth + 1)
-
-    return recurse(0.0, 1.0, whole, 0)
+def panel_sum(f, a: np.ndarray, width: np.ndarray, n_nodes: int):
+    """sum_i width_i sum_j w_j f(a_i + width_i x_j), with the n_nodes-point
+    Gauss-Legendre nodes x_j and weights w_j on [0, 1].  f is called once,
+    on the (panels, n_nodes) array of nodes; the sums run along each
+    panel first, then across the panels."""
+    xg, wg = gauss_legendre(n_nodes)
+    vals = f(a[:, None] + width[:, None] * xg)
+    return np.sum(np.sum(vals * wg, axis=1) * width)

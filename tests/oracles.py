@@ -251,6 +251,24 @@ def log_euler_product(s: complex, y: float, dps: int = 40) -> complex:
         return complex(mp.fsum(-mp.log(1 - mp.power(int(p), -z)) for p in ps))
 
 
+def g_euler_product(s: float, y: float) -> float:
+    """G(s, y) = zeta(s, y) / F(s, y) at real s > 0, s != 1, with
+    F = exp(gamma + I((1 - s) log y)) zeta(s)(s - 1) log y: the Euler
+    product from log_euler_product, I from big_i_series and zeta from
+    mpmath."""
+    import mpmath as mp
+
+    log_y = math.log(y)
+    with mp.workdps(40):
+        log_f = (
+            mp.euler
+            + mp.mpf(big_i_series((1.0 - s) * log_y).real)
+            + mp.log(mp.zeta(s) * (mp.mpf(s) - 1))
+            + mp.log(log_y)
+        )
+        return float(mp.exp(mp.mpf(log_euler_product(s, y).real) - log_f))
+
+
 # ----------------------------------------------------------------------
 # Multiplicative alpha weights via explicit per-prime exponentials
 # ----------------------------------------------------------------------

@@ -70,6 +70,16 @@ def test_compute_point_model_is_nan_outside_its_range(pt100k, rho_table, zeros10
     assert p.beta == pytest.approx(0.5, abs=1e-10)
 
 
+def test_compute_point_deviation_is_nan_below_one_half(pt100k, rho_table, zeros10k):
+    # The deviation's scale y^(beta0 - 1/2) log y is derived for beta0 >
+    # 1/2, like the model; the ratios stay defined.
+    p = bias.compute_point(100.0, 0.45, pt100k, rho_table, zeros=zeros10k, big_t=100.0)
+    assert math.isnan(p.deviation)
+    assert math.isnan(p.model)
+    assert p.psi == 3488196
+    assert math.isfinite(p.ratio_corrected)
+
+
 def test_compute_point_x_overflow_is_resource_error(pt100k, rho_table):
     # log x = (10^4.5 - 1)/0.9 is about 3.5e4, past the largest float.
     with pytest.raises(ResourceError):

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from conftest import ZEROS_PATH
 from smoothnum import bias, debruijn, gfactor, primes, specfun
 from smoothnum.cli import CSV_COLUMNS, EXIT_CODES, main
@@ -130,6 +131,27 @@ def test_g_near_zero_s_is_finite(capsys):
     # (p^-s close to 1) needs no series to converge.
     assert main(["g", "--s", "1e-4", "--y", "100"]) == 0
     assert math.isfinite(float(capsys.readouterr().out))
+
+
+@pytest.mark.parametrize("s", ["1e-7", "1e-9"])
+def test_g_close_to_zero_matches_euler_product(capsys, s):
+    # 1 - p^-s is taken from expm1, so no digit is lost as p^-s -> 1.
+    # The log1p form printed 9.593e149 at 1e-7 (1.6% high) and inf with
+    # a RuntimeWarning at 1e-9.
+    assert main(["g", "--s", s, "--y", "100"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    want = oracles.g_euler_product(float(s), 100.0)
+    assert float(captured.out) == pytest.approx(want, rel=1e-10)
+
+
+def test_g_overflow_is_range_error(capsys):
+    # log zeta(s, 100) grows like 25 log(1/s): G leaves float range.
+    assert main(["g", "--s", "1e-300", "--y", "100"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("smoothnum: RangeError:")
+    assert captured.err.count("\n") == 1
 
 
 def test_verify_psiover_reports_small_gap(capsys):
@@ -345,7 +367,8 @@ def test_bias_scan_plot_emission(tmp_path):
 
 
 def test_bias_scan_at_beta0_one_half_leaves_the_model_out(tmp_path):
-    # The model's 1/(2 beta0 - 1) has no value at 1/2: its column is nan.
+    # The model's 1/(2 beta0 - 1) has no value at 1/2, and the deviation's
+    # scale y^(beta0 - 1/2) log y is derived for beta0 > 1/2: both are nan.
     out = tmp_path / "half.csv"
     rc = main(["bias-scan", "--beta0", "0.5", "--y-min", "100", "--y-max", "200",
                "--n-points", "2", "--zeros", ZEROS, "--T", "100", "--out", str(out)])
@@ -353,7 +376,8 @@ def test_bias_scan_at_beta0_one_half_leaves_the_model_out(tmp_path):
     rows = [dict(zip(CSV_COLUMNS, row)) for row in _cells(out)]
     assert len(rows) == 2
     assert all(row["model_rhs"] == "nan" for row in rows)
-    assert all(math.isfinite(float(row["normalized_deviation"])) for row in rows)
+    assert all(row["normalized_deviation"] == "nan" for row in rows)
+    assert all(math.isfinite(float(row["ratio_corrected"])) for row in rows)
 
 
 @pytest.mark.parametrize("argv", [
@@ -547,8 +571,10 @@ def test_out_of_range_counts_are_range_errors(capsys, argv):
 
 
 def test_huge_s_is_range_error_without_hanging():
-    # In a child under a timeout: big_i on an overflowed argument would
-    # bisect NaN without end, and that must fail the test, not stall it.
+    # In a child under a timeout, so that a hang fails the test instead
+    # of stalling it.  s = 1e308 lies outside zeta's strip, which
+    # f_transform checks before big_i runs; big_i refuses Re s > 709 on
+    # its own (test_specfun).
     src = Path(specfun.__file__).resolve().parents[1]
     proc = subprocess.run(
         [sys.executable, "-m", "smoothnum.cli", "g", "--s", "1e308", "--y", "100"],

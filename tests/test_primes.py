@@ -204,10 +204,15 @@ def test_partial_zeta_conjugate_symmetry(sigma, t):
     (0.8 - 0.3j, 1e4, 1e-14),
     (0.5 + 14.0j, 1000.0, 1e-14),
     (0.05, 100.0, 1e-14),
+    # Near z = p^-s = 1, w = 1 - z comes from expm1 and keeps its digits:
+    # every point below measured within 1.5e-16.  The log1p form was off
+    # by 9.3e-12 at 1e-4 and 8.5e-7 at 1e-7, and overflowed at 1e-9; the
+    # first two bounds date from it.
     (1e-3, 1e4, 1e-13),
-    # Near z = p^-s = 1 the closed form's log1p argument cancels towards
-    # -1; the bound is the measured 9.3e-12 with room.
     (1e-4, 100.0, 1e-10),
+    (1e-5, 1e5, 1e-14),
+    (1e-7, 1e4, 1e-14),
+    (1e-9, 100.0, 1e-14),
 ])
 def test_partial_zeta_matches_mpmath_euler_product(pt100k, s, y, rel):
     want = oracles.log_euler_product(s, y)
