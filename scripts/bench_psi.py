@@ -12,8 +12,9 @@ sections are:
   without the sort's scratch), then times the fold and the rough-tree
   walk of psi_exact separately, REPEATS times after a warm-up call,
   keeping the medians, and records the fold-list size, the first rough
-  prime p0, the leaf table's width V (None without rough primes) and
-  the count.
+  prime p0, the count, and the width V, the rows and the median build
+  time of the leaf table that the walk itself built (None without rough
+  primes).
 - big: the points (10^11, 10^4), (10^12, 10^4) and (10^12, 10^5), the
   corner of the psi_exact envelope, measured the same way, each in a
   child of its own, so each has its own peak RSS.
@@ -49,6 +50,17 @@ def _child(job: list) -> dict:
     from smoothnum import cli, primes, smoothcount
 
     section, spec = job
+    # Record each leaf table the walk builds: its shape and build time.
+    tables = []
+    build = smoothcount._leaf_table
+
+    def recorded(*args):
+        start = time.perf_counter()
+        table = build(*args)
+        tables.append((table.shape, time.perf_counter() - start))
+        return table
+
+    smoothcount._leaf_table = recorded
 
     def phases(x, y, pt):
         top = int(np.searchsorted(pt.primes, y, side="right"))
@@ -60,18 +72,18 @@ def _child(job: list) -> dict:
             smoothcount._fold_list, pt.primes[:top], x, repeats=REPEATS
         )
         rough = pt.primes[first:top].astype(np.int64)
+        tables.clear()
         count, tree_s = (
             _bench.timed(smoothcount._walk_rough_tree, smooth, rough, x, repeats=REPEATS)
             if rough.size else (smooth.size, [0.0])
         )
         # The leaf table's last column is a zero sentinel.
-        width = (
-            smoothcount._leaf_table(smooth, rough, x, smooth.nbytes).shape[1] - 1
-            if rough.size else None
-        )
+        (rows, width), _ = tables[-1] if tables else ((None, None), None)
         return {
             "x": x, "y": y, "count": int(count), "list_size": int(smooth.size),
-            "p0": int(rough[0]) if rough.size else None, "V": width,
+            "p0": int(rough[0]) if rough.size else None,
+            "V": width - 1 if width else None, "table_rows": rows,
+            "table_s": statistics.median(t for _, t in tables) if tables else None,
             "fold_s": statistics.median(fold_s), "tree_s": statistics.median(tree_s),
             "fold_peak_mb": fold_peak / (1 << 20),
         }

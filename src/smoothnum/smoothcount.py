@@ -16,24 +16,28 @@ its size, or would push it past _SMOOTH_LIST_CAP entries.
 
 Tree phase: the remaining "rough" primes p0 < ... <= y form a tree of
 products d (multisets enumerated by non-increasing prime index), and
-each node is charged the number of listed values <= x // d.  A number
-below p0^2 has at most one rough prime factor, so the whole subtree of
-a node whose budget v = x // d is below V = min(p0^2, x + 1) is known in
-closed form: with children drawn from rough[:c + 1] it counts
-F[c, v] = #{listed s <= v} + sum_{j <= c} v // rough[j].  That table, the
-small-argument table of the Meissel-Lehmer phi(x, a) computation
-(Lagarias, Miller and Odlyzko, 1985), is built once per call in int32,
-no larger than the fold list in bytes (V is halved until it is).  A
-child below V is a leaf and is never made.  The leaves of a batch of
-nodes are charged column by column: with the batch sorted by cap, the
-nodes that have a child c are a prefix, divided at once by the scalar
-rough[c], and each quotient indexes one row of F, padded with a zero
-sentinel column at V that catches every quotient >= V.  Only the inner
-children, budget >= V, are made as nodes, one binary search each.  The
-tree is walked depth-first from a stack of node batches; children are
-created lazily, at most _NODE_CHUNK at a time, from a cursor into their
-parent batch, so the walk holds about depth * _NODE_CHUNK nodes on top
-of the list and the table.  Any split between the phases gives the
+each node is charged the number of listed values <= x // d.  The whole
+subtree of a node whose budget v = x // d is below V, with children
+drawn from rough[:c + 1], counts F[c, v], from the recurrence
+F[-1, v] = #{listed s <= v}, F[c, v] = F[c - 1, v] + F[c, v // rough[c]]
+(the subtree without rough[c], and the one that uses it at least once).
+That table, the small-argument table of the Meissel-Lehmer phi(x, a)
+computation (Lagarias, Miller and Odlyzko, 1985; Deleglise and Rivat,
+1996), is built once per call, one row per rough prime below V, each
+row in log_r V slice steps.  F[c, v] counts distinct n <= v, as listed
+part times rough part, so F <= v and the table is uint16 with
+V <= 2^16 - 1.  V is the largest value <= x + 1 whose table fits in
+_LEAF_TABLE_SHARE of the fold list's bytes: a larger table leaves fewer
+nodes.  A child below V is a leaf and is never made.  The leaves of a
+batch of nodes are charged column by column: with the batch sorted by
+cap, the nodes that have a child c are a prefix, divided at once by the
+scalar rough[c], and each quotient indexes one row of F, padded with a
+zero sentinel column at V that catches every quotient >= V.  Only the
+inner children, budget >= V, are made as nodes, one binary search each.
+The tree is walked depth-first from a stack of node batches; children
+are created lazily, at most _NODE_CHUNK at a time, from a cursor into
+their parent batch, so the walk holds about depth * _NODE_CHUNK nodes on
+top of the list and the table.  Any split between the phases gives the
 same exact count.
 
 alpha_values tabulates the coefficients alpha_y(n) of
@@ -53,32 +57,46 @@ from .primes import PrimeTable, _power_tops
 
 _SMOOTH_LIST_CAP = 8_000_000
 # Stop folding at the first prime whose fold would add fewer than this
-# fraction of the list's size; a higher stop leaves a smaller list and a
-# larger rough tree.  Swept on a 2-vCPU shared x86 host, _NODE_CHUNK 2^16:
-# perfbench theorem-grid wall_s (median of 4-10 runs) and peak_rss_mb,
-# then psi_exact alone, median (range) of 3-15 processes' medians.  "two
-# lists" is the previous fold, which wrote each list into a new buffer.
-#              grid           | (10^11, 10^4)      | (10^12, 10^4)      | (10^12, 10^5)
-#   two lists  0.44 s  79 MB  | 1.34 (1.24-1.38) s | 3.28 (2.96-3.53) s | 20.3 (18.3-24.7) s
-#   0.4        0.42 s  61 MB  | 1.07 (1.02-1.23) s | 3.12 (2.83-3.51) s | 19.6 (17.9-22.2) s
-#   0.45       0.45 s  57 MB  | 1.14 (1.06-1.19) s | 3.37 (2.99-3.83) s | 20.2 (17.0-23.7) s
-#   0.5        0.46 s  57 MB  | 1.15 (1.09-1.22) s | 4.11 (3.96-4.24) s | 25.1 (24.3-26.2) s
-# A process that runs only psi_exact peaks at 56, 102 and 103 MB at the
-# three points with two lists, 52, 82, 82 at 0.4, 48, 67, 68 at 0.45 and
-# 48, 58, 58 at 0.5.  The rule: the lowest grid peak among the stops
-# whose medians are no slower than the two-list fold's on the grid and at
-# the three points.  0.45 is 3% slower at (10^12, 10^4) and level at
-# (10^12, 10^5), 0.5 slower at both, so 0.4, in place no slower anywhere.
-_FOLD_MIN_GROWTH = 0.4
+# fraction of the list's size; a higher stop leaves a smaller list, a
+# smaller leaf table and a larger rough tree.
+_FOLD_MIN_GROWTH = 0.45
 # Children made per batch: the walk holds about depth * _NODE_CHUNK nodes.
-# Same sweep (2-4 runs each for 2^14 and 2^15), grid peak and the three
-# points' median times:
-#   stop 0.4   2^15  61 MB  1.08 s  3.40 s  20.6 s | 2^16  61 MB  1.07 s  3.12 s  19.6 s
-#   stop 0.45  2^14  55 MB  1.25 s  3.71 s  24.1 s | 2^15  55 MB  1.20 s  3.69 s  22.2 s
-#              2^16  57 MB  1.14 s  3.37 s  20.2 s
-# At stop 0.4 the grid peak is the fold's (one list and timsort's scratch),
-# so a smaller chunk saves nothing; the tree's batches only set it at 0.45.
-_NODE_CHUNK = 1 << 16
+_NODE_CHUNK = 1 << 13
+# The leaf table's bytes, as a share of the fold list's: a larger table
+# leaves fewer nodes, and sits beside the list and the node batches.
+_LEAF_TABLE_SHARE = 0.5
+# The three were swept together on a 2-vCPU shared Xeon (8 GB): perfbench
+# theorem-grid wall_s and peak_rss_mb, then psi_exact alone at three
+# points, one process per call; 3 runs per setting (6 for 0.45, 1/2,
+# 2^13; 9 for 0.4, 1/4, 2^14 and 0.45, 1/2, 2^14), each sweep alternating
+# with the old tree (an int32 table of V = p0^2, halved until it fit the
+# list's bytes; stop 0.4, chunk 2^16).  The host drifts between sweeps,
+# so a time is the median of each run over the old tree's median in the
+# same sweep; the old tree read 0.31-0.39 s and 61 MB on the grid,
+# 0.67-0.88 s, 2.2-3.0 s and 13-20 s at the points, peaking at 51, 81, 81 MB.
+#   stop  share  chunk   grid          (10^11, 10^4)  (10^12, 10^4)  (10^12, 10^5)  peaks
+#   0.4   1/2    2^14    0.68  64 MB   0.61           0.45           0.27           52, 90, 90 MB
+#                2^15    0.66  65 MB   0.65           0.41           0.25           53, 90, 91 MB
+#                2^16    0.69  67 MB   0.65           0.45           0.27           56, 93, 94 MB
+#         1/4    2^14    0.81  60 MB   0.83           0.58           0.46           49, 81, 81 MB
+#                2^15    0.80  62 MB   0.67           0.47           0.45           50, 81, 82 MB
+#                2^16    0.76  64 MB   0.80           0.52           0.44           53, 84, 84 MB
+#         1/8    2^14    0.89  60 MB   1.23           0.57           0.58           48, 81, 81 MB
+#                2^15    0.81  60 MB   1.11           0.59           0.54           48, 81, 82 MB
+#                2^16    0.88  62 MB   0.91           0.57           0.53           51, 81, 81 MB
+#   0.35  1/4    2^14    1.03  75 MB   0.93           0.88           0.51           55, 100, 100 MB
+#   0.45  1/4    2^14    0.89  55 MB   1.23           0.97           0.71           44, 67, 67 MB
+#         1/2    2^12    0.77  56 MB   0.90           0.83           0.53           46, 73, 73 MB
+#                2^13    0.74  56 MB   0.72           0.64           0.44           46, 73, 73 MB
+#                2^14    0.75  57 MB   0.70           0.58           0.40           46, 73, 73 MB
+#                2^15    0.63  58 MB   0.54           0.47           0.33           47, 73, 74 MB
+#   0.5   1/2    2^14    0.77  58 MB   0.67           0.67           0.49           46, 60, 60 MB
+# The rule: the lowest grid peak among the settings whose medians are no
+# slower than the old tree's on the grid and at the three points.  At
+# stop 0.4 a half raises the grid peak and an eighth is slower at
+# (10^11, 10^4); at 0.45 a quarter is slower there, while a half is
+# faster everywhere at a lower peak than any setting at 0.4.  2^12 and 2^13 share the lowest
+# peak, 2^13 the faster, so 0.45, 1/2 and 2^13.
 
 
 def _fold_projection(smooth: np.ndarray, p: int, x: int) -> np.ndarray:
@@ -125,29 +143,38 @@ def _fold_list(primes: np.ndarray, x: int) -> tuple:
 
 
 def _leaf_table(smooth: np.ndarray, rough: np.ndarray, x: int, max_bytes: int) -> np.ndarray:
-    """The int32 table F[c, v] = #{listed s <= v} + sum_{j <= c} v // rough[j]
-    for v < V: the subtree of a node with budget v whose children may use
-    rough[:c + 1], when V <= p0^2.  Column V is a zero sentinel for
-    _charge_leaves.  V starts at min(p0^2, x + 1) and is halved until
-    the V columns fit in max_bytes.  A prime above v adds nothing, so F
-    keeps one row per rough prime below V, and at least one.  An entry
-    is at most v (1 + sum 1/p over primes below V) < 5V, and V <= max_bytes
-    / 4, which the fold list's bytes keep far below 2^31 / 5.
+    """The uint16 table F[c, v], v < V, of the subtree count of a node with
+    budget v whose children may use rough[:c + 1], by the recurrence
+
+        F[-1, v] = #{listed s <= v},   F[c, v] = F[c - 1, v] + F[c, v // rough[c]],
+
+    which splits the subtree by whether rough[c] is used.  Since
+    v // rough[c] < v for v >= 1 and F[c, 0] = 0, row c is filled in the
+    slices [r^k, r^(k+1)) of r = rough[c], each reading only the slice
+    before it.  F[c, v] counts every n <= v at most once, as its listed
+    part times its rough part, so F[c, v] <= v < 2^16.  A prime >= V adds
+    nothing, so F keeps one row per rough prime below V, and at least one.
+    V is the largest value <= min(x + 1, 2^16 - 1), and at least 1, whose
+    rows and V + 1 columns fit in max_bytes; column V is a zero sentinel
+    for _charge_leaves.
     """
-    p0 = int(rough[0])
-    size = min(p0 * p0, x + 1)
-
     def rows(size):
-        return max(1, int(np.searchsorted(rough, size)))
+        return np.maximum(1, np.searchsorted(rough, size))
 
-    while size > 1 and 4 * rows(size) * size > max_bytes:
-        size //= 2
-    v = np.arange(size, dtype=np.int32)
-    table = np.zeros((rows(size), size + 1), dtype=np.int32)
-    body = table[:, :size]
-    np.floor_divide(v, rough[: rows(size), None].astype(np.int32), out=body)
-    np.cumsum(body, axis=0, out=body)
-    body += np.searchsorted(smooth, v, side="right").astype(np.int32)
+    # The table's bytes grow with V, so the sizes that fit are a prefix.
+    sizes = np.arange(1, min(x + 1, (1 << 16) - 1) + 1)
+    size = max(1, int(np.count_nonzero(2 * rows(sizes) * (sizes + 1) <= max_bytes)))
+    v = np.arange(size)
+    table = np.zeros((int(rows(size)), size + 1), dtype=np.uint16)
+    prev = np.searchsorted(smooth, v, side="right")
+    for row, r in zip(table, rough.tolist()):
+        row[:size] = prev
+        lo = r
+        while lo < size:
+            hi = min(lo * r, size)
+            row[lo:hi] += row[v[lo:hi] // r]
+            lo = hi
+        prev = row[:size]
     return table
 
 
@@ -165,7 +192,7 @@ def _charge_leaves(budget: np.ndarray, cap: np.ndarray, rough: list, table: np.n
     rows, width = table.shape
     prefix = np.searchsorted(-cap, -np.arange(int(cap[0])), side="left").tolist()
     quot = np.empty(budget.size, dtype=np.int64)
-    vals = np.empty(budget.size, dtype=np.int32)
+    vals = np.empty(budget.size, dtype=table.dtype)
     total = 0
     for c, n in enumerate(prefix):
         q = np.floor_divide(budget[:n], rough[c], out=quot[:n])
@@ -185,7 +212,7 @@ def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
     the prefix sums of their inner-child counts and a cursor into those
     children.
     """
-    table = _leaf_table(smooth, rough, x, smooth.nbytes)
+    table = _leaf_table(smooth, rough, x, int(_LEAF_TABLE_SHARE * smooth.nbytes))
     size = table.shape[1] - 1
     rough_ints = rough.tolist()
     total = int(np.searchsorted(smooth, x, side="right"))

@@ -21,6 +21,7 @@ underflow.
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,6 +38,7 @@ _BIG_I_SPAN = 16.0  # |s| per big_i panel
 _BIG_I_NODES = 24
 _BIG_I_BLOCK = 1 << 12  # big_i panels per panel_sum call, bounding memory
 _BIG_I_MAX_ABS = 2.0**22
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 # ----------------------------------------------------------------------
@@ -127,8 +129,15 @@ def big_i(s) -> complex:
 
 
 def rho_hat(s) -> complex:
-    """exp(gamma + big_i(-s)): the Laplace transform of the Dickman function."""
-    return cmath.exp(EULER_GAMMA + big_i(-complex(s)))
+    """exp(gamma + big_i(-s)): the Laplace transform of the Dickman function.
+
+    A RangeError where its modulus, e to the real part of the exponent,
+    leaves float range: on the real axis, for s below -8.5633.
+    """
+    w = EULER_GAMMA + big_i(-complex(s))
+    if w.real > _LOG_FLOAT_MAX:
+        raise RangeError(f"rho_hat({s}) overflows a float")
+    return cmath.exp(w)
 
 
 def k_factor(t) -> complex:

@@ -74,6 +74,8 @@ def test_script_runs(smoke, script):
         report = json.loads((cwd / "BENCH_psi.json").read_text(encoding="utf-8"))
         (entry,) = report["runs"]
         assert all(p["fold_peak_mb"] > 0 for p in entry["grid"]["points"])
+        # V and the rows are read from the table the walk itself built.
+        assert all(p["V"] >= 1 and p["table_rows"] >= 1 for p in entry["grid"]["points"] if p["p0"])
     if script == "bench_density.py":
         # The bench's own code times every revision, and the working tree
         # must sample exactly as the last commit does.

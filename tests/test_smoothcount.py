@@ -164,9 +164,10 @@ def test_fold_list_peak_is_the_last_list(pt100k):
     assert peak <= 1.05 * smooth.nbytes
 
 
-def _one_rough_prime_counts(rough, size):
-    """want[c, v] = #{1 <= n <= v : n / (its part below p0) is 1 or in
-    rough[:c + 1]}, by trial division."""
+def _rough_part_counts(rough, size, gpf):
+    """want[c, v] = #{1 <= n <= v : the part of n made of primes >= p0 is a
+    product of primes in rough[:c + 1]}, by trial division below p0 and the
+    greatest prime factor of what is left."""
     rest = np.arange(size, dtype=np.int64)
     for p in range(2, int(rough[0])):
         while True:
@@ -174,27 +175,32 @@ def _one_rough_prime_counts(rough, size):
             if not hit.any():
                 break
             rest[hit] //= p
-    rest[0] = 0
     rows = max(1, int(np.searchsorted(rough, size)))
     return np.array([
-        np.cumsum((rest == 1) | np.isin(rest, rough[: c + 1])) for c in range(rows)
+        np.cumsum((rest > 0) & (gpf[rest] <= rough[c])) for c in range(rows)
     ])
 
 
-def test_leaf_table_matches_one_rough_prime_counts(gpf100k):
-    # p0 = 11: the listed values are the 7-smooth numbers <= x.
+def test_leaf_table_matches_rough_part_counts(gpf100k):
+    # p0 = 11: the listed values are the 7-smooth numbers <= x.  A 1 MiB
+    # bound gives V = 7083 > 11^3, so rough parts with up to three prime
+    # factors (1331, 2431 = 11 * 13 * 17, ...) are counted.
     x = 10**4
     smooth = oracles.smooth_values(x, 7, gpf100k)
     rough = np.array([p for p in range(11, 400) if gpf100k[p] == p], dtype=np.int64)
     full = smoothcount._leaf_table(smooth, rough, x, 1 << 20)
-    assert full.dtype == np.int32 and full.shape == (26, 122)
-    assert np.array_equal(full[:, :121], _one_rough_prime_counts(rough, 121))
-    assert not full[:, 121].any()
-    # The fold list's own bound halves V to 30, keeping a corner of F.
-    small = smoothcount._leaf_table(smooth, rough, x, smooth.nbytes)
-    assert small.shape == (6, 31) and small.nbytes <= smooth.nbytes
-    assert np.array_equal(small[:, :30], full[:6, :30])
-    assert not small[:, 30].any()
+    assert full.dtype == np.uint16 and full.shape == (74, 7084)
+    assert 11**3 < 7083 and full.nbytes <= 1 << 20 < 2 * 74 * 7085
+    assert np.array_equal(full[:, :7083], _rough_part_counts(rough, 7083, gpf100k))
+    assert (full[:, :7083] <= np.arange(7083)).all()
+    assert not full[:, 7083].any()
+    # The walk's bound, a share of the fold list's bytes, keeps a corner of F.
+    bound = int(smoothcount._LEAF_TABLE_SHARE * smooth.nbytes)
+    small = smoothcount._leaf_table(smooth, rough, x, bound)
+    rows, width = small.shape
+    assert small.nbytes <= bound < 2 * int(np.searchsorted(rough, width)) * (width + 1)
+    assert np.array_equal(small[:, : width - 1], full[:rows, : width - 1])
+    assert not small[:, width - 1].any()
 
 
 @pytest.mark.parametrize("x", [11, 60, 100, 120])
@@ -220,26 +226,41 @@ def _phi(b, cap, smooth, rough):
     return total
 
 
-@pytest.mark.parametrize("chunk", [1, 2, 7, smoothcount._NODE_CHUNK])
-@pytest.mark.parametrize("table_bytes", ["fold list", "below p0", "one entry"])
+# 2^16 is larger than any batch here, so it stands for the production chunk.
+@pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
+@pytest.mark.parametrize("table_bytes", ["fold list", "below p0", "one entry", "past p0 squared"])
 @pytest.mark.parametrize("x, folded, y", [(10**4, 7, 300), (3000, 2, 1500), (120, 7, 97)])
 def test_walk_matches_plain_recursion(gpf100k, monkeypatch, chunk, table_bytes, x, folded, y):
     # The listed values are the numbers <= x built from primes <= folded,
-    # the rough primes the rest up to y.  Shrinking the leaf table below
-    # p0 makes nodes with budget under p0, whose cap is 0; one entry
-    # leaves no leaves at all, so every node is made and searched.
+    # the rough primes the rest up to y.  "fold list" is the walk's own
+    # bound.  Shrinking the leaf table below p0 makes nodes with budget
+    # under p0, whose cap is 0; one entry leaves no leaves at all, so
+    # every node is made and searched.  Past p0^2, leaves have rough
+    # parts with two prime factors and nodes are still made (x >= p0^3).
     smooth = oracles.smooth_values(x, folded, gpf100k)
     rough = np.array([p for p in range(folded + 1, y + 1) if gpf100k[p] == p], dtype=np.int64)
     p0 = int(rough[0])
-    limit = {"fold list": smooth.nbytes, "below p0": 4 * (p0 - 1), "one entry": 4}[table_bytes]
+    # In 2-byte entries, each bound counting the zero sentinel column;
+    # past p0^2 the bound is the size of the table with V = 4 p0^2.
+    past = 4 * p0 * p0
+    limit = {
+        "below p0": 2 * p0,
+        "one entry": 2 * 2,
+        "past p0 squared": 2 * max(1, int(np.searchsorted(rough, past))) * (past + 1),
+    }.get(table_bytes)
     build, charge = smoothcount._leaf_table, smoothcount._charge_leaves
-    caps = []
+    caps, sizes = [], []
+
+    def built(s, r, x, max_bytes):
+        table = build(s, r, x, max_bytes if limit is None else limit)
+        sizes.append(table.shape[1] - 1)
+        return table
 
     def recorded(budget, cap, primes, table):
         caps.append(cap.copy())
         return charge(budget, cap, primes, table)
 
-    monkeypatch.setattr(smoothcount, "_leaf_table", lambda s, r, x, _: build(s, r, x, limit))
+    monkeypatch.setattr(smoothcount, "_leaf_table", built)
     monkeypatch.setattr(smoothcount, "_charge_leaves", recorded)
     monkeypatch.setattr(smoothcount, "_NODE_CHUNK", chunk)
     got = smoothcount._walk_rough_tree(smooth, rough, x)
@@ -247,9 +268,14 @@ def test_walk_matches_plain_recursion(gpf100k, monkeypatch, chunk, table_bytes, 
     assert got == oracles.psi_brute(x, y, gpf100k)
     if x < p0 * p0:
         return
+    [size] = sizes
+    if table_bytes == "past p0 squared":
+        assert x >= p0**3 and size > p0 * p0
     made = np.concatenate(caps[1:])
-    assert (table_bytes == "fold list") == (0 not in made)
-    if chunk > 2:
+    assert (size >= p0) == (0 not in made)
+    assert (table_bytes in ("below p0", "one entry")) == (size < p0)
+    # Past p0^2 at x = 10^4 the root's only inner children are 11 to 19.
+    if chunk > 2 and made.size > 4:
         assert any(np.unique(cap).size < cap.size for cap in caps)
 
 
@@ -265,7 +291,8 @@ def test_psi_exact_leaf_table_bound_does_not_change_counts(pt100k, monkeypatch, 
 
     def bounded(smooth, rough, x, max_bytes):
         p0 = int(rough[0])
-        limit = {"one row": 4 * min(p0 * p0, x + 1), "below p0": 4 * (p0 - 1), "one entry": 4}
+        # In 2-byte entries, each bound counting the zero sentinel column.
+        limit = {"one row": 2 * (min(p0 * p0, x + 1) + 1), "below p0": 2 * p0, "one entry": 2 * 2}
         table = build(smooth, rough, x, limit[bound])
         shapes.append((table.shape, p0, limit[bound]))
         return table
@@ -274,9 +301,8 @@ def test_psi_exact_leaf_table_bound_does_not_change_counts(pt100k, monkeypatch, 
     assert [smoothcount.psi_exact(x, y, pt100k) for x, y in points] == want
     assert shapes
     for (rows, width), p0, limit in shapes:
-        size = width - 1  # V columns and the zero sentinel
-        assert 4 * rows * size <= limit
-        assert bound == "one row" or size < p0
+        assert 2 * rows * width <= limit
+        assert bound == "one row" or width - 1 < p0
 
 
 def test_psi_exact_leaf_table_out_of_memory_is_resource_error(pt100k, monkeypatch, capsys):

@@ -369,6 +369,22 @@ def test_rho_hat_matches_table_quadrature(rho_table):
         assert abs(got - quad) <= 1e-8 * abs(quad), f"s={s}"
 
 
+def test_rho_hat_near_float_range_edge_matches_series():
+    # Re(gamma + I(8)) = 438.3, well inside float range.
+    got = specfun.rho_hat(-8.0)
+    assert got.imag == 0.0
+    assert got.real == pytest.approx(2.246e190, rel=1e-3)
+    want = EULER_GAMMA + oracles.big_i_series(8.0).real
+    assert math.log(got.real) == pytest.approx(want, rel=BIG_I_REL)
+
+
+@pytest.mark.parametrize("s", [-9.0, -20.0, -700.0])
+def test_rho_hat_overflow_is_range_error(s):
+    # The modulus e^Re(gamma + I(-s)) passes the float maximum near s = -8.5633.
+    with pytest.raises(RangeError, match="overflows a float"):
+        specfun.rho_hat(s)
+
+
 @given(
     st.floats(min_value=-2.0, max_value=15.0),
     st.floats(min_value=0.01, max_value=15.0),
