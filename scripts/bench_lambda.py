@@ -4,15 +4,19 @@ Each revision runs in its own child process: "." is this checkout's
 src/, anything else is a git revision whose src/ is extracted first.
 Per point the child builds the rho table, makes one warm-up call, then
 times REPEATS calls of debruijn.lambda_xy and keeps the median; it also
-counts the rho' evaluations of one call.  At each point it also times
+counts the rho points that one call interpolates, through
+specfun._interp_log_rho (every rho, rho' and derivative bound passes
+there, at every revision).  At each point it also times
 the two routes of the correction factor G at the saddle beta of (x, y),
 gfactor.g_direct and gfactor.g_value, and keeps each one's median.  The
 points are the benchmark's prediction-sweep grid at seed 0.  The FAR_X
 points, at y = x^(1/3), run at the last revision only; there the signed
 criterion-05 deviation Lambda / debruijn.lambda_asymptotic - 1 (the
-first-order form x rho(3) K(-xi(3)/log y)) is recorded too.
+first-order form x rho(3) K(-xi(3)/log y)) is recorded too.  Every run
+records whether each of its Lambda values has the same float.hex as at
+the first --rev (lambda_identical_vs_rev, over the points both ran).
 
-    python scripts/bench_lambda.py --rev 2d7c63a --rev . --out BENCH_lambda.json
+    python scripts/bench_lambda.py --rev 752d3ce --rev . --out BENCH_lambda.json
 """
 
 import statistics
@@ -33,26 +37,26 @@ def _child(spec: dict) -> dict:
 
     table = specfun.default_rho_table()
     pt = primes.sieve(int(max(y for _, y in spec["points"])))
-    rho_prime = specfun.rho_prime
+    interp = specfun._interp_log_rho
     evaluated = []
 
     def counting(tab, u):
         evaluated.append(np.size(u))
-        return rho_prime(tab, u)
+        return interp(tab, u)
 
     def median(call, *args):
         return statistics.median(_bench.timed(call, *args, repeats=REPEATS)[1])
 
     def measure(x, y):
         lam, times = _bench.timed(debruijn.lambda_xy, x, y, table, repeats=REPEATS)
-        specfun.rho_prime = counting
+        specfun._interp_log_rho = counting
         evaluated.clear()
         debruijn.lambda_xy(x, y, table)
-        specfun.rho_prime = rho_prime
+        specfun._interp_log_rho = interp
         return {
             "x": x, "y": y, "lambda": lam,
             "median_s": statistics.median(times), "min_s": min(times),
-            "rho_prime_evals": int(sum(evaluated)),
+            "rho_points": int(sum(evaluated)),
         }
 
     rows = []
@@ -84,17 +88,30 @@ def _revision(args, i, env, scratch) -> dict:
     return _bench.child({"points": points, "far": far}, env)
 
 
+def _finish(args, runs) -> dict:
+    first = runs[0]
+    for run in runs:
+        run["vs_rev"] = first["rev"]
+        run["lambda_identical_vs_rev"] = all(
+            float.hex(p["lambda"]) == float.hex(q["lambda"])
+            for part in ("points", "far_points")
+            for p, q in zip(run[part], first[part])
+        )
+    return {}
+
+
 def _line(run) -> str:
     lam, direct, value = (
         sum(p[key] for p in run["points"])
         for key in ("median_s", "g_direct_median_s", "g_value_median_s")
     )
     return (f"{run['rev']}: {len(run['points'])} points, {lam:.4f} s in lambda_xy, "
-            f"{direct:.4f} s in g_direct, {value:.4f} s in g_value")
+            f"{direct:.4f} s in g_direct, {value:.4f} s in g_value, "
+            f"Lambda identical to {run['vs_rev']}: {run['lambda_identical_vs_rev']}")
 
 
 if __name__ == "__main__":
     sys.exit(_bench.main(
         __doc__, "lambda_xy cost and accuracy per point", "BENCH_lambda.json",
-        _child, _revision, _line,
+        _child, _revision, _line, finish=_finish,
     ))

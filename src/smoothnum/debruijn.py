@@ -37,6 +37,10 @@ _EM_START = 1024  # unit pieces of the sawtooth integral below, Euler-Maclaurin 
 _PANELS_PER_UNIT = 2  # Gauss panels per unit of v in the Euler-Maclaurin tail
 _PANEL_NODES = 20
 _PIECE_NODES = 7  # Gauss nodes per unit piece of the sawtooth integral
+# ~16/n cuts inside unit n below t = 16, shared by every integral.
+_FINE_CUTS = np.concatenate(
+    [np.linspace(n, n + 1.0, math.ceil(16 / n) + 1)[1:-1] for n in range(1, 16)]
+)
 
 
 @dataclass(frozen=True)
@@ -60,8 +64,8 @@ def _integrate_pieces(f, t_hi: float, kinks) -> float:
     """Integral of f(t, floor(t)) over [1, t_hi].
 
     f takes (pieces, nodes) arrays of t and floor(t).  The edges of
-    the pieces form one sorted list: the integers, ~16/n cuts inside
-    unit n below t = 16 (so the 1/t^2-type curvature near 1 cannot
+    the pieces form one sorted list: the integers, the fixed cuts
+    _FINE_CUTS below t = 16 (so the 1/t^2-type curvature near 1 cannot
     dominate), the ``kinks`` inside (1, t_hi) and t_hi.  ``kinks`` are
     the points where f loses smoothness (for these integrands t =
     y^(u-k), where the rho argument crosses an integer), so no piece
@@ -72,8 +76,7 @@ def _integrate_pieces(f, t_hi: float, kinks) -> float:
     """
     if t_hi <= 1.0:
         return 0.0
-    fine = [np.linspace(n, n + 1.0, math.ceil(16 / n) + 1)[1:-1] for n in range(1, 16)]
-    cuts = np.sort(np.concatenate(fine + [np.asarray(kinks, dtype=np.float64)]))
+    cuts = np.sort(np.concatenate([_FINE_CUTS, np.asarray(kinks, dtype=np.float64)]))
     cuts = cuts[(1.0 < cuts) & (cuts < t_hi)]
     totals = []
     for lo in range(1, math.ceil(t_hi), _CHUNK):

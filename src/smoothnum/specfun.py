@@ -312,36 +312,60 @@ def _interp_log_rho(table: RhoTable, u: np.ndarray) -> np.ndarray:
     """Quintic Lagrange on the log-rho grid; u must lie in (1, u_max].
 
     Stencils are clamped inside the unit block containing u so they
-    never straddle a kink.
+    never straddle a kink.  With d_i = t - (j0 + i), t = u/step and j0
+    the stencil's first grid point, term i is
+
+        (prefix_i * suffix_i) / _LAGRANGE_DENOM[i] * log_rho[j0 + i],
+
+    prefix_i = d_0 d_1 ... d_(i-1) and suffix_i = d_5 d_4 ... d_(i+1),
+    each multiplied in that order, and the six terms are added strictly
+    left to right, ((((t0 + t1) + t2) + t3) + t4) + t5.  This order is a
+    contract: every Lambda, rho and CSV byte that tests pin depends on
+    it, so another one that rounds differently (a pairwise sum, say)
+    moves them.  tests/oracles.py keeps the same operations in (N, 6)
+    form as the check.
     """
     m = table.points_per_unit
-    n_last = table.log_rho.size - 1
     t = u * m  # position in grid units
-    block = np.minimum(np.floor(u).astype(np.int64), int(table.u_max) - 1)
-    lo = block * m
-    j0 = np.clip(np.floor(t).astype(np.int64) - 2, lo, lo + m - 5)
-
-    idx = j0[:, None] + np.arange(6)
-    d = t[:, None] - idx
-    prefix = np.ones_like(d)
-    suffix = np.ones_like(d)
-    for i in range(1, 6):
-        prefix[:, i] = prefix[:, i - 1] * d[:, i - 1]
-        suffix[:, 5 - i] = suffix[:, 6 - i] * d[:, 6 - i]
-    cardinal = prefix * suffix / _LAGRANGE_DENOM
-    return np.sum(cardinal * table.log_rho[idx], axis=1)
+    # Grid indices as floats, exact: the first point of u's unit block
+    # and the stencil start, clamped inside it.
+    lo = np.minimum(np.floor(u), table.u_max - 1.0) * m
+    j0 = np.minimum(np.maximum(np.floor(t) - 2.0, lo), lo + (m - 5))
+    # j0 >= m and 0 <= t - j0 <= 5, so t - (j0 + i) is exact (Sterbenz)
+    # and equals d_0 - i, which is then exact too.
+    d0 = t - j0
+    d = [d0 - float(i) for i in range(6)]
+    j0 = j0.astype(np.intp)
+    # The empty products prefix_0 = suffix_5 = 1 are never multiplied in.
+    prefix, suffix = [None, d[0]], [d[5], None]
+    for i in range(1, 5):
+        prefix.append(prefix[i] * d[i])
+        suffix.insert(0, suffix[0] * d[5 - i])
+    cardinal = [suffix[0], *(prefix[i] * suffix[i] for i in range(1, 5)), prefix[5]]
+    for i, term in enumerate(cardinal):  # fresh arrays, so scaled in place
+        term /= _LAGRANGE_DENOM[i]
+        term *= table.log_rho[i:][j0]  # log_rho[j0 + i]
+    total = cardinal[0]
+    for term in cardinal[1:]:
+        total += term
+    return total
 
 
 def _check_range(table: RhoTable, flat: np.ndarray) -> None:
     """Reject NaN (DomainError) and arguments outside [0, u_max], up to a
-    rounding slack (RangeError)."""
-    if np.any(np.isnan(flat)):
-        raise DomainError("rho is not defined at NaN")
+    rounding slack (RangeError).  One min and one max pass; NaN, which
+    both propagate, is looked for only once a bound fails."""
+    if flat.size == 0:
+        return
+    low, high = flat.min(), flat.max()
     slack = 1e-9 * max(1.0, table.u_max)
-    if np.any(flat < -slack) or np.any(flat > table.u_max + slack):
-        raise RangeError(
-            f"rho table covers [0, {table.u_max:g}]; got values outside it"
-        )
+    if low >= -slack and high <= table.u_max + slack:
+        return
+    if math.isnan(low):
+        raise DomainError("rho is not defined at NaN")
+    raise RangeError(
+        f"rho table covers [0, {table.u_max:g}]; got values outside it"
+    )
 
 
 def log_rho(table: RhoTable, u):

@@ -11,6 +11,10 @@ tautology:
 * the rho table    -- the package's own discretization solved one grid
                       point at a time (the package solves a unit block
                       at a time);
+* rho interpolation -- the same quintic Lagrange arithmetic on (N, 6)
+                      scratch arrays, summed by numpy's row reduce (the
+                      package keeps six 1-D terms and adds them in
+                      turn); the two must agree bit for bit;
 * I(s)             -- the entire Taylor series (the package integrates);
 * xi(u)            -- pure bisection (the package runs Newton);
 * smooth counts    -- greatest-prime-factor sieve enumeration (the
@@ -150,6 +154,37 @@ def rho_table_stepwise(u_max: float, step: float) -> np.ndarray:
             known += h * h / 12.0 * (rb / ub - ra / ua)
         log_rho[n] = base + math.log(known / (n * h - weights[m]))
     return log_rho
+
+
+# ----------------------------------------------------------------------
+# The rho interpolation kernel in (N, 6) form
+# ----------------------------------------------------------------------
+#
+# specfun._interp_log_rho forms the six Lagrange terms as 1-D arrays and
+# adds them left to right.  This is the same arithmetic laid out as
+# (N, 6) prefix, suffix and cardinal arrays, filled a column at a time
+# and summed along each row by numpy.  Its outputs are the reference
+# bits that Lambda, the frozen values and the CSVs were recorded with.
+
+def interp_log_rho_cardinal(table, u: np.ndarray) -> np.ndarray:
+    """Quintic Lagrange interpolation of table.log_rho at u in (1, u_max]."""
+    from smoothnum import specfun
+
+    m = table.points_per_unit
+    t = u * m
+    block = np.minimum(np.floor(u).astype(np.int64), int(table.u_max) - 1)
+    lo = block * m
+    j0 = np.clip(np.floor(t).astype(np.int64) - 2, lo, lo + m - 5)
+
+    idx = j0[:, None] + np.arange(6)
+    d = t[:, None] - idx
+    prefix = np.ones_like(d)
+    suffix = np.ones_like(d)
+    for i in range(1, 6):
+        prefix[:, i] = prefix[:, i - 1] * d[:, i - 1]
+        suffix[:, 5 - i] = suffix[:, 6 - i] * d[:, 6 - i]
+    cardinal = prefix * suffix / specfun._LAGRANGE_DENOM
+    return np.sum(cardinal * table.log_rho[idx], axis=1)
 
 
 # ----------------------------------------------------------------------

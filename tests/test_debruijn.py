@@ -232,6 +232,25 @@ def test_lambda_xy_method_consistency_at_crossover(rho_table):
     assert debruijn.lambda_xy(x, y, rho_table) == pytest.approx(x * atom.value, rel=1e-9)
 
 
+# float.hex of lambda_xy, frozen.  A change to the rho kernel or to the
+# quadrature that moves a last bit fails here; the far-deviation pins
+# below have ~5e-16 to spare.
+LAMBDA_XY_BITS = [
+    (1e6, 100.0, "0x1.f553b7a3ffd09p+15"),  # prediction sweep
+    (1e11, 100.0, "0x1.bde901af5231fp+23"),  # prediction sweep
+    (1e15, 1e4, "0x1.2e1eeea2d9da1p+43"),  # prediction sweep
+    # README verify-theorem1 grid: beta0 = 0.7, y = 965.349
+    (float.fromhex("0x1.fbcd836661869p+32"), float.fromhex("0x1.e2aca7970bc24p+9"),
+     "0x1.d3c980f0fde0dp+27"),
+    (1e30, float.fromhex("0x1.2a05f1ffffff9p+33"), "0x1.4788fdd2b4729p+95"),  # y = x^(1/3)
+]
+
+
+@pytest.mark.parametrize("x, y, bits", LAMBDA_XY_BITS)
+def test_lambda_xy_frozen_bits(rho_table, x, y, bits):
+    assert debruijn.lambda_xy(x, y, rho_table).hex() == bits
+
+
 def test_lambda_xy_domain_error(rho_table):
     with pytest.raises(DomainError):
         debruijn.lambda_xy(10.0, 100.0, rho_table)

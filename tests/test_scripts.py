@@ -3,10 +3,11 @@ generator and the Lambda, psi_exact, rho-table and density benches),
 each run in a subprocess on tiny inputs, so a script left calling a
 removed API fails here rather than in a long run.  A bench's report
 must keep the top-level keys of its committed BENCH_<topic>.json.  The
-psi and density benches also run against a git revision, the path that
-extracts an old src/, and the density bench must report the same
-densities at HEAD as in the working tree.  The experiments themselves
-run through the CLI and are tested in test_cli.py."""
+psi, density and Lambda benches also run against a git revision, the
+path that extracts an old src/; the density bench must report the same
+densities, and the Lambda bench the same Lambda bits, at HEAD as in the
+working tree.  The experiments themselves run through the CLI and are
+tested in test_cli.py."""
 
 import json
 import os
@@ -32,15 +33,17 @@ def _head():
 
 
 _HEAD = _head()
-# revisions the density bench compares: HEAD, where there is one, then the tree
-_DENSITY_REVS = ["HEAD", "."] if _HEAD else ["."]
+# revisions the density and Lambda benches compare: HEAD, where there is
+# one, then the tree
+_VS_HEAD = ["HEAD", "."] if _HEAD else ["."]
+_VS_HEAD_ARGS = [arg for rev in _VS_HEAD for arg in ("--rev", rev)]
 # script -> its arguments
 _RUNS = {
     "make_zero_fixture.py": ["--help"],
-    "bench_lambda.py": ["--rev", "."],
+    "bench_lambda.py": _VS_HEAD_ARGS,
     "bench_psi.py": ["--rev", ".", "--tiny"],
     "bench_rho.py": ["--rev", ".", "--tiny"],
-    "bench_density.py": [*(arg for rev in _DENSITY_REVS for arg in ("--rev", rev)), "--tiny"],
+    "bench_density.py": [*_VS_HEAD_ARGS, "--tiny"],
 }
 
 
@@ -80,8 +83,14 @@ def test_script_runs(smoke, script):
         # The bench's own code times every revision, and the working tree
         # must sample exactly as the last commit does.
         report = json.loads((cwd / "BENCH_density.json").read_text(encoding="utf-8"))
-        assert [run["rev"] for run in report["runs"]] == _DENSITY_REVS
+        assert [run["rev"] for run in report["runs"]] == _VS_HEAD
         assert all(run["densities_identical_vs_rev"] for run in report["runs"])
+    if script == "bench_lambda.py":
+        # Lambda at every point keeps the bits of the last commit.
+        report = json.loads((cwd / "BENCH_lambda.json").read_text(encoding="utf-8"))
+        assert [run["rev"] for run in report["runs"]] == _VS_HEAD
+        assert all(run["lambda_identical_vs_rev"] for run in report["runs"])
+        assert all(p["rho_points"] > 0 for run in report["runs"] for p in run["points"])
 
 
 @pytest.mark.parametrize("topic", ["lambda", "psi", "rho", "density"])

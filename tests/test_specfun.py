@@ -322,15 +322,54 @@ def test_log_rho_range_errors(rho_table):
 
 @pytest.mark.parametrize("fn", [specfun.rho, specfun.log_rho, specfun.rho_prime])
 def test_rho_nan_is_domain_error(rho_table, fn):
-    with pytest.raises(DomainError):
+    nan_error = r"^rho is not defined at NaN$"
+    range_error = r"^rho table covers \[0, 64\]; got values outside it$"
+    with pytest.raises(DomainError, match=nan_error):
         fn(rho_table, math.nan)
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=nan_error):
         fn(rho_table, np.array([2.0, math.nan]))
+    # NaN wins over an out-of-range entry beside it.
+    with pytest.raises(DomainError, match=nan_error):
+        fn(rho_table, np.array([math.nan, 100.0]))
     # An infinite u is outside the table, as before.
-    with pytest.raises(RangeError):
+    with pytest.raises(RangeError, match=range_error):
         fn(rho_table, math.inf)
-    with pytest.raises(RangeError):
-        fn(rho_table, np.array([2.0, math.inf]))
+    for bad in ([2.0, math.inf], [math.inf], [-math.inf]):
+        with pytest.raises(RangeError, match=range_error):
+            fn(rho_table, np.array(bad))
+
+
+@pytest.mark.parametrize("fn", [specfun.log_rho, specfun.rho, specfun.rho_prime])
+def test_rho_empty_input_is_empty(rho_table, fn):
+    empty = fn(rho_table, np.array([]))
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def _kernel_grid(table) -> np.ndarray:
+    """u in (1, u_max]: a dense grid, every table point of the first and
+    last unit blocks, each integer 2..63 and its neighbouring floats,
+    u_max itself and 10^5 seeded random points."""
+    m = table.points_per_unit
+    points = np.arange(table.log_rho.size) * table.step
+    ints = np.arange(2.0, table.u_max)
+    rng = np.random.default_rng(20261019)
+    return np.concatenate([
+        np.linspace(1.0, table.u_max, 200_001)[1:],
+        points[m + 1 : 2 * m + 1],
+        points[-m - 1 :],
+        np.nextafter(ints, -math.inf), ints, np.nextafter(ints, math.inf),
+        [table.u_max],
+        table.u_max - rng.random(100_000) * (table.u_max - 1.0),
+    ])
+
+
+def test_interp_kernel_matches_cardinal_oracle_bit_for_bit(rho_table):
+    # The 1-D kernel must round exactly as the (N, 6) form that Lambda's
+    # pinned values and the CSVs were recorded with.
+    u = _kernel_grid(rho_table)
+    got = specfun._interp_log_rho(rho_table, u)
+    want = oracles.interp_log_rho_cardinal(rho_table, u)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 # ----------------------------------------------------------------------
