@@ -4,9 +4,11 @@ Each revision runs in its own child process: "." is this checkout's
 src/, anything else is a git revision whose src/ is extracted first.
 Per point the child builds the rho table, makes one warm-up call, then
 times REPEATS calls of debruijn.lambda_xy and keeps the median; it also
-counts the rho points that one call interpolates, through
-specfun._interp_log_rho (every rho, rho' and derivative bound passes
-there, at every revision).  At each point it also times
+counts the rho points that one call interpolates (rho_points): every
+point the array kernel specfun._interp_log_rho takes, plus one per call
+of the single-point route specfun._interp_log_rho_scalar where a
+revision has it.  Every rho, rho' and derivative bound passes through
+one of the two.  At each point it also times
 the two routes of the correction factor G at the saddle beta of (x, y),
 gfactor.g_direct and gfactor.g_value, and keeps each one's median.  The
 points are the benchmark's prediction-sweep grid at seed 0.  The FAR_X
@@ -37,22 +39,34 @@ def _child(spec: dict) -> dict:
 
     table = specfun.default_rho_table()
     pt = primes.sieve(int(max(y for _, y in spec["points"])))
-    interp = specfun._interp_log_rho
     evaluated = []
 
-    def counting(tab, u):
-        evaluated.append(np.size(u))
-        return interp(tab, u)
+    def counted(kernel):
+        def counting(tab, u):
+            evaluated.append(np.size(u))
+            return kernel(tab, u)
+        return counting
+
+    # kernel name -> (the kernel, a stand-in that counts its points)
+    kernels = {
+        name: (getattr(specfun, name), counted(getattr(specfun, name)))
+        for name in ("_interp_log_rho", "_interp_log_rho_scalar")
+        if hasattr(specfun, name)
+    }
 
     def median(call, *args):
         return statistics.median(_bench.timed(call, *args, repeats=REPEATS)[1])
 
     def measure(x, y):
         lam, times = _bench.timed(debruijn.lambda_xy, x, y, table, repeats=REPEATS)
-        specfun._interp_log_rho = counting
         evaluated.clear()
-        debruijn.lambda_xy(x, y, table)
-        specfun._interp_log_rho = interp
+        for name, (_, counting) in kernels.items():
+            setattr(specfun, name, counting)
+        try:
+            debruijn.lambda_xy(x, y, table)
+        finally:
+            for name, (kernel, _) in kernels.items():
+                setattr(specfun, name, kernel)
         return {
             "x": x, "y": y, "lambda": lam,
             "median_s": statistics.median(times), "min_s": min(times),

@@ -63,7 +63,8 @@ def _snap_floor(t: float) -> int:
 def _integrate_pieces(f, t_hi: float, kinks) -> float:
     """Integral of f(t, floor(t)) over [1, t_hi].
 
-    f takes (pieces, nodes) arrays of t and floor(t).  The edges of
+    f takes a (pieces, nodes) array of t and a (pieces, 1) array of
+    floor(t), which broadcasts across the nodes.  The edges of
     the pieces form one sorted list: the integers, the fixed cuts
     _FINE_CUTS below t = 16 (so the 1/t^2-type curvature near 1 cannot
     dominate), the ``kinks`` inside (1, t_hi) and t_hi.  ``kinks`` are
@@ -81,11 +82,11 @@ def _integrate_pieces(f, t_hi: float, kinks) -> float:
     totals = []
     for lo in range(1, math.ceil(t_hi), _CHUNK):
         hi = min(lo + _CHUNK, t_hi)
-        edges = np.append(np.arange(lo, hi, dtype=np.float64), hi)
         inner = cuts[(lo < cuts) & (cuts < hi)]
-        edges = np.insert(edges, np.searchsorted(edges, inner), inner)
+        edges = np.concatenate([np.arange(lo, hi, dtype=np.float64), inner, [hi]])
+        edges.sort()
         a, width = edges[:-1], np.diff(edges)
-        floors = np.repeat(np.floor(a)[:, None], _PIECE_NODES, axis=1)
+        floors = np.floor(a)[:, None]
         totals.append(float(panel_sum(lambda t: f(t, floors), a, width, _PIECE_NODES)))
     return math.fsum(totals)
 

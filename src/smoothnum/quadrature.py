@@ -21,4 +21,4 @@ def panel_sum(f, a: np.ndarray, width: np.ndarray, n_nodes: int):
     panel first, then across the panels."""
     xg, wg = gauss_legendre(n_nodes)
     vals = f(a[:, None] + width[:, None] * xg)
-    return np.sum(np.sum(vals * wg, axis=1) * width)
+    return np.add.reduce(np.add.reduce(vals * wg, axis=1) * width)

@@ -17,6 +17,14 @@ linear system whose right-hand side comes from the block before; the
 blocks are solved in turn, a few dozen rows per dense solve.  Values are
 stored as log(rho) so tables can extend to u of several hundred without
 underflow.
+
+Values between grid points come from one quintic interpolation kernel
+whose operation order is a contract that pinned values depend on (see
+_interp_log_rho).  A single float takes _interp_log_rho_scalar, which
+repeats the kernel's operations in that order on Python floats and is
+bound by the same contract; xi at a float likewise repeats its array
+steps.  Both skip numpy's per-call overhead, which on one point costs
+more than the arithmetic.
 """
 
 import cmath
@@ -56,7 +64,13 @@ def xi(u):
     in e^x - 1 - u*x; absolute accuracy there is ~1e-8, which the
     residual contract |e^xi - 1 - u*xi| <= 1e-12*(1 + u*xi) tolerates.
     A non-finite u is a DomainError.
+
+    A float or int takes _xi_scalar, the same steps on Python floats.
     """
+    if isinstance(u, (float, int)):
+        x = _xi_scalar(float(u))
+        if x is not None:
+            return x
     arr = np.asarray(u, dtype=np.float64)
     scalar = arr.ndim == 0
     v = np.atleast_1d(arr).astype(np.float64).copy()
@@ -91,6 +105,28 @@ def xi(u):
     if scalar:
         return float(x[0])
     return x.reshape(arr.shape)
+
+
+def _xi_scalar(v: float):
+    """xi's array steps for one float, bit for bit, or None where that
+    route would bisect.  exp and log1p are numpy's, since the math
+    module's differ from them in the last bit on a few percent of
+    arguments; +, -, *, / and abs round alike in both."""
+    if not math.isfinite(v) or v < 1.0 - 1e-12:
+        raise DomainError("xi(u) requires a finite u >= 1")
+    v = max(v, 1.0)
+    x = float(np.log1p(v * float(np.log1p(v))))
+    for _ in range(90):
+        ex = float(np.exp(x))
+        f = ex - 1.0 - v * x
+        fp = ex - v
+        step = f / fp if fp > 0 else 0.0
+        x -= step
+        if abs(step) <= 1e-15 * (1.0 + abs(x)):
+            break
+    if abs(float(np.exp(x)) - 1.0 - v * x) > 1e-12 * (1.0 + v * abs(x)):
+        return None
+    return 0.0 if v == 1.0 else x
 
 
 # ----------------------------------------------------------------------
@@ -323,7 +359,8 @@ def _interp_log_rho(table: RhoTable, u: np.ndarray) -> np.ndarray:
     contract: every Lambda, rho and CSV byte that tests pin depends on
     it, so another one that rounds differently (a pairwise sum, say)
     moves them.  tests/oracles.py keeps the same operations in (N, 6)
-    form as the check.
+    form as the check, and _interp_log_rho_scalar repeats them for one
+    float.
     """
     m = table.points_per_unit
     t = u * m  # position in grid units
@@ -351,13 +388,37 @@ def _interp_log_rho(table: RhoTable, u: np.ndarray) -> np.ndarray:
     return total
 
 
-def _check_range(table: RhoTable, flat: np.ndarray) -> None:
+def _interp_log_rho_scalar(table: RhoTable, u: float) -> float:
+    """_interp_log_rho at one float, by the same operations in the same
+    order on Python floats (the kernel's are +, -, *, /, floor, min, max
+    and table reads, which round alike in both), so bit for bit."""
+    m = table.points_per_unit
+    t = u * m
+    lo = min(float(math.floor(u)), table.u_max - 1.0) * m
+    j0 = min(max(float(math.floor(t)) - 2.0, lo), lo + (m - 5))
+    d0 = t - j0
+    d1, d2, d3, d4, d5 = d0 - 1.0, d0 - 2.0, d0 - 3.0, d0 - 4.0, d0 - 5.0
+    p2 = d0 * d1
+    p3 = p2 * d2
+    p4 = p3 * d3
+    s3 = d5 * d4
+    s2 = s3 * d3
+    s1 = s2 * d2
+    r0, r1, r2, r3, r4, r5 = table.log_rho[int(j0) : int(j0) + 6].tolist()
+    return (
+        s1 * d1 / -120.0 * r0
+        + d0 * s1 / 24.0 * r1
+        + p2 * s2 / -12.0 * r2
+        + p3 * s3 / 12.0 * r3
+        + p4 * d5 / -24.0 * r4
+        + p4 * d4 / 120.0 * r5
+    )
+
+
+def _check_range(table: RhoTable, low: float, high: float) -> None:
     """Reject NaN (DomainError) and arguments outside [0, u_max], up to a
-    rounding slack (RangeError).  One min and one max pass; NaN, which
-    both propagate, is looked for only once a bound fails."""
-    if flat.size == 0:
-        return
-    low, high = flat.min(), flat.max()
+    rounding slack (RangeError), given the arguments' min and max; NaN,
+    which both propagate, is looked for only once a bound fails."""
     slack = 1e-9 * max(1.0, table.u_max)
     if low >= -slack and high <= table.u_max + slack:
         return
@@ -368,18 +429,46 @@ def _check_range(table: RhoTable, flat: np.ndarray) -> None:
     )
 
 
-def log_rho(table: RhoTable, u):
-    """log rho(u), interpolated from the table; exactly 0 for u <= 1."""
+def _checked_flat(table: RhoTable, u) -> tuple:
+    """(u as float64 array, its 1-D view or copy, min, max), range-checked.
+    The input is never copied when it is a contiguous float64 array, and
+    never written."""
     arr = np.asarray(u, dtype=np.float64)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel().astype(np.float64)
-    _check_range(table, flat)
+    flat = arr.ravel()
+    if flat.size == 0:
+        return arr, flat, math.inf, -math.inf
+    low, high = float(flat.min()), float(flat.max())
+    _check_range(table, low, high)
+    return arr, flat, low, high
+
+
+def _log_rho_flat(table: RhoTable, flat: np.ndarray, inside: bool) -> np.ndarray:
+    """log rho at a range-checked 1-D array, as a fresh array.  inside
+    says every point lies in (1, u_max], where the kernel takes the
+    array whole; otherwise points are clipped to [0, u_max] and those
+    above 1 gathered for it."""
+    if inside:
+        return _interp_log_rho(table, flat)
     clipped = np.clip(flat, 0.0, table.u_max)
     out = np.zeros_like(clipped)
     inner = clipped > 1.0
     if np.any(inner):
         out[inner] = _interp_log_rho(table, clipped[inner])
-    if scalar:
+    return out
+
+
+def log_rho(table: RhoTable, u):
+    """log rho(u), interpolated from the table; exactly 0 for u <= 1.
+    A float or int takes _interp_log_rho_scalar, bit for bit the array
+    route."""
+    if isinstance(u, (float, int)):
+        u = float(u)
+        _check_range(table, u, u)
+        u = min(u, table.u_max)
+        return _interp_log_rho_scalar(table, u) if u > 1.0 else 0.0
+    arr, flat, low, high = _checked_flat(table, u)
+    out = _log_rho_flat(table, flat, low > 1.0 and high <= table.u_max)
+    if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 
@@ -389,21 +478,25 @@ def rho(table: RhoTable, u):
     value = log_rho(table, u)
     if isinstance(value, float):
         return math.exp(value)
-    return np.exp(value)
+    return np.exp(value, out=value)
 
 
 def rho_prime(table: RhoTable, u):
     """rho'(u) = -rho(u-1)/u for u > 1; rho is constant below 1."""
-    arr = np.asarray(u, dtype=np.float64)
-    scalar = arr.ndim == 0
-    flat = np.atleast_1d(arr).ravel().astype(np.float64)
-    _check_range(table, flat)
-    out = np.zeros_like(flat)
-    mask = flat > 1.0
-    if np.any(mask):
-        um = flat[mask]
-        out[mask] = -np.exp(log_rho(table, um - 1.0)) / um
-    if scalar:
+    arr, flat, low, high = _checked_flat(table, u)
+    if low > 1.0:
+        # u - 1 lies in (0, u_max); the kernel takes it whole above 1.
+        out = _log_rho_flat(table, flat - 1.0, low - 1.0 > 1.0)
+        np.exp(out, out=out)
+        np.negative(out, out=out)
+        out /= flat
+    else:
+        out = np.zeros_like(flat)
+        mask = flat > 1.0
+        if np.any(mask):
+            um = flat[mask]
+            out[mask] = -np.exp(_log_rho_flat(table, um - 1.0, False)) / um
+    if arr.ndim == 0:
         return float(out[0])
     return out.reshape(arr.shape)
 

@@ -120,7 +120,9 @@ def test_integrate_pieces_passes_floor_of_every_node(monkeypatch):
     seen = []
 
     def f(t, n):
-        assert np.array_equal(n, np.floor(t))
+        # One floor per piece, broadcast across its nodes.
+        assert n.shape == (t.shape[0], 1)
+        assert np.array_equal(np.broadcast_to(n, t.shape), np.floor(t))
         seen.append(t.size)
         return np.ones_like(t)
 

@@ -107,6 +107,38 @@ def test_xi_rejects_u_below_one():
         specfun.xi(np.array([2.0, 0.5]))
 
 
+def _same_outcome(call, *args):
+    """float.hex of call(*args), or its error's type and message."""
+    try:
+        return float.hex(np.asarray(call(*args)).item())
+    except (DomainError, RangeError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+# Where Newton's residual fails the contract, next to the double root at
+# u = 1, so the scalar route hands u to the array route's bisection.
+XI_BISECTED = 1.0000000009491545
+
+
+def test_xi_scalar_route_matches_array_bit_for_bit():
+    rng = np.random.default_rng(20261020)
+    u = np.concatenate([
+        np.exp(rng.uniform(0.0, math.log(1e6), 5000)),
+        1.0 + rng.random(2000) * 1e-8,
+        np.arange(1.0, 101.0),
+        [1e6, 1.0, 1.0 - 1e-13, 1.0 + 1e-13, np.nextafter(1.0, 2.0), XI_BISECTED],
+    ])
+    assert specfun._xi_scalar(XI_BISECTED) is None
+    for v in u.tolist():
+        assert _same_outcome(specfun.xi, v) == _same_outcome(specfun.xi, np.array([v])), v
+    for n in (1, 2, 7, 10**6):
+        assert float.hex(specfun.xi(n)) == float.hex(float(specfun.xi(np.array([n]))[0]))
+    for bad in (math.nan, math.inf, -math.inf, 0.999, 1.0 - 2e-12, 0, -5):
+        got = _same_outcome(specfun.xi, bad)
+        assert got[0] == "DomainError"
+        assert got == _same_outcome(specfun.xi, np.array([bad], dtype=np.float64))
+
+
 # ----------------------------------------------------------------------
 # big_i
 # ----------------------------------------------------------------------
@@ -343,6 +375,80 @@ def test_rho_nan_is_domain_error(rho_table, fn):
 def test_rho_empty_input_is_empty(rho_table, fn):
     empty = fn(rho_table, np.array([]))
     assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def _log_rho_gathered(table, u) -> np.ndarray:
+    """log rho by clipping to [0, u_max], zero at or below 1 and the
+    (N, 6) kernel oracle gathered over the points above 1."""
+    flat = np.clip(np.asarray(u, dtype=np.float64).ravel(), 0.0, table.u_max)
+    out = np.zeros_like(flat)
+    inner = flat > 1.0
+    out[inner] = oracles.interp_log_rho_cardinal(table, flat[inner])
+    return out.reshape(np.shape(u))
+
+
+def _rho_prime_gathered(table, u) -> np.ndarray:
+    flat = np.asarray(u, dtype=np.float64).ravel()
+    out = np.zeros_like(flat)
+    inner = flat > 1.0
+    um = flat[inner]
+    out[inner] = -np.exp(_log_rho_gathered(table, um - 1.0)) / um
+    return out.reshape(np.shape(u))
+
+
+def _scalar_points(table) -> list:
+    m = table.points_per_unit
+    slack = 1e-9 * table.u_max
+    blocks = [np.arange(k * m, (k + 1) * m + 1) / m for k in (1, 31, 63)]
+    ints = np.arange(1.0, table.u_max + 1.0)
+    edges = [np.nextafter(ints, -math.inf), ints, np.nextafter(ints, math.inf)]
+    return np.concatenate([
+        *blocks, *edges,
+        [0.0, 0.25, 0.5, 1.0, -slack, -1e-12, table.u_max, table.u_max + slack],
+    ]).tolist()
+
+
+def test_log_rho_scalar_route_matches_array_bit_for_bit(rho_table):
+    points = _scalar_points(rho_table)
+    for v in points:
+        want = specfun.log_rho(rho_table, np.array([v]))
+        assert float.hex(specfun.log_rho(rho_table, v)) == float.hex(float(want[0])), v
+        assert float.hex(specfun.rho(rho_table, v)) == float.hex(math.exp(want[0])), v
+    assert specfun.log_rho(rho_table, 2) == specfun.log_rho(rho_table, np.array([2.0]))[0]
+    slack = 1e-9 * rho_table.u_max
+    bad = [
+        math.nan, math.inf, -math.inf, 100.0,
+        np.nextafter(-slack, -math.inf), np.nextafter(rho_table.u_max + slack, math.inf),
+    ]
+    for v in bad:
+        for fn in (specfun.log_rho, specfun.rho):
+            got = _same_outcome(fn, rho_table, v)
+            assert got[0] in ("DomainError", "RangeError"), v
+            assert got == _same_outcome(fn, rho_table, np.array([v])), v
+
+
+def test_rho_array_routes_keep_shape_and_input(rho_table):
+    rng = np.random.default_rng(7)
+    base = rng.uniform(0.0, 64.0, (6, 8))
+    base[0, :4] = [0.0, 1.0, 64.0, 1e-9 * 64.0 + 64.0]
+    base.setflags(write=False)  # an in-place write would raise
+    kept = base.copy()
+    # Mixed about u = 1 (clipped and gathered), all above 1, all above 2.
+    inner = base[1:, 2:] * 0.9
+    edge = np.array([1.5, 64.0, 64.0 + 1e-9 * 64.0])  # clipped, all above 1
+    inputs = [np.array(2.5), base, base[:, ::3], base.T, inner + 1.0, inner + 2.5, edge]
+    for fn, ref in ((specfun.log_rho, _log_rho_gathered), (specfun.rho_prime, _rho_prime_gathered)):
+        for u in inputs:
+            got = fn(rho_table, u)
+            want = ref(rho_table, u)
+            if u.ndim == 0:
+                assert isinstance(got, float) and float.hex(got) == float.hex(float(want))
+                continue
+            assert got.shape == u.shape
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    got = specfun.rho(rho_table, base)
+    assert np.array_equal(got.view(np.uint64), np.exp(_log_rho_gathered(rho_table, base)).view(np.uint64))
+    assert np.array_equal(base, kept)
 
 
 def _kernel_grid(table) -> np.ndarray:
