@@ -6,10 +6,6 @@ is extracted first) and writes one JSON report (--out).  Per revision
 the bench's own code runs the script again as a child (--child, a JSON
 spec in, a JSON dict out) with that revision's src/ on PYTHONPATH and
 one BLAS thread, so every child's timings and peak RSS are its own.
-The revisions are timed in ROUNDS rounds (one under --tiny), the order
-reversed every other round, so drift on a shared host lands on every
-revision alike.  A run reports each number that differs between its
-rounds as the median, with [min, max] beside it under "<key>_spread".
 The README command lines that the benches run are defined here too.
 """
 
@@ -18,7 +14,6 @@ import io
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 import tarfile
@@ -27,9 +22,6 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-# Odd, so a median is one round's value.  A single in-order pass put
-# 752d3ce's Lambda sweep at 38.0 ms in one report and 32.8 ms in the next.
-ROUNDS = 3
 ZEROS = str(ROOT / "fixtures" / "zeros1e4.txt")
 
 # README commands, as argv after `smoothnum`.
@@ -107,30 +99,6 @@ def _src_of(rev: str, scratch: Path) -> tuple:
     return scratch / commit / "src", commit
 
 
-def _merge(rounds: list):
-    """One report value from a revision's per-round values: dicts key by
-    key and equal-length lists item by item; numbers that differ become
-    their median, anything else keeps the first round's value."""
-    first = rounds[0]
-    if isinstance(first, dict):
-        out = {}
-        for key in first:
-            column = [r[key] for r in rounds]
-            out[key] = _merge(column)
-            if _numbers(column) and len(set(column)) > 1:
-                out[f"{key}_spread"] = [min(column), max(column)]
-        return out
-    if isinstance(first, list) and all(isinstance(r, list) and len(r) == len(first) for r in rounds):
-        return [_merge(list(items)) for items in zip(*rounds)]
-    if _numbers(rounds):
-        return statistics.median(rounds)
-    return first
-
-
-def _numbers(values: list) -> bool:
-    return all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in values)
-
-
 def _machine() -> dict:
     def field(path, key):
         try:
@@ -155,12 +123,10 @@ def main(doc: str, topic: str, out: str, child_of, revision, line, tiny=None, fi
     """Run a bench from its command line.
 
     child_of(spec) is the child's work.  revision(args, i, env, scratch)
-    gives one round's run entry of the i-th --rev (args.rev is the list
-    of revisions); the rounds' entries are merged beside its rev and
-    commit.  scratch is a directory shared by every revision, and the
-    first round runs the revisions in --rev order.  finish(args, runs),
-    if given, may complete the runs and gives the report keys that go
-    before them.  line(run) is
+    gives the run entry of the i-th --rev (args.rev is the list of
+    revisions) beside its rev and commit; scratch is a directory shared
+    by every revision.  finish(args, runs), if given, may complete the
+    runs and gives the report keys that go before them.  line(run) is
     the run's summary.  tiny is the help of --tiny, if the bench has it.
     """
     parser = argparse.ArgumentParser(
@@ -181,18 +147,12 @@ def main(doc: str, topic: str, out: str, child_of, revision, line, tiny=None, fi
     # The parent reads perfbench's grids and this checkout's package.
     sys.path[:0] = [str(ROOT), str(ROOT / "src")]
     args.rev = args.rev or ["."]
+    runs = []
     with tempfile.TemporaryDirectory() as scratch:
-        sources = [_src_of(rev, Path(scratch)) for rev in args.rev]
-        rounds = [[] for _ in args.rev]
-        for r in range(1 if getattr(args, "tiny", False) else ROUNDS):
-            order = range(len(args.rev)) if r % 2 == 0 else reversed(range(len(args.rev)))
-            for i in order:
-                env = dict(os.environ, PYTHONPATH=str(sources[i][0]), OPENBLAS_NUM_THREADS="1")
-                rounds[i].append(revision(args, i, env, Path(scratch)))
-    runs = [
-        {"rev": rev, "commit": commit, "rounds": len(entries), **_merge(entries)}
-        for rev, (_, commit), entries in zip(args.rev, sources, rounds)
-    ]
+        for i, rev in enumerate(args.rev):
+            src, commit = _src_of(rev, Path(scratch))
+            env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+            runs.append({"rev": rev, "commit": commit, **revision(args, i, env, Path(scratch))})
 
     report = {
         "topic": topic,

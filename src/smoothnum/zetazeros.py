@@ -176,10 +176,20 @@ class ZeroList:
 FIRST_ORDINATE = 14.134725141734694
 
 
-def _parse_lines(raw: list) -> list:
-    """The ordinates of a zero table's lines, or ParseError at the first
-    line that is blank, not a number, not finite and positive, or not
-    above the line before."""
+def load_zeros(path, height: float | None = None) -> ZeroList:
+    """Read a plain-text zero table and truncate it at the given height.
+
+    The caller asserts the file is complete up to `height`, which
+    defaults to the last ordinate in the file; a Riemann-von Mangoldt
+    count check catches grossly inconsistent claims.
+    """
+    if height is not None and not 0 < height < math.inf:
+        raise RangeError("height must be positive" if height <= 0 else "height must be finite")
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            raw = handle.read().splitlines()
+    except OSError as exc:
+        raise ParseError(f"cannot read zero table: {exc}") from None
     values = []
     prev = 0.0
     for lineno, line in enumerate(raw, start=1):
@@ -196,45 +206,16 @@ def _parse_lines(raw: list) -> list:
             raise ParseError(f"ordinates must be strictly ascending: {text}", line=lineno)
         prev = gamma
         values.append(gamma)
-    return values
 
-
-def load_zeros(path, height: float | None = None) -> ZeroList:
-    """Read a plain-text zero table and truncate it at the given height.
-
-    The caller asserts the file is complete up to `height`, which
-    defaults to the last ordinate in the file; a Riemann-von Mangoldt
-    count check catches grossly inconsistent claims.
-    """
-    if height is not None and not 0 < height < math.inf:
-        raise RangeError("height must be positive" if height <= 0 else "height must be finite")
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            raw = handle.read().splitlines()
-    except OSError as exc:
-        raise ParseError(f"cannot read zero table: {exc}") from None
-    # One parse and three vectorised checks; numpy parses each line as
-    # float() does.  Only a table that fails them is walked line by line,
-    # for the first bad line's number.
-    try:
-        gammas = np.array(raw, dtype=np.float64)
-    except ValueError:
-        gammas = None
-    if gammas is None or not (
-        np.all(np.isfinite(gammas))
-        and (gammas.size == 0 or gammas[0] > 0)
-        and np.all(gammas[1:] > gammas[:-1])
-    ):
-        gammas = np.array(_parse_lines(raw), dtype=np.float64)
-
-    if gammas.size and abs(gammas[0] - FIRST_ORDINATE) > 0.01:
+    if values and abs(values[0] - FIRST_ORDINATE) > 0.01:
         raise ParseError(
-            f"first ordinate {float(gammas[0])} does not match the first zeta zero"
+            f"first ordinate {values[0]} does not match the first zeta zero"
         )
     if height is None:
-        if not gammas.size:
+        if not values:
             raise ParseError("zero table is empty")
-        height = float(gammas[-1])
+        height = values[-1]
+    gammas = np.array(values, dtype=np.float64)
     gammas = gammas[gammas <= height]
     # Sanity: |count - N(height)| should be small if the table really is
     # complete up to `height`, empty or not.  N(T) = T/2pi log(T/2pi e) + 7/8

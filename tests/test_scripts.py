@@ -9,7 +9,6 @@ densities, and the Lambda bench the same Lambda bits, at HEAD as in the
 working tree.  The experiments themselves run through the CLI and are
 tested in test_cli.py."""
 
-import importlib.util
 import json
 import os
 import subprocess
@@ -92,32 +91,6 @@ def test_script_runs(smoke, script):
         assert [run["rev"] for run in report["runs"]] == _VS_HEAD
         assert all(run["lambda_identical_vs_rev"] for run in report["runs"])
         assert all(p["rho_points"] > 0 for run in report["runs"] for p in run["points"])
-        # Timed over alternating rounds, each time with its spread.
-        assert all(run["rounds"] == _bench().ROUNDS for run in report["runs"])
-        assert all(
-            p["median_s_spread"][0] <= p["median_s"] <= p["median_s_spread"][1]
-            for run in report["runs"] for p in run["points"]
-        )
-
-
-def _bench():
-    """scripts/_bench.py as a module."""
-    spec = importlib.util.spec_from_file_location("_bench", ROOT / "scripts" / "_bench.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def test_bench_merges_rounds_into_median_and_spread():
-    rounds = [
-        {"s": 3.0, "n": 7, "ok": True, "rev": "a", "pts": [{"t": 1.0}, {"t": 5}]},
-        {"s": 1.0, "n": 7, "ok": True, "rev": "a", "pts": [{"t": 2.0}, {"t": 5}]},
-        {"s": 2.0, "n": 7, "ok": False, "rev": "b", "pts": [{"t": 9.0}, {"t": 5}]},
-    ]
-    assert _bench()._merge(rounds) == {
-        "s": 2.0, "s_spread": [1.0, 3.0], "n": 7, "ok": True, "rev": "a",
-        "pts": [{"t": 2.0, "t_spread": [1.0, 9.0]}, {"t": 5}],
-    }
 
 
 @pytest.mark.parametrize("topic", ["lambda", "psi", "rho", "density"])
