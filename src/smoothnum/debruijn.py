@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
-from .errors import ResourceError
+from .errors import DomainError, RangeError, ResourceError
 from .limits import env_limit
 from .quadrature import gauss_legendre, panel_sum
 from . import specfun
@@ -113,13 +112,17 @@ def lambda_atom_sum(u: float, y: float, table: RhoTable, *, _t_max=None) -> Lamb
     sum_{n <= y^u} rho(u - log n/log y)/n
       - integral_1^{y^u} floor(t)/t^2 * rho(u - log t/log y) dt.
     Exact up to quadrature rounding; no truncation, so est_error = 0.
+    y^u above SMOOTHNUM_MAX_LAMBDA_T is a ResourceError.
     """
     log_y = _validate(u, y)
-    t_max = float(y**u if _t_max is None else _t_max)
     cutoff = env_limit("SMOOTHNUM_MAX_LAMBDA_T")
+    # Log space first: y^u leaves float range long before u or y does.
+    # The unit margin leaves y^u near the cutoff to the exact test.
+    far = _t_max is None and u * log_y > math.log(cutoff) + 1.0
+    t_max = math.inf if far else float(y**u if _t_max is None else _t_max)
     if t_max > cutoff:
         raise ResourceError(
-            f"atom sum needs y^u <= {cutoff:g}; got {t_max:g} (use the ibp route)"
+            f"atom sum needs y^u <= {cutoff:g}; got e^{u * log_y:.6g} (use the ibp route)"
         )
     n_top = _snap_floor(t_max)
 
@@ -233,10 +236,13 @@ def lambda_ibp(
     t = _EM_START and by Euler-Maclaurin beyond (_sawtooth_tail), so the
     cost grows with u but not with y^u.  est_error bounds the dropped
     Euler-Maclaurin remainder (0 when y^(u-1) <= _EM_START); quadrature
-    rounding is not counted.
+    rounding is not counted.  y^(u-1) past float range is a RangeError.
     """
     log_y = _validate(u, y)
-    t_hi = float(y ** (u - 1.0) if _t_hi is None else _t_hi) if u > 1 else 0.0
+    try:
+        t_hi = float(y ** (u - 1.0) if _t_hi is None else _t_hi) if u > 1 else 0.0
+    except OverflowError:
+        raise RangeError(f"lambda_y({u:g}) at y = {y:g}: y^(u-1) overflows a float") from None
     t_split = min(t_hi, _EM_START)
 
     def sawtooth(t, floor_t):

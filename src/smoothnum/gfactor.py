@@ -13,8 +13,10 @@ Bruijn main term.  Production callers take the direct route, g_direct,
 which reads log zeta(s, y) from primes.partial_zeta (one closed-form
 -log(1 - p^-s) per prime).  g_value assembles the factored route
 beside it from the k-series of prime_power_sum and log_g2, for
-`g --breakdown` and the route-identity check of criterion 04.  The
-zero-sum side of the correction lives in bias.
+`g --breakdown` and the route-identity check of criterion 04, and takes
+its direct field from g_direct.  Both fields exponentiate through
+_exp_g, the one place where G's float overflow becomes a RangeError.
+The zero-sum side of the correction lives in bias.
 """
 
 from __future__ import annotations
@@ -60,26 +62,29 @@ def _log_f(s, y: float) -> complex:
     return f_transform(s, y)
 
 
-def g_direct(s, y: float, pt: PrimeTable) -> complex:
-    """G(s,y) by the direct quotient exp(log zeta(s,y) - log F(s,y));
-    RangeError where G overflows a float (at y = 100, from s near 1e-300)."""
-    log_f = _log_f(s, y)
+def _exp_g(log_g: complex, s, y: float) -> complex:
+    """exp(log_g), or RangeError where G overflows a float (y = 100, s near 1e-300)."""
     try:
-        return cmath.exp(primes_mod.partial_zeta(pt, s, y) - log_f)
+        return cmath.exp(log_g)
     except OverflowError:
         raise RangeError(f"G({s}, {y:g}) overflows a float") from None
 
 
+def g_direct(s, y: float, pt: PrimeTable) -> complex:
+    """G(s,y) by the direct quotient exp(log zeta(s,y) - log F(s,y))."""
+    log_f = _log_f(s, y)
+    return _exp_g(primes_mod.partial_zeta(pt, s, y) - log_f, s, y)
+
+
 def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:
-    """G(s,y) both ways: exp(log_g1 + log_g2) against the direct
-    quotient exp(log zeta(s,y) - log F(s,y)).
+    """G(s,y) both ways: exp(log_g1 + log_g2) against g_direct.
 
     The two routes share f_transform but compute the truncated Euler
     product independently (the k-series over prime powers up to y plus
     the k-tail blocks, versus one closed-form -log(1-p^-s) per prime),
     so their agreement exercises the split identity rather than
-    restating it.  Near a zero of zeta the log branch blows up
-    (SingularityError).
+    restating it.  log_g2's DomainError comes before G's RangeError.
+    Near a zero of zeta the log branch blows up (SingularityError).
     """
     log_f = _log_f(s, y)
     lg1 = primes_mod.prime_power_sum(pt, s, y) - log_f
@@ -87,8 +92,8 @@ def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:
     return GBreakdown(
         log_g1=lg1,
         log_g2=lg2,
-        g_factored=cmath.exp(lg1 + lg2),
-        g_direct=cmath.exp(primes_mod.partial_zeta(pt, s, y) - log_f),
+        g_factored=_exp_g(lg1 + lg2, s, y),
+        g_direct=g_direct(s, y, pt),
     )
 
 

@@ -91,6 +91,8 @@ def sieve(limit: int) -> PrimeTable:
 
 def _check_y(pt: PrimeTable, y: float) -> float:
     y = float(y)
+    if math.isnan(y):
+        raise DomainError("y must be a number, got nan")
     if y > pt.limit:
         raise RangeError(f"y = {y:g} exceeds the sieved range {pt.limit}")
     return y
@@ -205,9 +207,11 @@ def log_g2(pt: PrimeTable, s, y: float) -> complex:
     tops = _power_tops(pt, math.floor(y))
     idx_y = tops[0]
     decay = 2.0**-s.real
+    if decay == 0.0:  # every p^(-ks) underflows (Re s above about 1075)
+        return complex(0.0, 0.0)
 
-    def stopped(k):
-        return idx_y * decay**k / (k * (1.0 - decay)) < 1e-18
+    def stopped(k):  # never, where 2^(-Re s) rounds to 1 (Re s below ~1e-16)
+        return decay < 1.0 and idx_y * decay**k / (k * (1.0 - decay)) < 1e-18
 
     # The tail falls with k, so the first k >= 3 where it stops is bisected.
     stop = bisect.bisect_left(range(_LOG_G2_MAX_K + 2), True, lo=3, key=stopped)

@@ -22,9 +22,9 @@ Values between grid points come from one quintic interpolation kernel
 whose operation order is a contract that pinned values depend on (see
 _interp_log_rho).  A single float takes _interp_log_rho_scalar, which
 repeats the kernel's operations in that order on Python floats and is
-bound by the same contract; xi at a float likewise repeats its array
-steps.  Both skip numpy's per-call overhead, which on one point costs
-more than the arithmetic.
+bound by the same contract; it skips numpy's per-call overhead, which
+on one point costs more than the arithmetic.  xi has one solver, on
+Python floats, and an array maps over it entry by entry.
 """
 
 import cmath
@@ -56,66 +56,38 @@ _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 def xi(u):
     """Unique nonnegative root of e^xi = 1 + u*xi, for u >= 1.
 
-    Accepts a scalar or ndarray.  Newton iteration from x0 =
-    log(1 + u*log(1+u)); x0 always exceeds log(u), where e^x - 1 - u*x
-    is increasing and convex, so the iteration converges globally.  A
-    bisection sweep mops up any stragglers.  Near u = 1 the root is a
+    Accepts a scalar or ndarray.  There is one solver, _xi_scalar, and an
+    array maps entry by entry over it, so each entry equals xi at that
+    float and never depends on its neighbours.  A non-finite u or
+    u < 1 - 1e-12 is a DomainError; a u whose root leaves exp's float
+    range (above about 2.5e305) is a RangeError.
+    """
+    arr = np.asarray(u, dtype=np.float64)
+    if arr.ndim == 0:
+        return _xi_scalar(float(arr))
+    out = np.array([_xi_scalar(v) for v in arr.ravel().tolist()], dtype=np.float64)
+    return out.reshape(arr.shape)
+
+
+def _xi_scalar(v: float) -> float:
+    """xi at one float.
+
+    Newton iteration from x0 = log(1 + u*log(1+u)); x0 always exceeds
+    log(u), where e^x - 1 - u*x is increasing and convex, so the
+    iterates fall monotonically to the root.  Near u = 1 the root is a
     near-double root and the last few digits are limited by cancellation
     in e^x - 1 - u*x; absolute accuracy there is ~1e-8, which the
     residual contract |e^xi - 1 - u*xi| <= 1e-12*(1 + u*xi) tolerates.
-    A non-finite u is a DomainError.
-
-    A float or int takes _xi_scalar, the same steps on Python floats.
+    Where Newton misses that contract (near u = 1 + 1e-9) bisection
+    takes over.  exp and log1p are numpy's, which differ from the math
+    module's in the last bit on a few percent of arguments.
     """
-    if isinstance(u, (float, int)):
-        x = _xi_scalar(float(u))
-        if x is not None:
-            return x
-    arr = np.asarray(u, dtype=np.float64)
-    scalar = arr.ndim == 0
-    v = np.atleast_1d(arr).astype(np.float64).copy()
-    if not np.all(np.isfinite(v)) or np.any(v < 1.0 - 1e-12):
-        raise DomainError("xi(u) requires a finite u >= 1")
-    v = np.maximum(v, 1.0)
-
-    x = np.log1p(v * np.log1p(v))
-    for _ in range(90):
-        ex = np.exp(x)
-        f = ex - 1.0 - v * x
-        fp = ex - v
-        step = np.where(fp > 0, f / np.where(fp > 0, fp, 1.0), 0.0)
-        x -= step
-        if np.all(np.abs(step) <= 1e-15 * (1.0 + np.abs(x))):
-            break
-
-    resid = np.abs(np.exp(x) - 1.0 - v * x)
-    bad = resid > 1e-12 * (1.0 + v * np.abs(x))
-    if np.any(bad):
-        vb = v[bad]
-        lo = np.full(vb.shape, 1e-300)
-        hi = 2.0 * np.log(vb + 2.0)
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            fm = np.exp(mid) - 1.0 - vb * mid
-            lo = np.where(fm < 0, mid, lo)
-            hi = np.where(fm < 0, hi, mid)
-        x[bad] = 0.5 * (lo + hi)
-
-    x[v == 1.0] = 0.0
-    if scalar:
-        return float(x[0])
-    return x.reshape(arr.shape)
-
-
-def _xi_scalar(v: float):
-    """xi's array steps for one float, bit for bit, or None where that
-    route would bisect.  exp and log1p are numpy's, since the math
-    module's differ from them in the last bit on a few percent of
-    arguments; +, -, *, / and abs round alike in both."""
     if not math.isfinite(v) or v < 1.0 - 1e-12:
         raise DomainError("xi(u) requires a finite u >= 1")
     v = max(v, 1.0)
     x = float(np.log1p(v * float(np.log1p(v))))
+    if x > _LOG_FLOAT_MAX:
+        raise RangeError(f"xi({v:g}): e^xi overflows a float")
     for _ in range(90):
         ex = float(np.exp(x))
         f = ex - 1.0 - v * x
@@ -125,7 +97,11 @@ def _xi_scalar(v: float):
         if abs(step) <= 1e-15 * (1.0 + abs(x)):
             break
     if abs(float(np.exp(x)) - 1.0 - v * x) > 1e-12 * (1.0 + v * abs(x)):
-        return None
+        lo, hi = 1e-300, 2.0 * float(np.log(v + 2.0))
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if float(np.exp(mid)) - 1.0 - v * mid < 0 else (lo, mid)
+        x = 0.5 * (lo + hi)
     return 0.0 if v == 1.0 else x
 
 

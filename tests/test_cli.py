@@ -117,13 +117,18 @@ def test_g_breakdown(capsys):
 def test_g_breakdown_near_zero_is_domain_error(capsys):
     # log_g2's k-series would need more passes than its cap at Re s =
     # 10^-4, so it refuses before summing.  g without --breakdown does not
-    # sum that series (test_g_near_zero_s_is_finite).
-    assert main(["g", "--s", "1e-4", "--y", "100", "--breakdown"]) == 5
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "smoothnum: DomainError: log_g2 needs more than 100000 terms at Re s = 0.0001, y = 100\n"
-    )
+    # sum that series (test_g_near_zero_s_is_finite).  At 1e-17, 2^-s
+    # rounds to 1 and the tail bound never falls; there log_g2's
+    # DomainError comes before G's overflow, which g alone reports.
+    for s, shown in (("1e-4", "0.0001"), ("1e-17", "1e-17")):
+        assert main(["g", "--s", s, "--y", "100", "--breakdown"]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "smoothnum: DomainError: log_g2 needs more than 100000 terms"
+            f" at Re s = {shown}, y = 100\n"
+        )
+    assert main(["g", "--s", "1e-17", "--y", "100"]) == 3
 
 
 def test_g_near_zero_s_is_finite(capsys):
@@ -146,12 +151,21 @@ def test_g_close_to_zero_matches_euler_product(capsys, s):
 
 
 def test_g_overflow_is_range_error(capsys):
-    # log zeta(s, 100) grows like 25 log(1/s): G leaves float range.
-    assert main(["g", "--s", "1e-300", "--y", "100"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("smoothnum: RangeError:")
-    assert captured.err.count("\n") == 1
+    # log zeta(s, 100) grows like 25 log(1/s): G leaves float range.  At
+    # y = 10^5 it already does at s = 0.05; with --breakdown both G fields
+    # map the overflow alike, after log_g2's sum (about 15 s at 1e-3).
+    for argv in (
+        ["--s", "1e-300", "--y", "100"],
+        ["--s", "0.05", "--y", "100000"],
+        ["--s", "0.05", "--y", "100000", "--breakdown"],
+        ["--s", "1e-3", "--y", "100000"],
+        ["--s", "1e-3", "--y", "100000", "--breakdown"],
+    ):
+        assert main(["g", *argv]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("smoothnum: RangeError:")
+        assert captured.err.count("\n") == 1
 
 
 def test_verify_psiover_reports_small_gap(capsys):

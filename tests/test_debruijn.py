@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from smoothnum import debruijn, gfactor, primes, specfun
-from smoothnum.errors import DomainError, ResourceError, SingularityError
+from smoothnum.errors import DomainError, RangeError, ResourceError, SingularityError
 
 
 # ----------------------------------------------------------------------
@@ -67,8 +67,19 @@ def test_cross_method_agreement(log_y, u_raw):
 
 
 def test_atom_sum_resource_error(rho_table):
-    with pytest.raises(ResourceError):
-        debruijn.lambda_atom_sum(4.0, 100.0, rho_table)  # y^u = 1e8
+    # y^u = 1e8 and 1e9; at the last two y^u itself overflows a float,
+    # so the envelope is checked in log space.
+    for u, y in ((4.0, 100.0), (3.0, 1e3), (40.0, 1e10), (3.0, 1e200)):
+        with pytest.raises(ResourceError, match="atom sum needs"):
+            debruijn.lambda_atom_sum(u, y, rho_table)
+
+
+def test_ibp_past_float_range_is_range_error(rho_table):
+    for u, y in ((40.0, 1e10), (3.0, 1e200)):
+        with pytest.raises(RangeError, match="overflows a float"):
+            debruijn.lambda_ibp(u, y, rho_table)
+    # y^(u-1) = 1e298 is still a float.
+    assert 0.0 < debruijn.lambda_ibp(30.8, 1e10, rho_table).value < 1e-50
 
 
 def test_lambda_domain_errors(rho_table):

@@ -1,11 +1,15 @@
-"""Tests for the package surface: every exported name resolves."""
+"""Tests for the package surface: every exported name resolves, and only
+the package's own errors escape it."""
 
 import importlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import smoothnum
-from smoothnum import bias
+from smoothnum import bias, debruijn, gfactor, primes, specfun
+from smoothnum.errors import SmoothnumError
 
 LAYERS = ("specfun", "primes", "zetazeros", "debruijn", "smoothcount", "gfactor", "bias")
 
@@ -19,3 +23,35 @@ def test_exported_names_resolve(module):
 
 def test_psiover_rhs_is_reexported_from_bias():
     assert smoothnum.psiover_rhs is bias.psiover_rhs
+
+
+# Any float, and floats where u, y and s are usually met, so that both
+# the edges of the float range and the working range are drawn.
+_FLOATS = st.one_of(st.floats(), st.floats(-2.0, 1e3), st.floats(1.0, 1e10))
+_PT = primes.sieve(100)
+
+
+@settings(max_examples=300)
+@given(a=_FLOATS, b=_FLOATS)
+def test_only_smoothnum_errors_escape(rho_table, a, b):
+    # Every admitted input ends in a value or a mapped SmoothnumError:
+    # never a bare OverflowError, ZeroDivisionError or numpy
+    # RuntimeWarning (an error under this suite's warning filter).  The
+    # atom sum's envelope is lowered so that no draw counts 10^7 atoms.
+    calls = (
+        lambda: specfun.xi(a),
+        lambda: specfun.xi(np.array([a, b])),
+        lambda: specfun.saddle(a, b, rho_table),
+        lambda: debruijn.lambda_ibp(a, b, rho_table),
+        lambda: debruijn.lambda_atom_sum(a, b, rho_table),
+        lambda: gfactor.g_direct(a, b, _PT),
+        lambda: gfactor.g_value(a, b, _PT),
+        lambda: primes.log_g2(_PT, a, b),
+    )
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("SMOOTHNUM_MAX_LAMBDA_T", "10000")
+        for call in calls:
+            try:
+                call()
+            except SmoothnumError:
+                pass

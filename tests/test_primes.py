@@ -283,6 +283,25 @@ def test_log_g2_magnitude_bounded_by_real_axis_value(sigma, t):
 def test_log_g2_domain_error(pt100k):
     with pytest.raises(DomainError):
         primes.log_g2(pt100k, 0.0, 100.0)
+    # 2^(-Re s) rounds to 1 below Re s ~ 1.1e-16, so the tail bound
+    # 1/(1 - 2^(-Re s)) never falls.
+    for s in (1e-17, 5e-324, complex(1e-17, 3.0)):
+        with pytest.raises(DomainError, match="needs more than 100000 terms"):
+            primes.log_g2(pt100k, s, 100.0)
+
+
+@pytest.mark.parametrize("s", [1100.0, 1e308, math.inf, complex(2000.0, 5.0)])
+def test_log_g2_past_underflow_is_zero(pt100k, s):
+    # Every p^(-ks) underflows, and past Re s ~ 9e307 so would -k s log p.
+    assert primes.log_g2(pt100k, s, 100.0) == 0
+
+
+def test_nan_y_is_domain_error(pt100k):
+    for call in (primes.partial_zeta, primes.prime_power_sum, primes.log_g2):
+        with pytest.raises(DomainError):
+            call(pt100k, 0.8, math.nan)
+    with pytest.raises(DomainError):
+        primes.chebyshev_psi(pt100k, math.nan)
 
 
 # ----------------------------------------------------------------------

@@ -116,27 +116,45 @@ def _same_outcome(call, *args):
 
 
 # Where Newton's residual fails the contract, next to the double root at
-# u = 1, so the scalar route hands u to the array route's bisection.
+# u = 1, so xi bisects.
 XI_BISECTED = 1.0000000009491545
 
 
 def test_xi_scalar_route_matches_array_bit_for_bit():
-    rng = np.random.default_rng(20261020)
+    # An array entry is xi at that float, whatever its neighbours: a
+    # joint Newton loop that keeps stepping converged entries moves 508
+    # of these 22,005, 506 by 1 ulp and 2 near u = 1 + 2e-7 by 1.6e-10.
+    rng = np.random.default_rng(1)
     u = np.concatenate([
-        np.exp(rng.uniform(0.0, math.log(1e6), 5000)),
-        1.0 + rng.random(2000) * 1e-8,
-        np.arange(1.0, 101.0),
-        [1e6, 1.0, 1.0 - 1e-13, 1.0 + 1e-13, np.nextafter(1.0, 2.0), XI_BISECTED],
+        rng.uniform(1.0, 1e6, 20_000),
+        rng.uniform(1.0, 1.0 + 1e-6, 2_000),
+        [1.0, XI_BISECTED, 1.0 + 1e-13, 3.0, 64.0],
     ])
-    assert specfun._xi_scalar(XI_BISECTED) is None
-    for v in u.tolist():
-        assert _same_outcome(specfun.xi, v) == _same_outcome(specfun.xi, np.array([v])), v
-    for n in (1, 2, 7, 10**6):
-        assert float.hex(specfun.xi(n)) == float.hex(float(specfun.xi(np.array([n]))[0]))
-    for bad in (math.nan, math.inf, -math.inf, 0.999, 1.0 - 2e-12, 0, -5):
+    want = {v: float.hex(specfun.xi(v)) for v in u.tolist()}
+    for arr in (u, u[::-1], rng.permutation(u), u[:22_000].reshape(40, 550)):
+        got = specfun.xi(arr)
+        assert got.shape == arr.shape and got.dtype == np.float64
+        hexes = [float.hex(g) for g in got.ravel().tolist()]
+        assert hexes == [want[v] for v in arr.ravel().tolist()]
+    for n in (1, 2, 3, 64, 10**6):
+        assert float.hex(specfun.xi(n)) == float.hex(specfun.xi(float(n)))
+        assert float.hex(specfun.xi(np.array(n))) == float.hex(specfun.xi(float(n)))
+    assert specfun.xi(1.0 - 1e-13) == 0.0
+    for bad in (math.nan, math.inf, -math.inf, 0.999, 1.0 - 2e-12, 0, -5, 1e308):
         got = _same_outcome(specfun.xi, bad)
-        assert got[0] == "DomainError"
-        assert got == _same_outcome(specfun.xi, np.array([bad], dtype=np.float64))
+        assert got[0] == ("RangeError" if bad == 1e308 else "DomainError")
+        assert got == _same_outcome(specfun.xi, np.array([2.0, bad, 64.0]))
+
+
+def test_xi_past_exp_range_is_range_error():
+    # x0 = log(1 + u log(1 + u)) is the largest Newton iterate; past
+    # u = 2.5e305 it is inf and e^xi leaves float range.
+    u = 2.5e305
+    x = specfun.xi(u)
+    assert abs(math.expm1(x) - u * x) <= 1e-12 * (1.0 + u * x)
+    for v in (2.6e305, sys.float_info.max):
+        with pytest.raises(RangeError, match="overflows"):
+            specfun.xi(v)
 
 
 # ----------------------------------------------------------------------
