@@ -14,7 +14,13 @@ sections are:
   keeping the medians, and records the fold-list size, the first rough
   prime p0, the count, and the width V, the rows and the median build
   time of the leaf table that the walk itself built (None without rough
-  primes).
+  primes).  One more untimed walk counts the leaf columns and the leaf
+  charges, the (node, c) pairs of those columns, that _charge_leaves
+  takes on each path: wide_columns and wide_leaves on the
+  scalar-divisor path, narrow_columns and narrow_leaves in the flat
+  gather (columns of at most _NARROW_COLUMN_NODES nodes; a revision
+  without that constant charges every column as wide).  An inner
+  child's pair is counted too; the table's sentinel charges it 0.
 - big: the points (10^11, 10^4), (10^12, 10^4) and (10^12, 10^5), the
   corner of the psi_exact envelope, measured the same way, each in a
   child of its own, so each has its own peak RSS.
@@ -62,6 +68,18 @@ def _child(job: list) -> dict:
 
     smoothcount._leaf_table = recorded
 
+    # Count each leaf column, and its (node, c) pairs, by charge path.
+    narrow_nodes = getattr(smoothcount, "_NARROW_COLUMN_NODES", 0)
+    charged = {}
+    charge = smoothcount._charge_leaves
+
+    def counted(budget, cap, rough, table):
+        nodes = np.searchsorted(-cap, -np.arange(int(cap[0])), side="left")
+        for path, n in (("wide", nodes[nodes > narrow_nodes]), ("narrow", nodes[nodes <= narrow_nodes])):
+            charged[path + "_columns"] += int(n.size)
+            charged[path + "_leaves"] += int(n.sum())
+        return charge(budget, cap, rough, table)
+
     def phases(x, y, pt):
         top = int(np.searchsorted(pt.primes, y, side="right"))
         tracemalloc.start()
@@ -72,6 +90,13 @@ def _child(job: list) -> dict:
             smoothcount._fold_list, pt.primes[:top], x, repeats=REPEATS
         )
         rough = pt.primes[first:top].astype(np.int64)
+        charged.update(dict.fromkeys(
+            ("wide_columns", "wide_leaves", "narrow_columns", "narrow_leaves"), 0
+        ))
+        if rough.size:
+            smoothcount._charge_leaves = counted
+            smoothcount._walk_rough_tree(smooth, rough, x)
+            smoothcount._charge_leaves = charge
         tables.clear()
         count, tree_s = (
             _bench.timed(smoothcount._walk_rough_tree, smooth, rough, x, repeats=REPEATS)
@@ -85,7 +110,7 @@ def _child(job: list) -> dict:
             "V": width - 1 if width else None, "table_rows": rows,
             "table_s": statistics.median(t for _, t in tables) if tables else None,
             "fold_s": statistics.median(fold_s), "tree_s": statistics.median(tree_s),
-            "fold_peak_mb": fold_peak / (1 << 20),
+            "fold_peak_mb": fold_peak / (1 << 20), **charged,
         }
 
     out = {"numpy": np.__version__}
@@ -134,6 +159,8 @@ def _line(run) -> str:
     tree = sum(p["tree_s"] for p in points)
     line = f"{run['rev']}: {len(points)} points, fold {fold:.3f} s, tree {tree:.3f} s"
     line += f", fold peak {max(p['fold_peak_mb'] for p in points):.1f} MB"
+    line += f", narrow leaves {sum(p['narrow_leaves'] for p in points)}"
+    line += f" of {sum(p['wide_leaves'] + p['narrow_leaves'] for p in points)}"
     for big in run.get("big", []):
         point = big["points"][0]
         line += f"; ({point['x']:.0e}, {point['y']:.0e}) {point['fold_s'] + point['tree_s']:.2f} s"

@@ -83,17 +83,21 @@ def g_value(s, y: float, pt: PrimeTable) -> GBreakdown:
     product independently (the k-series over prime powers up to y plus
     the k-tail blocks, versus one closed-form -log(1-p^-s) per prime),
     so their agreement exercises the split identity rather than
-    restating it.  log_g2's DomainError comes before G's RangeError.
-    Near a zero of zeta the log branch blows up (SingularityError).
+    restating it.  log_g2's DomainError comes before G's RangeError,
+    and both come before the k-series are summed: at small Re s those
+    take seconds.  Near a zero of zeta the log branch blows up
+    (SingularityError).
     """
     log_f = _log_f(s, y)
+    primes_mod._log_g2_plan(pt, s, y)
+    direct = g_direct(s, y, pt)
     lg1 = primes_mod.prime_power_sum(pt, s, y) - log_f
     lg2 = primes_mod.log_g2(pt, s, y)
     return GBreakdown(
         log_g1=lg1,
         log_g2=lg2,
         g_factored=_exp_g(lg1 + lg2, s, y),
-        g_direct=g_direct(s, y, pt),
+        g_direct=direct,
     )
 
 

@@ -196,19 +196,38 @@ def log_g2(pt: PrimeTable, s, y: float) -> complex:
     Domain: Re s > 0 with that stop reached by k = _LOG_G2_MAX_K + 1,
     which needs Re s above 5.6e-4 at y = 4 and above 6.5e-4 at y = 10^4
     (the bound grows with log pi(y)).  Below it DomainError is raised
-    before any term is summed.
+    before any term is summed, and so is RangeError where k s log p
+    leaves float range (|Im s| near float max).
     """
+    plan = _log_g2_plan(pt, s, y)
+    if plan is None:
+        return complex(0.0, 0.0)
+    s, tops, stop = plan
+    idx_y = tops[0]
+    log_p = np.log(pt.primes[:idx_y].astype(np.float64))
+    total = complex(0.0, 0.0)
+    for k in range(2, stop):
+        lo = tops[k - 1] if k <= len(tops) else 0
+        if lo < idx_y:
+            block = np.exp(-k * s * log_p[lo:])
+            total += complex(np.sum(block)) / k
+    return total
+
+
+def _log_g2_plan(pt: PrimeTable, s, y: float):
+    """log_g2's checks, in its order, without its sum: (s, _power_tops at
+    y, the first k it does not sum), or None where its value is 0."""
     s = complex(s)
     if s.real <= 0:
         raise DomainError("log_g2 requires Re s > 0")
     y = _check_y(pt, y)
     if y < 2:
-        return complex(0.0, 0.0)
+        return None
     tops = _power_tops(pt, math.floor(y))
     idx_y = tops[0]
     decay = 2.0**-s.real
     if decay == 0.0:  # every p^(-ks) underflows (Re s above about 1075)
-        return complex(0.0, 0.0)
+        return None
 
     def stopped(k):  # never, where 2^(-Re s) rounds to 1 (Re s below ~1e-16)
         return decay < 1.0 and idx_y * decay**k / (k * (1.0 - decay)) < 1e-18
@@ -219,11 +238,6 @@ def log_g2(pt: PrimeTable, s, y: float) -> complex:
         raise DomainError(
             f"log_g2 needs more than {_LOG_G2_MAX_K} terms at Re s = {s.real:g}, y = {y:g}"
         )
-    log_p = np.log(pt.primes[:idx_y].astype(np.float64))
-    total = complex(0.0, 0.0)
-    for k in range(2, stop):
-        lo = tops[k - 1] if k <= len(tops) else 0
-        if lo < idx_y:
-            block = np.exp(-k * s * log_p[lo:])
-            total += complex(np.sum(block)) / k
-    return total
+    if not math.isfinite(stop * (abs(s.real) + abs(s.imag)) * math.log(y)):
+        raise RangeError(f"log_g2 at s = {s}, y = {y:g}: k s log p leaves float range")
+    return s, tops, stop

@@ -27,13 +27,18 @@ computation (Lagarias, Miller and Odlyzko, 1985; Deleglise and Rivat,
 row in log_r V slice steps.  F[c, v] counts distinct n <= v, as listed
 part times rough part, so F <= v and the table is uint16 with
 V <= 2^16 - 1.  V is the largest value <= x + 1 whose table fits in
-_LEAF_TABLE_SHARE of the fold list's bytes: a larger table leaves fewer
-nodes.  A child below V is a leaf and is never made.  The leaves of a
-batch of nodes are charged column by column: with the batch sorted by
-cap, the nodes that have a child c are a prefix, divided at once by the
-scalar rough[c], and each quotient indexes one row of F, padded with a
-zero sentinel column at V that catches every quotient >= V.  Only the
-inner children, budget >= V, are made as nodes, one binary search each.
+_LEAF_TABLE_SHARE of the fold list's bytes, found by bisection: a
+larger table leaves fewer nodes.  A child below V is a leaf and is never
+made.  The leaves of a batch of nodes are charged column by column: with
+the batch sorted by cap, the nodes that have a child c are a prefix,
+divided at once by the scalar rough[c], and each quotient indexes one
+row of F, padded with a zero sentinel column at V that catches every
+quotient >= V.  A column of few nodes costs more in numpy call overhead
+than in division, so the last columns, those of at most
+_NARROW_COLUMN_NODES nodes, are charged together instead: one division
+of each (node, c) pair and one gather from the flattened table.  Only
+the inner children, budget >= V, are made as nodes, one binary search
+each, in sorted order.
 The tree is walked depth-first from a stack of node batches; children
 are created lazily, at most _NODE_CHUNK at a time, from a cursor into
 their parent batch, so the walk holds about depth * _NODE_CHUNK nodes on
@@ -61,7 +66,19 @@ _SMOOTH_LIST_CAP = 8_000_000
 # smaller leaf table and a larger rough tree.
 _FOLD_MIN_GROWTH = 0.45
 # Children made per batch: the walk holds about depth * _NODE_CHUNK nodes.
-_NODE_CHUNK = 1 << 13
+# It also caps the (node, c) pairs of one flat step of _charge_leaves.
+_NODE_CHUNK = 1 << 14
+# Leaf columns of at most this many nodes are charged in one flat gather.
+# Measured on a 2-vCPU shared Xeon: a column on the scalar-divisor path
+# costs about 3.5 us of numpy call overhead (a divide, a take and a sum)
+# plus about 3 ns per node (0.9 ns of it the divide), while a (node, c)
+# pair in the gather costs 14-21 ns (its int64 vector/vector divide, the
+# repeat that enumerates it, two gathers and the index arithmetic).  A
+# column breaks even at 3.5 us / (11 to 18 ns), 200-300 nodes.  On the
+# README grid, in one process at chunk 2^13, 256, 512 and 1024 tied; 64
+# was 3% slower, 4096 23%, and charging every column on the scalar path
+# 13%.
+_NARROW_COLUMN_NODES = 256
 # The leaf table's bytes, as a share of the fold list's: a larger table
 # leaves fewer nodes, and sits beside the list and the node batches.
 _LEAF_TABLE_SHARE = 0.5
@@ -97,6 +114,14 @@ _LEAF_TABLE_SHARE = 0.5
 # (10^11, 10^4); at 0.45 a quarter is slower there, while a half is
 # faster everywhere at a lower peak than any setting at 0.4.  2^12 and 2^13 share the lowest
 # peak, 2^13 the faster, so 0.45, 1/2 and 2^13.
+# The chunk was re-measured once narrow columns were gathered and V was
+# sized by bisection (which dropped a 2^16-entry scan and its temporaries,
+# 2.6 MB of grid peak): against 2^13, theorem-grid wall_s read -6% at 2^14
+# (5 of 6 perfbench pairs) and -11% at 2^15 (4 of 4), peak_rss_mb +0.6 and
+# +2.6 MB; psi_exact at (10^11, 10^4), (10^12, 10^4) and (10^12, 10^5),
+# one process each, peaked at 45.5, 72.4, 72.9 MB at 2^14 and 47.6, 73.4,
+# 74.2 MB at 2^15, against 46.3, 72.9, 73.4 MB for the code before both
+# changes.  2^14 keeps every peak below that, so 2^14.
 
 
 def _fold_projection(smooth: np.ndarray, p: int, x: int) -> np.ndarray:
@@ -159,13 +184,21 @@ def _leaf_table(smooth: np.ndarray, rough: np.ndarray, x: int, max_bytes: int) -
     for _charge_leaves.
     """
     def rows(size):
-        return np.maximum(1, np.searchsorted(rough, size))
+        return max(1, int(np.searchsorted(rough, size)))
 
-    # The table's bytes grow with V, so the sizes that fit are a prefix.
-    sizes = np.arange(1, min(x + 1, (1 << 16) - 1) + 1)
-    size = max(1, int(np.count_nonzero(2 * rows(sizes) * (sizes + 1) <= max_bytes)))
+    # The table's bytes grow with V, so the sizes that fit are a prefix of
+    # 1..top, and its length is found by bisection.
+    fits = 0
+    top = min(x + 1, (1 << 16) - 1)
+    while fits < top:
+        mid = (fits + top + 1) // 2
+        if 2 * rows(mid) * (mid + 1) <= max_bytes:
+            fits = mid
+        else:
+            top = mid - 1
+    size = max(1, fits)
     v = np.arange(size)
-    table = np.zeros((int(rows(size)), size + 1), dtype=np.uint16)
+    table = np.zeros((rows(size), size + 1), dtype=np.uint16)
     prev = np.searchsorted(smooth, v, side="right")
     for row, r in zip(table, rough.tolist()):
         row[:size] = prev
@@ -178,26 +211,56 @@ def _leaf_table(smooth: np.ndarray, rough: np.ndarray, x: int, max_bytes: int) -
     return table
 
 
-def _charge_leaves(budget: np.ndarray, cap: np.ndarray, rough: list, table: np.ndarray) -> int:
+def _flat_pairs(offsets: np.ndarray, start: int, stop: int) -> tuple:
+    """(owner, k) of the flat pairs start..stop - 1, where entry i owns the
+    pairs offsets[i]..offsets[i + 1] - 1 and k counts from 0 within each."""
+    first = int(np.searchsorted(offsets, start, side="right")) - 1
+    last = int(np.searchsorted(offsets, stop, side="left"))
+    spans = np.diff(np.clip(offsets[first : last + 1], start, stop))
+    owner = np.repeat(np.arange(first, last), spans)
+    return owner, np.arange(start, stop) - offsets[owner]
+
+
+def _charge_leaves(budget: np.ndarray, cap: np.ndarray, rough: np.ndarray, table: np.ndarray) -> int:
     """Sum of F[min(c, rows - 1), budget // rough[c]] over every node of a
     batch and every c below its cap, where a quotient >= V charges 0.
 
-    table is F with a zero sentinel column at index V; rough holds Python
-    ints, so each division takes numpy's scalar-divisor path.  The batch
-    is sorted by cap, descending, so the nodes with cap > c are a prefix
-    and column c is one division of that prefix.  take's clip mode puts
-    every quotient >= V, an inner child's, on the sentinel: inner
-    children are made and charged as nodes of their own.
+    table is F with a zero sentinel column at index V.  The batch is
+    sorted by cap, descending, so the nodes with cap > c are a prefix.
+    A wide column, one of more than _NARROW_COLUMN_NODES nodes, is one
+    division of that prefix by the Python int rough[c] (numpy's
+    scalar-divisor path) and one take, whose clip mode puts every
+    quotient >= V, an inner child's, on the sentinel.  The prefixes
+    shrink with c, so the narrow columns are the last ones; their
+    (node, c) pairs are charged together, _NODE_CHUNK pairs at a time,
+    by one vector division and one take from the flattened table, each
+    quotient clipped to V on its own.  Inner children are made and
+    charged as nodes of their own.
     """
     rows, width = table.shape
-    prefix = np.searchsorted(-cap, -np.arange(int(cap[0])), side="left").tolist()
+    prefix = np.searchsorted(-cap, -np.arange(int(cap[0])), side="left")
+    wide = int(np.searchsorted(-prefix, -_NARROW_COLUMN_NODES, side="left"))
     quot = np.empty(budget.size, dtype=np.int64)
     vals = np.empty(budget.size, dtype=table.dtype)
     total = 0
-    for c, n in enumerate(prefix):
-        q = np.floor_divide(budget[:n], rough[c], out=quot[:n])
+    for c, (n, r) in enumerate(zip(prefix[:wide].tolist(), rough[:wide].tolist())):
+        q = np.floor_divide(budget[:n], r, out=quot[:n])
         row = table[min(c, rows - 1)]
         total += int(row.take(q, mode="clip", out=vals[:n]).sum(dtype=np.int64))
+    if wide == prefix.size:
+        return total
+    nodes = int(prefix[wide])
+    offsets = np.zeros(nodes + 1, dtype=np.int64)
+    np.cumsum(cap[:nodes] - wide, out=offsets[1:])
+    flat = table.ravel()
+    end = int(offsets[-1])
+    for start in range(0, end, _NODE_CHUNK):
+        node, c = _flat_pairs(offsets, start, min(start + _NODE_CHUNK, end))
+        c += wide
+        q = budget[node] // rough[c]
+        np.minimum(q, width - 1, out=q)
+        q += np.minimum(c, rows - 1) * width
+        total += int(flat.take(q).sum(dtype=np.int64))
     return total
 
 
@@ -210,11 +273,11 @@ def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
     as nodes; the others are charged from the leaf table when their
     parent's batch is pushed.  Each stack entry holds a batch of nodes,
     the prefix sums of their inner-child counts and a cursor into those
-    children.
+    children.  A chunk of children is sorted before it is searched in
+    the fold list, so that successive searches walk nearby entries.
     """
     table = _leaf_table(smooth, rough, x, int(_LEAF_TABLE_SHARE * smooth.nbytes))
     size = table.shape[1] - 1
-    rough_ints = rough.tolist()
     total = int(np.searchsorted(smooth, x, side="right"))
     stack = []
 
@@ -222,7 +285,7 @@ def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
         nonlocal total
         order = np.argsort(-cap)
         budget, cap = budget[order], cap[order]
-        total += _charge_leaves(budget, cap, rough_ints, table)
+        total += _charge_leaves(budget, cap, rough, table)
         inner = np.minimum(cap, np.searchsorted(rough, budget // size, side="right"))
         offsets = np.zeros(inner.size + 1, dtype=np.int64)
         np.cumsum(inner, out=offsets[1:])
@@ -239,14 +302,10 @@ def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
             stack.pop()
         else:
             batch[2] = stop
-        first = int(np.searchsorted(offsets, start, side="right")) - 1
-        last = int(np.searchsorted(offsets, stop, side="left"))
-        spans = np.diff(np.clip(offsets[first : last + 1], start, stop))
-        parent = np.repeat(np.arange(first, last), spans)
-        c = np.arange(start, stop) - offsets[parent]
+        parent, c = _flat_pairs(offsets, start, stop)
         child = budget[parent] // rough[c]
         # A child made with rough[c] may use rough[:c + 1].
-        total += int(np.searchsorted(smooth, child, side="right").sum())
+        total += int(np.searchsorted(smooth, np.sort(child), side="right").sum())
         push(child, np.minimum(c + 1, np.searchsorted(rough, child, side="right")))
     return total
 

@@ -60,9 +60,13 @@ def xi(u):
     array maps entry by entry over it, so each entry equals xi at that
     float and never depends on its neighbours.  A non-finite u or
     u < 1 - 1e-12 is a DomainError; a u whose root leaves exp's float
-    range (above about 2.5e305) is a RangeError.
+    range (above about 2.5e305), or an int past float range, is a
+    RangeError.
     """
-    arr = np.asarray(u, dtype=np.float64)
+    try:
+        arr = np.asarray(u, dtype=np.float64)
+    except OverflowError:  # an int past float range
+        raise RangeError("xi(u): u overflows a float") from None
     if arr.ndim == 0:
         return _xi_scalar(float(arr))
     out = np.array([_xi_scalar(v) for v in arr.ravel().tolist()], dtype=np.float64)

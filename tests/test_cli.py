@@ -153,7 +153,8 @@ def test_g_close_to_zero_matches_euler_product(capsys, s):
 def test_g_overflow_is_range_error(capsys):
     # log zeta(s, 100) grows like 25 log(1/s): G leaves float range.  At
     # y = 10^5 it already does at s = 0.05; with --breakdown both G fields
-    # map the overflow alike, after log_g2's sum (about 15 s at 1e-3).
+    # map the overflow alike, found by g_direct before the k-series are
+    # summed, which take about 15 s at 1e-3.
     for argv in (
         ["--s", "1e-300", "--y", "100"],
         ["--s", "0.05", "--y", "100000"],
@@ -166,6 +167,8 @@ def test_g_overflow_is_range_error(capsys):
         assert captured.out == ""
         assert captured.err.startswith("smoothnum: RangeError:")
         assert captured.err.count("\n") == 1
+        if argv[1] == "1e-3":
+            assert captured.err == "smoothnum: RangeError: G(0.001, 100000) overflows a float\n"
 
 
 def test_verify_psiover_reports_small_gap(capsys):

@@ -296,6 +296,15 @@ def test_log_g2_past_underflow_is_zero(pt100k, s):
     assert primes.log_g2(pt100k, s, 100.0) == 0
 
 
+@pytest.mark.parametrize("s", [complex(0.5, 1e308), complex(0.5, -1e308), complex(2.0, math.inf)])
+def test_log_g2_past_float_range_in_im_s_is_range_error(pt100k, s):
+    # -k s log p leaves float range, where numpy would warn of an invalid
+    # value; g_value's f_transform refuses such s before log_g2.
+    with pytest.raises(RangeError, match="leaves float range"):
+        primes.log_g2(pt100k, s, 100.0)
+    assert math.isfinite(abs(primes.log_g2(pt100k, complex(0.5, 1e300), 100.0)))
+
+
 def test_nan_y_is_domain_error(pt100k):
     for call in (primes.partial_zeta, primes.prime_power_sum, primes.log_g2):
         with pytest.raises(DomainError):

@@ -79,6 +79,11 @@ def test_script_runs(smoke, script):
         assert all(p["fold_peak_mb"] > 0 for p in entry["grid"]["points"])
         # V and the rows are read from the table the walk itself built.
         assert all(p["V"] >= 1 and p["table_rows"] >= 1 for p in entry["grid"]["points"] if p["p0"])
+        # Every leaf column is charged on one of the two paths.
+        assert all(
+            p["wide_columns"] + p["narrow_columns"] > 0 and p["narrow_leaves"] >= p["narrow_columns"]
+            for p in entry["grid"]["points"] if p["p0"]
+        )
     if script == "bench_density.py":
         # The bench's own code times every revision, and the working tree
         # must sample exactly as the last commit does.

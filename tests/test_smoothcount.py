@@ -226,6 +226,11 @@ def _phi(b, cap, smooth, rough):
     return total
 
 
+def _column_nodes(cap):
+    """The node count of each leaf column of a batch sorted by cap, descending."""
+    return np.searchsorted(-cap, -np.arange(int(cap[0])), side="left")
+
+
 # 2^16 is larger than any batch here, so it stands for the production chunk.
 @pytest.mark.parametrize("chunk", [1, 2, 7, 1 << 16])
 @pytest.mark.parametrize("table_bytes", ["fold list", "below p0", "one entry", "past p0 squared"])
@@ -237,6 +242,11 @@ def test_walk_matches_plain_recursion(gpf100k, monkeypatch, chunk, table_bytes, 
     # under p0, whose cap is 0; one entry leaves no leaves at all, so
     # every node is made and searched.  Past p0^2, leaves have rough
     # parts with two prime factors and nodes are still made (x >= p0^3).
+    # Each case runs at four narrow-column thresholds: 0 charges every
+    # column on the scalar-divisor path, 1 gathers the one-node columns
+    # (the root's batch among them), 3 mixes both paths in one batch, and
+    # 2^17, above every batch, gathers every column; the chunk also caps
+    # the pairs of one gather.
     smooth = oracles.smooth_values(x, folded, gpf100k)
     rough = np.array([p for p in range(folded + 1, y + 1) if gpf100k[p] == p], dtype=np.int64)
     p0 = int(rough[0])
@@ -263,11 +273,21 @@ def test_walk_matches_plain_recursion(gpf100k, monkeypatch, chunk, table_bytes, 
     monkeypatch.setattr(smoothcount, "_leaf_table", built)
     monkeypatch.setattr(smoothcount, "_charge_leaves", recorded)
     monkeypatch.setattr(smoothcount, "_NODE_CHUNK", chunk)
-    got = smoothcount._walk_rough_tree(smooth, rough, x)
-    assert got == _phi(x, rough.size, smooth.tolist(), rough.tolist())
-    assert got == oracles.psi_brute(x, y, gpf100k)
+    want = _phi(x, rough.size, smooth.tolist(), rough.tolist())
+    assert want == oracles.psi_brute(x, y, gpf100k)
+    mixed = False
+    for threshold in (0, 1, 3, 1 << 17):
+        caps.clear()
+        sizes.clear()
+        monkeypatch.setattr(smoothcount, "_NARROW_COLUMN_NODES", threshold)
+        assert smoothcount._walk_rough_tree(smooth, rough, x) == want, threshold
+        nodes = [_column_nodes(cap) for cap in caps if cap.size and cap[0]]
+        assert nodes[0].max() == 1  # the root's batch
+        if threshold == 3:
+            mixed = any((n > 3).any() and (n <= 3).any() for n in nodes)
     if x < p0 * p0:
         return
+    assert mixed or chunk <= 2
     [size] = sizes
     if table_bytes == "past p0 squared":
         assert x >= p0**3 and size > p0 * p0
@@ -277,6 +297,39 @@ def test_walk_matches_plain_recursion(gpf100k, monkeypatch, chunk, table_bytes, 
     # Past p0^2 at x = 10^4 the root's only inner children are 11 to 19.
     if chunk > 2 and made.size > 4:
         assert any(np.unique(cap).size < cap.size for cap in caps)
+
+
+def _scanned_table_size(rough, x, max_bytes):
+    """The leaf table's V by a scan of every candidate size."""
+    sizes = np.arange(1, min(x + 1, (1 << 16) - 1) + 1)
+    rows = np.maximum(1, np.searchsorted(rough, sizes))
+    return max(1, int(np.count_nonzero(2 * rows * (sizes + 1) <= max_bytes)))
+
+
+def test_leaf_table_size_matches_scan(gpf100k):
+    # V is bisected on the fit predicate; a scan of all the sizes is the
+    # oracle, over x on both sides of the 2^16 - 1 cap and bounds from
+    # below one entry to past the largest table, with a bound that a
+    # table fills exactly and one a byte short of it.
+    smooth = np.ones(1, dtype=np.int64)
+    primes_100k = np.flatnonzero(gpf100k[: 10**5] == np.arange(10**5)).astype(np.int64)
+    primes_100k = primes_100k[primes_100k >= 2]
+    checked = 0
+    for p0 in (2, 11, 97, 1009, 65000, 65521):
+        rough = primes_100k[primes_100k >= p0]
+        for x in (1, 2, 10, 120, 5000, 65533, 65534, 10**5, 10**12):
+            third = min(x + 1, (1 << 16) - 1) // 3 + 1
+            exact = 2 * max(1, int(np.searchsorted(rough, third))) * (third + 1)
+            for max_bytes in (
+                0, 3, 4, 5, 2 * p0, 999, exact - 1, exact, 1 << 16, 1 << 20, 1 << 27, 1 << 33,
+            ):
+                want = _scanned_table_size(rough, x, max_bytes)
+                if 2 * max(1, int(np.searchsorted(rough, want))) * (want + 1) > 1 << 24:
+                    continue  # tables past 16 MiB are not built here
+                table = smoothcount._leaf_table(smooth, rough, x, max_bytes)
+                assert table.shape[1] - 1 == want, (p0, x, max_bytes)
+                checked += 1
+    assert checked > 300, checked
 
 
 @pytest.mark.parametrize("bound", ["one row", "below p0", "one entry"])

@@ -152,7 +152,8 @@ def test_xi_past_exp_range_is_range_error():
     u = 2.5e305
     x = specfun.xi(u)
     assert abs(math.expm1(x) - u * x) <= 1e-12 * (1.0 + u * x)
-    for v in (2.6e305, sys.float_info.max):
+    # An int past float range overflows before it is a float.
+    for v in (2.6e305, sys.float_info.max, 10**400, [3, 10**400]):
         with pytest.raises(RangeError, match="overflows"):
             specfun.xi(v)
 

@@ -164,6 +164,58 @@ def test_load_zeros_parse_errors(tmp_path):
         assert f"line {lineno}" in str(exc.value)
 
 
+def test_load_zeros_line_endings_and_spaces(tmp_path):
+    # CRLF and spaces or tabs around a number read as plain LF lines.
+    lines = ZEROS_PATH.read_text(encoding="utf-8").splitlines()
+    want = zetazeros.load_zeros(ZEROS_PATH)
+    variants = {
+        "crlf.txt": "\r\n".join(lines) + "\r\n",
+        "trailing.txt": "\n".join(f"{line}  \t" for line in lines) + "\n",
+        "leading.txt": "\n".join(f" {line}" for line in lines),
+    }
+    for name, text in variants.items():
+        path = tmp_path / name
+        path.write_bytes(text.encode("utf-8"))
+        got = zetazeros.load_zeros(path)
+        assert got.height == want.height
+        assert np.array_equal(got.gammas.view(np.uint64), want.gammas.view(np.uint64))
+
+
+def test_load_zeros_parse_errors_name_the_first_bad_line(tmp_path):
+    lines = ZEROS_PATH.read_text(encoding="utf-8").splitlines()
+    deep = len(lines) - 7
+
+    def with_line(lineno, text):
+        return lines[: lineno - 1] + [text] + lines[lineno:]
+
+    cases = {
+        "nan.txt": (["14.134725", "nan", "21.022040"], 2, "ordinate must be finite and positive: nan"),
+        "inf.txt": (["14.134725", "inf"], 2, "ordinate must be finite and positive: inf"),
+        "repeat.txt": (
+            ["14.134725", "21.022040", "21.022040", "25.010858"], 3,
+            "ordinates must be strictly ascending: 21.022040",
+        ),
+        "deep_garbled.txt": (with_line(deep, "9990.5x"), deep, "not a number: '9990.5x'"),
+        "deep_repeat.txt": (
+            with_line(deep, lines[deep - 2]), deep,
+            f"ordinates must be strictly ascending: {lines[deep - 2]}",
+        ),
+        "deep_blank.txt": (with_line(deep, "  "), deep, "blank line in zero table"),
+        # The first bad line wins over a later one.
+        "two_bad.txt": (
+            with_line(5000, "-1.0")[: deep - 1] + ["nan"], 5000,
+            "ordinate must be finite and positive: -1.0",
+        ),
+    }
+    for name, (body, lineno, message) in cases.items():
+        path = tmp_path / name
+        path.write_text("\n".join(body) + "\n")
+        with pytest.raises(ParseError) as exc:
+            zetazeros.load_zeros(path, height=30.0)
+        assert exc.value.line == lineno, name
+        assert message in str(exc.value), name
+
+
 def test_load_zeros_rejects_wrong_first_ordinate(tmp_path):
     path = tmp_path / "wrongfirst.txt"
     path.write_text("15.0\n21.022040\n")
