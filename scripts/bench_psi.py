@@ -24,12 +24,15 @@ sections are:
 - big: the points (10^11, 10^4), (10^12, 10^4) and (10^12, 10^5), the
   corner of the psi_exact envelope, measured the same way, each in a
   child of its own, so each has its own peak RSS.
-- bias-scan: the README bias-scan command, timed once end to end; the
-  sha256 of its CSV shows whether two revisions print the same bytes.
+- verify-theorem1 and bias-scan: the README commands, each timed once
+  end to end through cli.main in a child of its own (the grid section
+  above times each point alone, so only these show what one command
+  shares between its points); the sha256 of each CSV shows whether two
+  revisions print the same bytes.
 
 --tiny keeps two cheap grid points and drops the other sections.
 
-    python scripts/bench_psi.py --rev 67a67ef --rev . --out BENCH_psi.json
+    python scripts/bench_psi.py --rev dd25c9f --rev . --out BENCH_psi.json
 """
 
 import math
@@ -40,6 +43,8 @@ import _bench
 REPEATS = 3
 MAX_X = 10**12
 BIG = [(10**11, 10**4), (10**12, 10**4), (10**12, 10**5)]
+# README commands timed end to end, by section name.
+END_TO_END = {"verify-theorem1": _bench.theorem1(False), "bias-scan": _bench.BIAS_SCAN}
 
 
 def _child(job: list) -> dict:
@@ -114,7 +119,7 @@ def _child(job: list) -> dict:
         }
 
     out = {"numpy": np.__version__}
-    if section == "bias-scan":
+    if section in END_TO_END:
         buf = io.StringIO()
         start = time.perf_counter()
         with contextlib.redirect_stdout(buf):
@@ -149,7 +154,8 @@ def _revision(args, i, env, scratch) -> dict:
     run = {"grid": _bench.child(["grid", _grid_points(_bench.theorem1(args.tiny))], env)}
     if not args.tiny:
         run["big"] = [_bench.child(["big", [point]], env) for point in BIG]
-        run["bias-scan"] = _bench.child(["bias-scan", _bench.BIAS_SCAN], env)
+        for name, argv in END_TO_END.items():
+            run[name] = _bench.child([name, argv], env)
     return run
 
 
@@ -165,8 +171,9 @@ def _line(run) -> str:
         point = big["points"][0]
         line += f"; ({point['x']:.0e}, {point['y']:.0e}) {point['fold_s'] + point['tree_s']:.2f} s"
         line += f" {big['peak_rss_mb']:.0f} MB"
-    if "bias-scan" in run:
-        line += f"; bias-scan {run['bias-scan']['wall_s']:.1f} s"
+    for name in END_TO_END:
+        if name in run:
+            line += f"; {name} {run[name]['wall_s']:.2f} s"
     return line
 
 

@@ -196,18 +196,30 @@ def _grid_rows(args, beta0_list) -> list[dict]:
     ys = _log_grid(args.y_min, args.y_max, args.n_points)
     pt = primes.sieve(max(4, math.ceil(args.y_max))) if ys else primes.sieve(4)
     rows = []
+    with smoothcount.SharedFold(_grid_xy(ys, beta0_list), pt):
+        for beta0 in beta0_list:
+            for y in ys:
+                try:
+                    point = bias.compute_point(
+                        y, beta0, pt, table, zeros=zeros, big_t=big_t
+                    )
+                except ResourceError:
+                    if args.skip_infeasible:
+                        continue
+                    raise
+                rows.append(_point_row(point))
+    return rows
+
+
+def _grid_xy(ys, beta0_list):
+    """(x, y) of each grid point as compute_point hands them to psi_exact,
+    where x(y) is a float; the others raise in compute_point."""
     for beta0 in beta0_list:
         for y in ys:
             try:
-                point = bias.compute_point(
-                    y, beta0, pt, table, zeros=zeros, big_t=big_t
-                )
-            except ResourceError:
-                if args.skip_infeasible:
-                    continue
-                raise
-            rows.append(_point_row(point))
-    return rows
+                yield math.exp(bias.x_of_y(y, beta0)), y
+            except (SmoothnumError, OverflowError):
+                pass
 
 
 def _cmd_verify_theorem1(args) -> int:

@@ -116,10 +116,12 @@ def prime_power_sum(pt: PrimeTable, s, y: float) -> complex:
     """
     y = _check_y(pt, y)
     s = complex(s)
-    if y < 2:
+    if y < 2 or _underflows(s):
         return complex(0.0, 0.0)
+    tops = _power_tops(pt, math.floor(y))
+    _check_exponent(s, len(tops), y, "prime_power_sum")
     re_parts, im_parts = [], []
-    for k, top in enumerate(_power_tops(pt, math.floor(y)), 1):
+    for k, top in enumerate(tops, 1):
         block = np.exp(-k * s * np.log(pt.primes[:top].astype(np.float64))) / k
         re_parts.append(block.real)
         im_parts.append(block.imag)
@@ -168,8 +170,9 @@ def partial_zeta(pt: PrimeTable, s, y: float) -> complex:
     if s.real <= 0:
         raise DomainError("partial_zeta requires Re s > 0")
     y = _check_y(pt, y)
-    if y < 2:
+    if y < 2 or _underflows(s):
         return complex(0.0, 0.0)
+    _check_exponent(s, 1, y, "partial_zeta")
     idx = int(np.searchsorted(pt.primes, math.floor(y), side="right"))
     exponent = -s * np.log(pt.primes[:idx].astype(np.float64))
     z = np.exp(exponent)
@@ -225,9 +228,9 @@ def _log_g2_plan(pt: PrimeTable, s, y: float):
         return None
     tops = _power_tops(pt, math.floor(y))
     idx_y = tops[0]
-    decay = 2.0**-s.real
-    if decay == 0.0:  # every p^(-ks) underflows (Re s above about 1075)
+    if _underflows(s):
         return None
+    decay = 2.0**-s.real
 
     def stopped(k):  # never, where 2^(-Re s) rounds to 1 (Re s below ~1e-16)
         return decay < 1.0 and idx_y * decay**k / (k * (1.0 - decay)) < 1e-18
@@ -238,6 +241,17 @@ def _log_g2_plan(pt: PrimeTable, s, y: float):
         raise DomainError(
             f"log_g2 needs more than {_LOG_G2_MAX_K} terms at Re s = {s.real:g}, y = {y:g}"
         )
-    if not math.isfinite(stop * (abs(s.real) + abs(s.imag)) * math.log(y)):
-        raise RangeError(f"log_g2 at s = {s}, y = {y:g}: k s log p leaves float range")
+    _check_exponent(s, stop, y, "log_g2")
     return s, tops, stop
+
+
+def _underflows(s: complex) -> bool:
+    """Whether every p^(-ks) underflows to 0 (Re s above about 1075)."""
+    return s.real > 0.0 and 2.0**-s.real == 0.0
+
+
+def _check_exponent(s: complex, k_max: int, y: float, name: str) -> None:
+    """RangeError where -k s log p, for k <= k_max and p <= y, would leave
+    float range (|s| near float max), before numpy warns of it."""
+    if not math.isfinite(k_max * (abs(s.real) + abs(s.imag)) * math.log(y)):
+        raise RangeError(f"{name} at s = {s}, y = {y:g}: k s log p leaves float range")

@@ -45,6 +45,19 @@ their parent batch, so the walk holds about depth * _NODE_CHUNK nodes on
 top of the list and the table.  Any split between the phases gives the
 same exact count.
 
+A grid command counts many points, and the list and table of its
+largest point, at X, hold what the others need: the list of numbers
+<= X built from primes[:i], cut at x <= X, is the list for x, and
+F[c, v] depends only on rough[:c + 1] and on the list's counts below V.  So inside a
+SharedFold block (cli's grid commands enter one around their points)
+psi_exact counts every point with x <= X whose y is at least the last
+folded prime from one fold list, that of the largest point, and one
+leaf table, whose rows run up to the largest y of any point; each such
+point is only a walk.  The block builds them at the first point that
+may use them and drops them when it ends; a MemoryError in that build
+or in a walk from it ends the sharing, and the points from there on
+fold on their own, as a single call does.
+
 alpha_values tabulates the coefficients alpha_y(n) of
 exp(sum_{p^k <= y} p^(-ks)/k), the multiplicative weights that agree
 with the smooth indicator whenever every prime-power component of n is
@@ -52,11 +65,12 @@ with the smooth indicator whenever every prime-power component of n is
 sums that table.
 """
 
+import contextvars
 import math
 
 import numpy as np
 
-from .errors import DomainError, RangeError, ResourceError
+from .errors import DomainError, RangeError, ResourceError, SmoothnumError
 from .limits import env_limit
 from .primes import PrimeTable, _power_tops
 
@@ -264,7 +278,7 @@ def _charge_leaves(budget: np.ndarray, cap: np.ndarray, rough: np.ndarray, table
     return total
 
 
-def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
+def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int, table=None) -> int:
     """Sum over products d <= x of rough primes of #{listed s <= x // d}.
 
     A node is kept as its budget b = x // d; its children use rough[c]
@@ -275,8 +289,11 @@ def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
     the prefix sums of their inner-child counts and a cursor into those
     children.  A chunk of children is sorted before it is searched in
     the fold list, so that successive searches walk nearby entries.
+    table is a leaf table that covers this walk (see _Fold); without one,
+    the walk builds its own from smooth and rough.
     """
-    table = _leaf_table(smooth, rough, x, int(_LEAF_TABLE_SHARE * smooth.nbytes))
+    if table is None:
+        table = _leaf_table(smooth, rough, x, int(_LEAF_TABLE_SHARE * smooth.nbytes))
     size = table.shape[1] - 1
     total = int(np.searchsorted(smooth, x, side="right"))
     stack = []
@@ -310,16 +327,115 @@ def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int) -> int:
     return total
 
 
-def psi_exact(x: int, y: int, pt: PrimeTable) -> int:
-    """Number of y-smooth integers in [1, x], exact."""
-    x = int(x)
-    y = int(y)
-    if x < 1:
-        return 0
-    if y >= x:
-        return x
-    if y < 2:
-        return 1
+class _Fold:
+    """The list of numbers <= x folded from primes[:top], the rough primes
+    it leaves, primes[first:], and, once a walk needs it, their leaf table.
+
+    Folding and the leaf table are exact whatever the split between the
+    phases, so one _Fold counts every (x', y') with x' <= x whose y' is
+    at least the last folded prime and at most the last rough prime: the
+    walk at x' reads smooth[:#{listed <= x'}] and rough[:top' - first].
+    F[c, v] depends only on rough[:c + 1] and on the list's counts below
+    V <= x + 1, so the table serves every such walk.
+    """
+
+    def __init__(self, primes: np.ndarray, top: int, x: int):
+        self.x = x
+        self.smooth, self.first = _fold_list(primes[:top], x)
+        self.rough = primes[self.first :].astype(np.int64)
+        self.table = None
+
+    def leaf_table(self):
+        if self.table is None and self.rough.size:
+            share = int(_LEAF_TABLE_SHARE * self.smooth.nbytes)
+            self.table = _leaf_table(self.smooth, self.rough, self.x, share)
+        return self.table
+
+    def covers(self, x: int, top: int) -> bool:
+        return x <= self.x and self.first <= top <= self.first + self.rough.size
+
+    def count(self, x: int, top: int) -> int:
+        """Psi(x, primes[top - 1]) for a point this fold covers."""
+        listed = int(np.searchsorted(self.smooth, x, side="right"))
+        if top == self.first:
+            return listed
+        rough = self.rough[: top - self.first]
+        return _walk_rough_tree(self.smooth[:listed], rough, x, self.leaf_table())
+
+
+# The SharedFold of the command being run, if any.
+_SHARED = contextvars.ContextVar("smoothnum_shared_fold", default=None)
+
+
+class SharedFold:
+    """Within a with block, psi_exact counts the points of a grid from one
+    fold list and one leaf table.
+
+    points are the (x, y) that psi_exact will be called with; those it
+    would refuse, or count without a fold, are passed over.  The list is
+    that of the largest point (x, then y), folded from the primes up to
+    its y; the table takes the rough primes up to the largest y of any
+    point, so that it serves every point whose y is at least the last
+    folded prime.  Both are built at the first psi_exact call that may
+    use them; a point they do not cover folds on its own, as outside the
+    block.  If the shared build or a walk from it raises MemoryError, the
+    sharing ends there and that point and the rest are counted on their
+    own, so a grid's counts and errors are those of its points counted
+    one by one.  Nothing outlives the block.
+    """
+
+    def __init__(self, points, pt: PrimeTable):
+        self.pt = pt
+        self.x = self.y = self.y_top = 0
+        for x, y in points:
+            x, y = int(x), int(y)
+            if not 2 <= y < x:
+                continue
+            try:
+                _check_envelope(x, y, pt)
+            except SmoothnumError:
+                continue
+            self.x, self.y = max((self.x, self.y), (x, y))
+            self.y_top = max(self.y_top, y)
+        self.fold = None
+
+    def __enter__(self):
+        self._token = _SHARED.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _SHARED.reset(self._token)
+        self.stop()
+        return False
+
+    def stop(self) -> None:
+        """End the sharing: no point is covered from here on."""
+        self.x = 0
+        self.fold = None
+
+    def count(self, x: int, top: int):
+        """psi_exact's count at (x, primes[:top]) from the shared fold, or
+        None where it does not cover the point."""
+        if x > self.x:
+            return None
+        try:
+            if self.fold is None:
+                primes = self.pt.primes
+                top_y = int(np.searchsorted(primes, self.y, side="right"))
+                top_rough = int(np.searchsorted(primes, self.y_top, side="right"))
+                fold = _Fold(primes[:top_rough], top_y, self.x)
+                fold.leaf_table()
+                self.fold = fold
+            if not self.fold.covers(x, top):
+                return None
+            return self.fold.count(x, top)
+        except MemoryError:
+            self.stop()
+            return None
+
+
+def _check_envelope(x: int, y: int, pt: PrimeTable) -> None:
+    """psi_exact's refusals of a point that needs a fold, 2 <= y < x."""
     # The fold list is int64, so no setting admits x >= 2^63.
     max_x = min(env_limit("SMOOTHNUM_MAX_PSI_X"), 2**63 - 1)
     max_y = env_limit("SMOOTHNUM_MAX_PSI_Y")
@@ -330,15 +446,33 @@ def psi_exact(x: int, y: int, pt: PrimeTable) -> int:
     if y > pt.limit:
         raise RangeError(f"prime table only covers [2, {pt.limit}], need y = {y}")
 
+
+def psi_exact(x: int, y: int, pt: PrimeTable) -> int:
+    """Number of y-smooth integers in [1, x], exact.
+
+    One point is a _Fold of the primes <= y at x and a walk from it;
+    inside a SharedFold block a point the block's fold covers is walked
+    from that fold instead."""
+    x = int(x)
+    y = int(y)
+    if x < 1:
+        return 0
+    if y >= x:
+        return x
+    if y < 2:
+        return 1
+    _check_envelope(x, y, pt)
     top = int(np.searchsorted(pt.primes, y, side="right"))
-    primes = pt.primes[:top]
+    shared = _SHARED.get()
+    if shared is not None:
+        count = shared.count(x, top)
+        if count is not None:
+            return count
     phase = "fold"
     try:
-        smooth, first_rough = _fold_list(primes, x)
-        if first_rough == top:
-            return int(smooth.size)
+        fold = _Fold(pt.primes[:top], top, x)
         phase = "tree"
-        return _walk_rough_tree(smooth, primes[first_rough:].astype(np.int64), x)
+        return fold.count(x, top)
     except MemoryError as exc:
         raise ResourceError(
             f"psi_exact({x}, {y}) ran out of memory in the {phase} phase"

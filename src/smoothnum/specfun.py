@@ -60,17 +60,30 @@ def xi(u):
     array maps entry by entry over it, so each entry equals xi at that
     float and never depends on its neighbours.  A non-finite u or
     u < 1 - 1e-12 is a DomainError; a u whose root leaves exp's float
-    range (above about 2.5e305), or an int past float range, is a
-    RangeError.
+    range (above about 2.5e305), or a positive int past float range, is
+    a RangeError.
     """
     try:
         arr = np.asarray(u, dtype=np.float64)
-    except OverflowError:  # an int past float range
-        raise RangeError("xi(u): u overflows a float") from None
+    except OverflowError:  # an int past float range: entries converted one by one
+        arr = np.asarray(u, dtype=object)
+    entry = _xi_scalar if arr.dtype == np.float64 else _xi_entry
     if arr.ndim == 0:
-        return _xi_scalar(float(arr))
-    out = np.array([_xi_scalar(v) for v in arr.ravel().tolist()], dtype=np.float64)
+        return entry(arr.item())
+    out = np.array([entry(v) for v in arr.ravel().tolist()], dtype=np.float64)
     return out.reshape(arr.shape)
+
+
+def _xi_entry(v) -> float:
+    """xi at an entry of an array that holds an int past float range; the
+    sign of such an int is read before it is converted."""
+    try:
+        v = float(v)
+    except OverflowError:
+        if v < 0:
+            raise DomainError("xi(u) requires a finite u >= 1") from None
+        raise RangeError("xi(u): u overflows a float") from None
+    return _xi_scalar(v)
 
 
 def _xi_scalar(v: float) -> float:

@@ -213,6 +213,15 @@ def test_resource_error_exit_and_message(capsys):
     err = capsys.readouterr().err
     assert err.startswith("smoothnum: ResourceError:")
     assert err.count("\n") == 1
+    # A grid that fails at its third point, after two counted from one
+    # shared fold, prints no rows and the failing point's error alone.
+    rc = main(["verify-theorem1", "--y-min", "500", "--y-max", "2000",
+               "--n-points", "3", "--beta0", "0.7"])
+    assert rc == 4
+    assert capsys.readouterr() == ("", (
+        "smoothnum: ResourceError: psi_exact envelope is x <= 1e+12, y <= 100000;"
+        " got (5121280483256, 2000)\n"
+    ))
 
 
 def test_domain_error_exit(capsys):

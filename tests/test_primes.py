@@ -305,6 +305,24 @@ def test_log_g2_past_float_range_in_im_s_is_range_error(pt100k, s):
     assert math.isfinite(abs(primes.log_g2(pt100k, complex(0.5, 1e300), 100.0)))
 
 
+@pytest.mark.parametrize("s", [complex(0.5, 1e308), complex(0.5, -1e308), complex(2.0, math.inf)])
+def test_power_sum_and_partial_zeta_past_float_range_are_range_errors(pt100k, s):
+    # -k s log p leaves float range, where numpy would warn of an overflow
+    # or an invalid value.
+    for call in (primes.prime_power_sum, primes.partial_zeta):
+        with pytest.raises(RangeError, match="leaves float range"):
+            call(pt100k, s, 100.0)
+        assert math.isfinite(abs(call(pt100k, complex(0.5, 1e300), 100.0)))
+    with pytest.raises(RangeError, match="leaves float range"):
+        primes.prime_power_sum(pt100k, -1e308, 100.0)
+
+
+@pytest.mark.parametrize("s", [1100.0, 1e308, math.inf, complex(2000.0, 1e308)])
+def test_power_sum_and_partial_zeta_past_underflow_are_zero(pt100k, s):
+    assert primes.prime_power_sum(pt100k, s, 100.0) == 0
+    assert primes.partial_zeta(pt100k, s, 100.0) == 0
+
+
 def test_nan_y_is_domain_error(pt100k):
     for call in (primes.partial_zeta, primes.prime_power_sum, primes.log_g2):
         with pytest.raises(DomainError):

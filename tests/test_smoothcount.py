@@ -393,6 +393,97 @@ def test_psi_exact_frozen_grid_counts(pt100k):
         assert smoothcount.psi_exact(x, y, pt100k) == count
 
 
+# A grid of every kind of point a SharedFold meets.  The largest point,
+# (10^8, 1000), folds up to 23; its table has the rough primes up to 3000
+# and V = 884.
+_MIXED_GRID = [
+    (10**8, 1000),
+    (3 * 10**7, 3000),  # rough primes past the largest point's y
+    (5 * 10**6, 500),
+    (500, 300),  # x below V
+    (10**6, 13),  # y below the last folded prime: folds on its own
+    (50, 100), (0, 10), (1000, 1),  # x <= y, x < 1, y < 2
+    (2 * 10**12, 100), (10**6, 2 * 10**5),  # past the envelope
+]
+
+
+def _psi_or_error(x, y, pt):
+    try:
+        return smoothcount.psi_exact(x, y, pt)
+    except ResourceError as exc:
+        return str(exc)
+
+
+def _recording_fold_list(monkeypatch):
+    calls = []
+    fold_list = smoothcount._fold_list
+
+    def recorded(primes, x):
+        calls.append(x)
+        return fold_list(primes, x)
+
+    monkeypatch.setattr(smoothcount, "_fold_list", recorded)
+    return calls
+
+
+def test_shared_fold_counts_match_psi_exact_alone(pt100k, monkeypatch):
+    want = [_psi_or_error(x, y, pt100k) for x, y in _MIXED_GRID]
+    assert want[-2:] == [
+        "psi_exact envelope is x <= 1e+12, y <= 100000; got (2000000000000, 100)",
+        "psi_exact envelope is x <= 1e+12, y <= 100000; got (1000000, 200000)",
+    ]
+    calls = _recording_fold_list(monkeypatch)
+    with smoothcount.SharedFold(_MIXED_GRID, pt100k) as shared:
+        assert shared.fold is None  # built at the first point that may use it
+        got = [_psi_or_error(x, y, pt100k) for x, y in _MIXED_GRID]
+        fold = shared.fold
+        assert (fold.x, int(fold.rough[0]), int(fold.rough[-1])) == (10**8, 29, 2999)
+        assert fold.table.shape[1] - 1 == 884
+        assert not fold.covers(10**6, int(np.searchsorted(pt100k.primes, 13, side="right")))
+    assert got == want
+    assert calls == [10**8, 10**6]
+    assert shared.fold is None and smoothcount._SHARED.get() is None
+    # Outside the block every point folds on its own again.
+    smoothcount.psi_exact(5 * 10**6, 500, pt100k)
+    assert calls[-1] == 5 * 10**6
+
+
+def test_shared_fold_out_of_memory_counts_alone(pt100k, monkeypatch):
+    want = [_psi_or_error(x, y, pt100k) for x, y in _MIXED_GRID]
+    build = smoothcount._leaf_table
+
+    def shared_build_fails(smooth, rough, x, max_bytes):
+        if x == 10**8 and rough[-1] == 2999:
+            raise MemoryError
+        return build(smooth, rough, x, max_bytes)
+
+    monkeypatch.setattr(smoothcount, "_leaf_table", shared_build_fails)
+    calls = _recording_fold_list(monkeypatch)
+    with smoothcount.SharedFold(_MIXED_GRID, pt100k) as shared:
+        got = [_psi_or_error(x, y, pt100k) for x, y in _MIXED_GRID]
+        assert shared.fold is None
+    assert got == want
+    # The failed shared build, then each point with a fold on its own.
+    assert calls == [10**8, 10**8, 3 * 10**7, 5 * 10**6, 500, 10**6]
+
+
+def test_grid_command_folds_its_largest_point_once(monkeypatch, capsys, pt100k):
+    argv = ["bias-scan", "--beta0", "0.75", "--y-min", "1000", "--y-max", "2000",
+            "--n-points", "3"]
+    largest = int(math.exp(bias.x_of_y(2000.0, 0.75)))
+    calls = _recording_fold_list(monkeypatch)
+    assert cli.main(argv) == 0
+    assert calls == [largest]
+    rows = capsys.readouterr().out.splitlines()[1:]
+    counts = [int(float(row.split(",")[4])) for row in rows]
+    points = [(float(row.split(",")[0]), float(row.split(",")[1])) for row in rows]
+    # A second command pays for its own fold: nothing outlives cli.main.
+    assert cli.main(argv) == 0
+    assert calls == [largest, largest]
+    assert smoothcount._SHARED.get() is None
+    assert counts == [smoothcount.psi_exact(x, y, pt100k) for x, y in points]
+
+
 def test_psi_exact_frozen_count_at_large_x(pt100k):
     # 10^11 with y = 10^4: a fold list of millions and a rough tree of
     # about 0.9M nodes whose 150M leaves are charged column by column.

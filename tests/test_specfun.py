@@ -156,6 +156,13 @@ def test_xi_past_exp_range_is_range_error():
     for v in (2.6e305, sys.float_info.max, 10**400, [3, 10**400]):
         with pytest.raises(RangeError, match="overflows"):
             specfun.xi(v)
+    # Below 1 it is out of the domain, however large its magnitude; an
+    # array's entries are taken in order.
+    for v in (-10**400, [3, -10**400], [0.5, 10**400], [-10**400, 10**400]):
+        with pytest.raises(DomainError):
+            specfun.xi(v)
+    with pytest.raises(RangeError, match="overflows"):
+        specfun.xi([10**400, -10**400])
 
 
 # ----------------------------------------------------------------------
