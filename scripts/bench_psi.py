@@ -28,11 +28,12 @@ sections are:
   end to end through cli.main in a child of its own (the grid section
   above times each point alone, so only these show what one command
   shares between its points); the sha256 of each CSV shows whether two
-  revisions print the same bytes.
+  revisions print the same bytes.  Each leaf table the command builds
+  is recorded in order, with its rows, its V and its build time.
 
 --tiny keeps two cheap grid points and drops the other sections.
 
-    python scripts/bench_psi.py --rev dd25c9f --rev . --out BENCH_psi.json
+    python scripts/bench_psi.py --rev 415a26b --rev . --out BENCH_psi.json
 """
 
 import math
@@ -127,6 +128,10 @@ def _child(job: list) -> dict:
         out.update(
             wall_s=time.perf_counter() - start, exit_code=code,
             csv_sha256=hashlib.sha256(buf.getvalue().encode()).hexdigest(),
+            tables=[
+                {"rows": rows, "V": width - 1, "build_s": build_s}
+                for (rows, width), build_s in tables
+            ],
         )
     else:
         pt = primes.sieve(max(y for _, y in spec))
@@ -173,7 +178,9 @@ def _line(run) -> str:
         line += f" {big['peak_rss_mb']:.0f} MB"
     for name in END_TO_END:
         if name in run:
-            line += f"; {name} {run[name]['wall_s']:.2f} s"
+            tables = run[name].get("tables", [])
+            line += f"; {name} {run[name]['wall_s']:.2f} s, {len(tables)} tables"
+            line += f" {sum(t['build_s'] for t in tables) * 1e3:.1f} ms"
     return line
 
 

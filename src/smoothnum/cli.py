@@ -194,7 +194,10 @@ def _grid_rows(args, beta0_list) -> list[dict]:
     zeros = _load_zeros(args)
     big_t = _cutoff(args, zeros)
     ys = _log_grid(args.y_min, args.y_max, args.n_points)
-    pt = primes.sieve(max(4, math.ceil(args.y_max))) if ys else primes.sieve(4)
+    # psi_exact refuses a y past its envelope before it reads the table,
+    # and admits every y < SMOOTHNUM_MAX_PSI_Y + 1, so the sieve stops there.
+    y_top = min(args.y_max, env_limit("SMOOTHNUM_MAX_PSI_Y") + 1)
+    pt = primes.sieve(max(4, math.ceil(y_top))) if ys else primes.sieve(4)
     rows = []
     with smoothcount.SharedFold(_grid_xy(ys, beta0_list), pt):
         for beta0 in beta0_list:

@@ -24,7 +24,10 @@ F[-1, v] = #{listed s <= v}, F[c, v] = F[c - 1, v] + F[c, v // rough[c]]
 That table, the small-argument table of the Meissel-Lehmer phi(x, a)
 computation (Lagarias, Miller and Odlyzko, 1985; Deleglise and Rivat,
 1996), is built once per call, one row per rough prime below V, each
-row in log_r V slice steps.  F[c, v] counts distinct n <= v, as listed
+row in log_r V slice steps: on the slice [r^k, r^(k+1)) the quotient
+v // r is constant on aligned runs of r entries, so a slice is one
+broadcast add of the slice before it and one scalar add for its ragged
+tail.  F[c, v] counts distinct n <= v, as listed
 part times rough part, so F <= v and the table is uint16 with
 V <= 2^16 - 1.  V is the largest value <= x + 1 whose table fits in
 _LEAF_TABLE_SHARE of the fold list's bytes, found by bisection: a
@@ -45,18 +48,24 @@ their parent batch, so the walk holds about depth * _NODE_CHUNK nodes on
 top of the list and the table.  Any split between the phases gives the
 same exact count.
 
-A grid command counts many points, and the list and table of its
-largest point, at X, hold what the others need: the list of numbers
-<= X built from primes[:i], cut at x <= X, is the list for x, and
-F[c, v] depends only on rough[:c + 1] and on the list's counts below V.  So inside a
+A grid command counts many points, and the list of its largest point,
+at X, holds what the others need: the list of numbers <= X built from
+primes[:i], cut at x <= X, is the list for x, and a leaf table built on
+it serves every walk whose rough primes it has, since F[c, v] depends
+only on rough[:c + 1] and on the list's counts below V.  So inside a
 SharedFold block (cli's grid commands enter one around their points)
 psi_exact counts every point with x <= X whose y is at least the last
-folded prime from one fold list, that of the largest point, and one
-leaf table, whose rows run up to the largest y of any point; each such
-point is only a walk.  The block builds them at the first point that
-may use them and drops them when it ends; a MemoryError in that build
-or in a walk from it ends the sharing, and the points from there on
-fold on their own, as a single call does.
+folded prime from one fold list, that of the largest point; each such
+point is only a walk.  A point whose rough primes are all the largest
+point's reads that point's own table, A, the one psi_exact builds for
+it alone; any other reads table B, whose rows run up to the largest y
+of any point, and so a V no larger (B is A when A's V is at most its
+own last rough prime).  The block holds one table at a time and drops it
+before it builds the other; a grid with one beta0 builds only A.  The
+block builds the list at the first point that may use it, each table
+at the first walk that reads it, and drops them when it ends; a
+MemoryError in a build or in a walk ends the sharing, and the points
+from there on fold on their own, as a single call does.
 
 alpha_values tabulates the coefficients alpha_y(n) of
 exp(sum_{p^k <= y} p^(-ks)/k), the multiplicative weights that agree
@@ -211,15 +220,18 @@ def _leaf_table(smooth: np.ndarray, rough: np.ndarray, x: int, max_bytes: int) -
         else:
             top = mid - 1
     size = max(1, fits)
-    v = np.arange(size)
     table = np.zeros((rows(size), size + 1), dtype=np.uint16)
-    prev = np.searchsorted(smooth, v, side="right")
+    prev = np.searchsorted(smooth, np.arange(size), side="right")
     for row, r in zip(table, rough.tolist()):
         row[:size] = prev
         lo = r
         while lo < size:
+            # v // r is constant on the aligned runs [m r, (m + 1) r).
             hi = min(lo * r, size)
-            row[lo:hi] += row[v[lo:hi] // r]
+            cut = hi - hi % r
+            runs = row[lo:cut].reshape(-1, r)
+            runs += row[lo // r : cut // r, None]
+            row[cut:hi] += row[cut // r]
             lo = hi
         prev = row[:size]
     return table
@@ -329,26 +341,42 @@ def _walk_rough_tree(smooth: np.ndarray, rough: np.ndarray, x: int, table=None) 
 
 class _Fold:
     """The list of numbers <= x folded from primes[:top], the rough primes
-    it leaves, primes[first:], and, once a walk needs it, their leaf table.
+    it leaves, primes[first:], and, once a walk needs one, a leaf table.
 
     Folding and the leaf table are exact whatever the split between the
     phases, so one _Fold counts every (x', y') with x' <= x whose y' is
     at least the last folded prime and at most the last rough prime: the
     walk at x' reads smooth[:#{listed <= x'}] and rough[:top' - first].
     F[c, v] depends only on rough[:c + 1] and on the list's counts below
-    V <= x + 1, so the table serves every such walk.
+    V <= x + 1, so a table serves every walk whose rough primes it has.
+    Two tables may serve a walk: A, on the rough primes of primes[:top]
+    alone, the table of the point (x, primes[top - 1]) itself, and B, on
+    every rough prime, whose rows may run further and so leave it a V
+    no larger.  A walk whose rough primes A has reads A, any other B; only
+    one is held at a time, and it is dropped before the other is built.
     """
 
     def __init__(self, primes: np.ndarray, top: int, x: int):
         self.x = x
+        self.top = top
         self.smooth, self.first = _fold_list(primes[:top], x)
         self.rough = primes[self.first :].astype(np.int64)
         self.table = None
+        self.table_top = 0
 
-    def leaf_table(self):
-        if self.table is None and self.rough.size:
+    def leaf_table(self, top: int) -> np.ndarray:
+        """The table for a walk on rough[:top - first]: A or B.
+
+        If A has no row for some of its own rough primes, those are >= its
+        V, and so are the primes that B adds: B's rows and V are A's, and
+        A is kept for the walks that B would serve."""
+        want = self.top if top <= self.top else self.first + self.rough.size
+        held = self.table_top
+        if held != want and not (0 < held < want and len(self.table) < held - self.first):
+            self.table = None
             share = int(_LEAF_TABLE_SHARE * self.smooth.nbytes)
-            self.table = _leaf_table(self.smooth, self.rough, self.x, share)
+            self.table = _leaf_table(self.smooth, self.rough[: want - self.first], self.x, share)
+            self.table_top = want
         return self.table
 
     def covers(self, x: int, top: int) -> bool:
@@ -360,7 +388,7 @@ class _Fold:
         if top == self.first:
             return listed
         rough = self.rough[: top - self.first]
-        return _walk_rough_tree(self.smooth[:listed], rough, x, self.leaf_table())
+        return _walk_rough_tree(self.smooth[:listed], rough, x, self.leaf_table(top))
 
 
 # The SharedFold of the command being run, if any.
@@ -369,19 +397,22 @@ _SHARED = contextvars.ContextVar("smoothnum_shared_fold", default=None)
 
 class SharedFold:
     """Within a with block, psi_exact counts the points of a grid from one
-    fold list and one leaf table.
+    fold list and at most one leaf table at a time.
 
     points are the (x, y) that psi_exact will be called with; those it
     would refuse, or count without a fold, are passed over.  The list is
     that of the largest point (x, then y), folded from the primes up to
-    its y; the table takes the rough primes up to the largest y of any
-    point, so that it serves every point whose y is at least the last
-    folded prime.  Both are built at the first psi_exact call that may
-    use them; a point they do not cover folds on its own, as outside the
-    block.  If the shared build or a walk from it raises MemoryError, the
-    sharing ends there and that point and the rest are counted on their
-    own, so a grid's counts and errors are those of its points counted
-    one by one.  Nothing outlives the block.
+    its y, and its rough primes run up to the largest y of any point, so
+    that it serves every point whose y is at least the last folded prime.
+    A point whose rough primes are all the largest point's walks from
+    table A, the one psi_exact builds for the largest point alone; any
+    other from table B, on every rough prime (see _Fold).  The fold is
+    built at the first psi_exact call that may use it, each table at the
+    first walk that reads it; a point the fold does not cover folds on
+    its own, as outside the block.  If a build or a walk raises
+    MemoryError, the sharing ends there and that point and the rest are
+    counted on their own, so a grid's counts and errors are those of its
+    points counted one by one.  Nothing outlives the block.
     """
 
     def __init__(self, points, pt: PrimeTable):
@@ -423,9 +454,7 @@ class SharedFold:
                 primes = self.pt.primes
                 top_y = int(np.searchsorted(primes, self.y, side="right"))
                 top_rough = int(np.searchsorted(primes, self.y_top, side="right"))
-                fold = _Fold(primes[:top_rough], top_y, self.x)
-                fold.leaf_table()
-                self.fold = fold
+                self.fold = _Fold(primes[:top_rough], top_y, self.x)
             if not self.fold.covers(x, top):
                 return None
             return self.fold.count(x, top)

@@ -348,6 +348,41 @@ def test_verify_theorem1_infeasible_point(tmp_path, capsys):
     assert float(rows[0][1]) == 500.0
 
 
+@pytest.mark.parametrize("y_max", ["1e9", "1e20"])
+def test_grid_sieves_no_further_than_the_psi_envelope(tmp_path, capsys, monkeypatch, y_max):
+    # A grid past the exact-count envelope sieves only up to it, so a y_max
+    # past the sieve's own limit still prints its feasible rows.
+    limits = []
+    sieve = primes.sieve
+
+    def recorded(limit):
+        limits.append(limit)
+        return sieve(limit)
+
+    monkeypatch.setattr(primes, "sieve", recorded)
+    args = ["bias-scan", "--beta0", "0.75", "--y-min", "500", "--y-max", y_max,
+            "--n-points", "2"]
+    out = tmp_path / "scan.csv"
+    assert main(args + ["--skip-infeasible", "--out", str(out)]) == 0
+    assert limits == [10**5 + 1]
+    [row] = _cells(out)
+    assert float(row[1]) == 500.0 and float(row[4]) == 563697
+    # Without --skip-infeasible the point past the envelope is refused by
+    # psi_exact, or before it when x(y) overflows a float.
+    assert main(args) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("smoothnum: ResourceError: ")
+    assert "sieve limit" not in err
+    # Points past the envelope in y raise psi_exact's own refusal.
+    argv = ["verify-theorem1", "--beta0", "0.99", "--y-min", "2e5", "--y-max", "2e5",
+            "--n-points", "1"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == (
+        "smoothnum: ResourceError: psi_exact envelope is x <= 1e+12, y <= 100000; "
+        "got (434638, 200000)\n"
+    )
+
+
 def test_bias_scan_byte_identical_and_exact(tmp_path, zeros10k):
     args = ["bias-scan", "--beta0", "0.75", "--y-min", "1000", "--y-max", "2000",
             "--n-points", "2", "--zeros", ZEROS, "--T", "1000"]

@@ -203,6 +203,29 @@ def test_leaf_table_matches_rough_part_counts(gpf100k):
     assert not small[:, width - 1].any()
 
 
+@pytest.mark.parametrize("p0", [2, 3, 5])
+def test_leaf_table_fill_at_slice_edges(gpf100k, p0):
+    # Row c is filled slice by slice, [r^k, r^(k+1)) with r = rough[c], in
+    # aligned runs of r entries and a ragged tail.  V = x + 1 sits at
+    # p0^k - 1, p0^k and p0^k + 1, so the first row's last slice is cut
+    # one short, ends on a power or takes one entry past it; the rows of
+    # the other primes end in ragged tails of every length.
+    rough = np.array([p for p in range(p0, 200) if gpf100k[p] == p], dtype=np.int64)
+    checked = 0
+    for k in range(1, 14):
+        for size in (p0**k - 1, p0**k, p0**k + 1):
+            if not 1 <= size <= 8200:
+                continue
+            x = size - 1
+            smooth = oracles.smooth_values(x, p0 - 1, gpf100k)
+            table = smoothcount._leaf_table(smooth, rough, x, 1 << 24)
+            assert table.shape[1] == size + 1
+            assert np.array_equal(table[:, :size], _rough_part_counts(rough, size, gpf100k))
+            assert not table[:, size].any()
+            checked += 1
+    assert checked >= 12
+
+
 @pytest.mark.parametrize("x", [11, 60, 100, 120])
 def test_rough_tree_below_p0_squared_is_one_lookup_row(gpf100k, x):
     # x < p0^2 = 121, so V = x + 1 and the root's children are all leaves.
@@ -394,8 +417,9 @@ def test_psi_exact_frozen_grid_counts(pt100k):
 
 
 # A grid of every kind of point a SharedFold meets.  The largest point,
-# (10^8, 1000), folds up to 23; its table has the rough primes up to 3000
-# and V = 884.
+# (10^8, 1000), folds up to 23; its own table, V = 884, has no row for
+# its rough primes from 887 on, so it is also the table of the rough
+# primes up to 3000, and the block builds it alone.
 _MIXED_GRID = [
     (10**8, 1000),
     (3 * 10**7, 3000),  # rough primes past the largest point's y
@@ -404,6 +428,19 @@ _MIXED_GRID = [
     (10**6, 13),  # y below the last folded prime: folds on its own
     (50, 100), (0, 10), (1000, 1),  # x <= y, x < 1, y < 2
     (2 * 10**12, 100), (10**6, 2 * 10**5),  # past the envelope
+]
+
+# A grid that reads both tables, in turn: A, the largest point's own,
+# with a row for each of its rough primes 29..97 and V = 7970, and B,
+# on the rough primes up to 3000, V = 884.
+_TWO_TABLE_GRID = [
+    (10**8, 100),  # A
+    (3 * 10**7, 3000),  # B
+    (2 * 10**7, 60),  # A
+    (5 * 10**6, 500),  # B
+    (500, 300),  # B, x below V
+    (10**6, 13),  # folds on its own
+    (50, 100), (2 * 10**12, 100),
 ]
 
 
@@ -426,6 +463,35 @@ def _recording_fold_list(monkeypatch):
     return calls
 
 
+def _recording_leaf_table(monkeypatch, shared=None):
+    """The (largest rough prime, table) of each leaf table built; with a
+    SharedFold, each build asserts that its fold holds no table."""
+    tables = []
+    build = smoothcount._leaf_table
+
+    def recorded(smooth, rough, x, max_bytes):
+        if shared is not None and shared.fold is not None:
+            assert shared.fold.table is None
+        tables.append((int(rough[-1]), build(smooth, rough, x, max_bytes)))
+        return tables[-1][1]
+
+    monkeypatch.setattr(smoothcount, "_leaf_table", recorded)
+    return tables
+
+
+def _recording_walks(monkeypatch):
+    """The (x, largest rough prime, table) of each walk given a table."""
+    walks = []
+    walk = smoothcount._walk_rough_tree
+
+    def recorded(smooth, rough, x, table=None):
+        walks.append((x, int(rough[-1]), table))
+        return walk(smooth, rough, x, table)
+
+    monkeypatch.setattr(smoothcount, "_walk_rough_tree", recorded)
+    return walks
+
+
 def test_shared_fold_counts_match_psi_exact_alone(pt100k, monkeypatch):
     want = [_psi_or_error(x, y, pt100k) for x, y in _MIXED_GRID]
     assert want[-2:] == [
@@ -434,37 +500,74 @@ def test_shared_fold_counts_match_psi_exact_alone(pt100k, monkeypatch):
     ]
     calls = _recording_fold_list(monkeypatch)
     with smoothcount.SharedFold(_MIXED_GRID, pt100k) as shared:
+        tables = _recording_leaf_table(monkeypatch, shared)
         assert shared.fold is None  # built at the first point that may use it
         got = [_psi_or_error(x, y, pt100k) for x, y in _MIXED_GRID]
         fold = shared.fold
         assert (fold.x, int(fold.rough[0]), int(fold.rough[-1])) == (10**8, 29, 2999)
-        assert fold.table.shape[1] - 1 == 884
+        assert fold.table.shape == (144, 885)
         assert not fold.covers(10**6, int(np.searchsorted(pt100k.primes, 13, side="right")))
     assert got == want
     assert calls == [10**8, 10**6]
+    # One table, A; B would be the same table.
+    assert [top for top, _ in tables] == [997]
+    share = int(smoothcount._LEAF_TABLE_SHARE * fold.smooth.nbytes)
+    every = smoothcount._leaf_table(fold.smooth, fold.rough, 10**8, share)
+    assert np.array_equal(every, tables[0][1])
     assert shared.fold is None and smoothcount._SHARED.get() is None
     # Outside the block every point folds on its own again.
     smoothcount.psi_exact(5 * 10**6, 500, pt100k)
     assert calls[-1] == 5 * 10**6
 
 
-def test_shared_fold_out_of_memory_counts_alone(pt100k, monkeypatch):
-    want = [_psi_or_error(x, y, pt100k) for x, y in _MIXED_GRID]
+def test_shared_fold_reads_the_largest_points_own_table(pt100k, monkeypatch):
+    # A point whose rough primes are all the largest point's reads table A,
+    # any other table B; the block drops the table it holds before it
+    # builds the other, so a grid that alternates builds each in turn.
+    want = [_psi_or_error(x, y, pt100k) for x, y in _TWO_TABLE_GRID]
+    walks = _recording_walks(monkeypatch)
+    with smoothcount.SharedFold(_TWO_TABLE_GRID, pt100k) as shared:
+        tables = _recording_leaf_table(monkeypatch, shared)
+        got = [_psi_or_error(x, y, pt100k) for x, y in _TWO_TABLE_GRID]
+    assert got == want
+    # (10^6, 13) folds every prime of its own and builds no table.
+    assert [top for top, _ in tables] == [97, 2999, 97, 2999]
+    assert [t.shape for _, t in tables[:2]] == [(16, 7971), (144, 885)]
+    read = {(x, top): table for x, top, table in walks}
+    assert read[10**8, 97] is tables[0][1] and read[3 * 10**7, 2999] is tables[1][1]
+    assert read[2 * 10**7, 59] is tables[2][1] and read[500, 293] is tables[3][1]
+    # Table A is the one psi_exact builds for the largest point alone.
+    alone = _recording_leaf_table(monkeypatch)
+    assert smoothcount.psi_exact(10**8, 100, pt100k) == want[0]
+    [(_, table)] = alone
+    assert np.array_equal(read[10**8, 97], table)
+
+
+@pytest.mark.parametrize("table", ["A", "B"])
+def test_shared_fold_out_of_memory_counts_alone(pt100k, monkeypatch, table):
+    # A MemoryError in the first build of table A, or of table B, ends the
+    # sharing: that point and the rest fold on their own.
+    want = [_psi_or_error(x, y, pt100k) for x, y in _TWO_TABLE_GRID]
     build = smoothcount._leaf_table
+    failing = {"A": 97, "B": 2999}[table]
+    failed = []
 
     def shared_build_fails(smooth, rough, x, max_bytes):
-        if x == 10**8 and rough[-1] == 2999:
+        if not failed and x == 10**8 and rough[-1] == failing:
+            failed.append(x)
             raise MemoryError
         return build(smooth, rough, x, max_bytes)
 
     monkeypatch.setattr(smoothcount, "_leaf_table", shared_build_fails)
     calls = _recording_fold_list(monkeypatch)
-    with smoothcount.SharedFold(_MIXED_GRID, pt100k) as shared:
-        got = [_psi_or_error(x, y, pt100k) for x, y in _MIXED_GRID]
+    with smoothcount.SharedFold(_TWO_TABLE_GRID, pt100k) as shared:
+        got = [_psi_or_error(x, y, pt100k) for x, y in _TWO_TABLE_GRID]
         assert shared.fold is None
-    assert got == want
-    # The failed shared build, then each point with a fold on its own.
-    assert calls == [10**8, 10**8, 3 * 10**7, 5 * 10**6, 500, 10**6]
+    assert failed and got == want
+    # The shared fold, then each point from the failed one on with a fold
+    # of its own.
+    alone = [3 * 10**7, 2 * 10**7, 5 * 10**6, 500, 10**6]
+    assert calls == {"A": [10**8, 10**8] + alone, "B": [10**8] + alone}[table]
 
 
 def test_grid_command_folds_its_largest_point_once(monkeypatch, capsys, pt100k):
@@ -472,8 +575,11 @@ def test_grid_command_folds_its_largest_point_once(monkeypatch, capsys, pt100k):
             "--n-points", "3"]
     largest = int(math.exp(bias.x_of_y(2000.0, 0.75)))
     calls = _recording_fold_list(monkeypatch)
+    tables = _recording_leaf_table(monkeypatch)
     assert cli.main(argv) == 0
     assert calls == [largest]
+    # One beta0: the largest point has the largest y, so only table A.
+    assert [top for top, _ in tables] == [1999]
     rows = capsys.readouterr().out.splitlines()[1:]
     counts = [int(float(row.split(",")[4])) for row in rows]
     points = [(float(row.split(",")[0]), float(row.split(",")[1])) for row in rows]
@@ -482,6 +588,30 @@ def test_grid_command_folds_its_largest_point_once(monkeypatch, capsys, pt100k):
     assert calls == [largest, largest]
     assert smoothcount._SHARED.get() is None
     assert counts == [smoothcount.psi_exact(x, y, pt100k) for x, y in points]
+
+
+def test_readme_grid_builds_two_leaf_tables(monkeypatch, capsys, pt100k):
+    # The README verify-theorem1 grid: the beta0 = 0.7 points, the largest
+    # (1.29e11, 1341) among them, read table A, then the beta0 = 0.8
+    # points up to y = 1341 still read A and those past it B.
+    argv = ["verify-theorem1", "--y-min", "500", "--y-max", "5000", "--n-points", "8",
+            "--beta0", "0.7,0.8", "--skip-infeasible"]
+    tables = _recording_leaf_table(monkeypatch)
+    walks = _recording_walks(monkeypatch)
+    assert cli.main(argv) == 0
+    csv_bytes = capsys.readouterr().out
+    assert [top for top, _ in tables] == [1327, 4999]
+    x, top, table = max(walks, key=lambda walk: walk[0])
+    assert (x, top) == (128972325503, 1327) and table is tables[0][1]
+    tables.clear()
+    assert smoothcount.psi_exact(x, 1341, pt100k) == 2336757732
+    [(_, alone)] = tables
+    assert np.array_equal(table, alone)
+    # The other order of beta0 reads A, B and A again, to the same bytes.
+    tables.clear()
+    assert cli.main(argv[:-2] + ["0.8,0.7", "--skip-infeasible"]) == 0
+    assert capsys.readouterr().out == csv_bytes
+    assert [top for top, _ in tables] == [1327, 4999, 1327]
 
 
 def test_psi_exact_frozen_count_at_large_x(pt100k):
