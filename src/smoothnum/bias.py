@@ -115,10 +115,13 @@ def compute_point(
     table: RhoTable,
     zeros: ZeroList | None = None,
     big_t: float | None = None,
+    psi: int | None = None,
 ) -> BiasPoint:
     """Exact count, de Bruijn value, correction factor and deviation at
     one grid point; the exact-count envelope bounds how far up the curve
     this can go (ResourceError beyond it, as when x overflows a float).
+    psi is the point's exact count if the caller has it (psi_many's), and
+    psi_exact's otherwise.
     The model is NaN without zeros and a cutoff.  The deviation's scale
     y^(beta0 - 1/2) log y and the model are derived for beta0 > 1/2, so
     both are NaN for beta0 <= 1/2."""
@@ -128,7 +131,8 @@ def compute_point(
     except OverflowError:
         raise ResourceError(f"x(y) = exp({log_x:g}) overflows a float") from None
     sd = saddle(x, y, table)
-    psi = psi_exact(x, y, pt)
+    if psi is None:
+        psi = psi_exact(x, y, pt)
     lam = lambda_xy(x, y, table)
     g = gfactor.g_direct(sd.beta, y, pt).real
     deviation = model = math.nan

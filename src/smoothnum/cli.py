@@ -198,31 +198,30 @@ def _grid_rows(args, beta0_list) -> list[dict]:
     # and admits every y < SMOOTHNUM_MAX_PSI_Y + 1, so the sieve stops there.
     y_top = min(args.y_max, env_limit("SMOOTHNUM_MAX_PSI_Y") + 1)
     pt = primes.sieve(max(4, math.ceil(y_top))) if ys else primes.sieve(4)
+    grid = [(beta0, y) for beta0 in beta0_list for y in ys]
+    counts = smoothcount.psi_many([_grid_xy(y, beta0) for beta0, y in grid], pt)
     rows = []
-    with smoothcount.SharedFold(_grid_xy(ys, beta0_list), pt):
-        for beta0 in beta0_list:
-            for y in ys:
-                try:
-                    point = bias.compute_point(
-                        y, beta0, pt, table, zeros=zeros, big_t=big_t
-                    )
-                except ResourceError:
-                    if args.skip_infeasible:
-                        continue
-                    raise
-                rows.append(_point_row(point))
+    for (beta0, y), psi in zip(grid, counts):
+        try:
+            point = bias.compute_point(
+                y, beta0, pt, table, zeros=zeros, big_t=big_t, psi=psi
+            )
+        except ResourceError:
+            if args.skip_infeasible:
+                continue
+            raise
+        rows.append(_point_row(point))
     return rows
 
 
-def _grid_xy(ys, beta0_list):
-    """(x, y) of each grid point as compute_point hands them to psi_exact,
-    where x(y) is a float; the others raise in compute_point."""
-    for beta0 in beta0_list:
-        for y in ys:
-            try:
-                yield math.exp(bias.x_of_y(y, beta0)), y
-            except (SmoothnumError, OverflowError):
-                pass
+def _grid_xy(y, beta0):
+    """(x, y) of a grid point as compute_point hands it to psi_exact, where
+    x(y) is a float; (0, y), which psi_many passes over, where
+    compute_point raises first."""
+    try:
+        return math.exp(bias.x_of_y(y, beta0)), y
+    except (SmoothnumError, OverflowError):
+        return 0, y
 
 
 def _cmd_verify_theorem1(args) -> int:

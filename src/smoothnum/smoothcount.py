@@ -52,20 +52,18 @@ A grid command counts many points, and the list of its largest point,
 at X, holds what the others need: the list of numbers <= X built from
 primes[:i], cut at x <= X, is the list for x, and a leaf table built on
 it serves every walk whose rough primes it has, since F[c, v] depends
-only on rough[:c + 1] and on the list's counts below V.  So inside a
-SharedFold block (cli's grid commands enter one around their points)
-psi_exact counts every point with x <= X whose y is at least the last
-folded prime from one fold list, that of the largest point; each such
-point is only a walk.  A point whose rough primes are all the largest
-point's reads that point's own table, A, the one psi_exact builds for
-it alone; any other reads table B, whose rows run up to the largest y
-of any point, and so a V no larger (B is A when A's V is at most its
-own last rough prime).  The block holds one table at a time and drops it
-before it builds the other; a grid with one beta0 builds only A.  The
-block builds the list at the first point that may use it, each table
-at the first walk that reads it, and drops them when it ends; a
-MemoryError in a build or in a walk ends the sharing, and the points
-from there on fold on their own, as a single call does.
+only on rough[:c + 1] and on the list's counts below V.  So psi_many
+folds the largest point once and counts from that list every point
+whose y is at least the last folded prime; each such point is only a
+walk.  A point whose rough primes are all the largest point's reads
+that point's own table, A, the one psi_exact builds for it alone; any
+other reads table B, whose rows run up to the largest y of any point,
+and so a V no larger (B is A when A's V is at most its own last rough
+prime).  The readers of A are walked before those of B, so a grid
+builds at most two tables, one at a time; a grid with one beta0 builds
+only A.  Nothing outlives the call.  A MemoryError in a build or in a
+walk ends the sharing, and the points left are not counted: the caller
+hands each of them to psi_exact, as for the points psi_many passes over.
 
 alpha_values tabulates the coefficients alpha_y(n) of
 exp(sum_{p^k <= y} p^(-ks)/k), the multiplicative weights that agree
@@ -74,7 +72,6 @@ with the smooth indicator whenever every prime-power component of n is
 sums that table.
 """
 
-import contextvars
 import math
 
 import numpy as np
@@ -83,6 +80,8 @@ from .errors import DomainError, RangeError, ResourceError, SmoothnumError
 from .limits import env_limit
 from .primes import PrimeTable, _power_tops
 
+# The fold list's length cap: a longer list folds more primes and
+# leaves a smaller rough tree, at the cost of its bytes.
 _SMOOTH_LIST_CAP = 8_000_000
 # Stop folding at the first prime whose fold would add fewer than this
 # fraction of the list's size; a higher stop leaves a smaller list, a
@@ -91,60 +90,13 @@ _FOLD_MIN_GROWTH = 0.45
 # Children made per batch: the walk holds about depth * _NODE_CHUNK nodes.
 # It also caps the (node, c) pairs of one flat step of _charge_leaves.
 _NODE_CHUNK = 1 << 14
-# Leaf columns of at most this many nodes are charged in one flat gather.
-# Measured on a 2-vCPU shared Xeon: a column on the scalar-divisor path
-# costs about 3.5 us of numpy call overhead (a divide, a take and a sum)
-# plus about 3 ns per node (0.9 ns of it the divide), while a (node, c)
-# pair in the gather costs 14-21 ns (its int64 vector/vector divide, the
-# repeat that enumerates it, two gathers and the index arithmetic).  A
-# column breaks even at 3.5 us / (11 to 18 ns), 200-300 nodes.  On the
-# README grid, in one process at chunk 2^13, 256, 512 and 1024 tied; 64
-# was 3% slower, 4096 23%, and charging every column on the scalar path
-# 13%.
+# Leaf columns of at most this many nodes are charged in one flat gather,
+# which costs more per node than a column's division but no call overhead.
 _NARROW_COLUMN_NODES = 256
 # The leaf table's bytes, as a share of the fold list's: a larger table
 # leaves fewer nodes, and sits beside the list and the node batches.
 _LEAF_TABLE_SHARE = 0.5
-# The three were swept together on a 2-vCPU shared Xeon (8 GB): perfbench
-# theorem-grid wall_s and peak_rss_mb, then psi_exact alone at three
-# points, one process per call; 3 runs per setting (6 for 0.45, 1/2,
-# 2^13; 9 for 0.4, 1/4, 2^14 and 0.45, 1/2, 2^14), each sweep alternating
-# with the old tree (an int32 table of V = p0^2, halved until it fit the
-# list's bytes; stop 0.4, chunk 2^16).  The host drifts between sweeps,
-# so a time is the median of each run over the old tree's median in the
-# same sweep; the old tree read 0.31-0.39 s and 61 MB on the grid,
-# 0.67-0.88 s, 2.2-3.0 s and 13-20 s at the points, peaking at 51, 81, 81 MB.
-#   stop  share  chunk   grid          (10^11, 10^4)  (10^12, 10^4)  (10^12, 10^5)  peaks
-#   0.4   1/2    2^14    0.68  64 MB   0.61           0.45           0.27           52, 90, 90 MB
-#                2^15    0.66  65 MB   0.65           0.41           0.25           53, 90, 91 MB
-#                2^16    0.69  67 MB   0.65           0.45           0.27           56, 93, 94 MB
-#         1/4    2^14    0.81  60 MB   0.83           0.58           0.46           49, 81, 81 MB
-#                2^15    0.80  62 MB   0.67           0.47           0.45           50, 81, 82 MB
-#                2^16    0.76  64 MB   0.80           0.52           0.44           53, 84, 84 MB
-#         1/8    2^14    0.89  60 MB   1.23           0.57           0.58           48, 81, 81 MB
-#                2^15    0.81  60 MB   1.11           0.59           0.54           48, 81, 82 MB
-#                2^16    0.88  62 MB   0.91           0.57           0.53           51, 81, 81 MB
-#   0.35  1/4    2^14    1.03  75 MB   0.93           0.88           0.51           55, 100, 100 MB
-#   0.45  1/4    2^14    0.89  55 MB   1.23           0.97           0.71           44, 67, 67 MB
-#         1/2    2^12    0.77  56 MB   0.90           0.83           0.53           46, 73, 73 MB
-#                2^13    0.74  56 MB   0.72           0.64           0.44           46, 73, 73 MB
-#                2^14    0.75  57 MB   0.70           0.58           0.40           46, 73, 73 MB
-#                2^15    0.63  58 MB   0.54           0.47           0.33           47, 73, 74 MB
-#   0.5   1/2    2^14    0.77  58 MB   0.67           0.67           0.49           46, 60, 60 MB
-# The rule: the lowest grid peak among the settings whose medians are no
-# slower than the old tree's on the grid and at the three points.  At
-# stop 0.4 a half raises the grid peak and an eighth is slower at
-# (10^11, 10^4); at 0.45 a quarter is slower there, while a half is
-# faster everywhere at a lower peak than any setting at 0.4.  2^12 and 2^13 share the lowest
-# peak, 2^13 the faster, so 0.45, 1/2 and 2^13.
-# The chunk was re-measured once narrow columns were gathered and V was
-# sized by bisection (which dropped a 2^16-entry scan and its temporaries,
-# 2.6 MB of grid peak): against 2^13, theorem-grid wall_s read -6% at 2^14
-# (5 of 6 perfbench pairs) and -11% at 2^15 (4 of 4), peak_rss_mb +0.6 and
-# +2.6 MB; psi_exact at (10^11, 10^4), (10^12, 10^4) and (10^12, 10^5),
-# one process each, peaked at 45.5, 72.4, 72.9 MB at 2^14 and 47.6, 73.4,
-# 74.2 MB at 2^15, against 46.3, 72.9, 73.4 MB for the code before both
-# changes.  2^14 keeps every peak below that, so 2^14.
+# The measurements behind these settings are in CHANGES.md.
 
 
 def _fold_projection(smooth: np.ndarray, p: int, x: int) -> np.ndarray:
@@ -391,76 +343,42 @@ class _Fold:
         return _walk_rough_tree(self.smooth[:listed], rough, x, self.leaf_table(top))
 
 
-# The SharedFold of the command being run, if any.
-_SHARED = contextvars.ContextVar("smoothnum_shared_fold", default=None)
+def psi_many(points: list, pt: PrimeTable) -> list[int | None]:
+    """Psi(x, y) at each (x, y) of points from one fold, or None where
+    this does not count it.
 
-
-class SharedFold:
-    """Within a with block, psi_exact counts the points of a grid from one
-    fold list and at most one leaf table at a time.
-
-    points are the (x, y) that psi_exact will be called with; those it
-    would refuse, or count without a fold, are passed over.  The list is
-    that of the largest point (x, then y), folded from the primes up to
-    its y, and its rough primes run up to the largest y of any point, so
-    that it serves every point whose y is at least the last folded prime.
-    A point whose rough primes are all the largest point's walks from
-    table A, the one psi_exact builds for the largest point alone; any
-    other from table B, on every rough prime (see _Fold).  The fold is
-    built at the first psi_exact call that may use it, each table at the
-    first walk that reads it; a point the fold does not cover folds on
-    its own, as outside the block.  If a build or a walk raises
-    MemoryError, the sharing ends there and that point and the rest are
-    counted on their own, so a grid's counts and errors are those of its
-    points counted one by one.  Nothing outlives the block.
+    The fold is that of the largest point (x, then y) that psi_exact
+    would fold, from the primes up to its y, and its rough primes run up
+    to the largest y of any such point, so it covers every such point
+    whose y is at least the last folded prime (see _Fold).  The points
+    that read table A are walked before those that read table B.  A
+    MemoryError in the fold, a build or a walk ends the sharing, and the
+    points left get None.  A point with None is one for psi_exact alone:
+    its count, or its error, is then that of a single call.
     """
-
-    def __init__(self, points, pt: PrimeTable):
-        self.pt = pt
-        self.x = self.y = self.y_top = 0
-        for x, y in points:
-            x, y = int(x), int(y)
-            if not 2 <= y < x:
-                continue
-            try:
-                _check_envelope(x, y, pt)
-            except SmoothnumError:
-                continue
-            self.x, self.y = max((self.x, self.y), (x, y))
-            self.y_top = max(self.y_top, y)
-        self.fold = None
-
-    def __enter__(self):
-        self._token = _SHARED.set(self)
-        return self
-
-    def __exit__(self, *exc):
-        _SHARED.reset(self._token)
-        self.stop()
-        return False
-
-    def stop(self) -> None:
-        """End the sharing: no point is covered from here on."""
-        self.x = 0
-        self.fold = None
-
-    def count(self, x: int, top: int):
-        """psi_exact's count at (x, primes[:top]) from the shared fold, or
-        None where it does not cover the point."""
-        if x > self.x:
-            return None
+    counts = [None] * len(points)
+    todo = []
+    for i, (x, y) in enumerate(points):
+        x, y = int(x), int(y)
+        if not 2 <= y < x:
+            continue
         try:
-            if self.fold is None:
-                primes = self.pt.primes
-                top_y = int(np.searchsorted(primes, self.y, side="right"))
-                top_rough = int(np.searchsorted(primes, self.y_top, side="right"))
-                self.fold = _Fold(primes[:top_rough], top_y, self.x)
-            if not self.fold.covers(x, top):
-                return None
-            return self.fold.count(x, top)
-        except MemoryError:
-            self.stop()
-            return None
+            _check_envelope(x, y, pt)
+        except SmoothnumError:
+            continue
+        todo.append((x, int(np.searchsorted(pt.primes, y, side="right")), i))
+    if not todo:
+        return counts
+    x_top, top_y, _ = max(todo)
+    top_rough = max(top for _, top, _ in todo)
+    try:
+        fold = _Fold(pt.primes[:top_rough], top_y, x_top)
+        for x, top, i in sorted(todo, key=lambda point: point[1] > top_y):
+            if fold.covers(x, top):
+                counts[i] = fold.count(x, top)
+    except MemoryError:
+        pass
+    return counts
 
 
 def _check_envelope(x: int, y: int, pt: PrimeTable) -> None:
@@ -479,9 +397,7 @@ def _check_envelope(x: int, y: int, pt: PrimeTable) -> None:
 def psi_exact(x: int, y: int, pt: PrimeTable) -> int:
     """Number of y-smooth integers in [1, x], exact.
 
-    One point is a _Fold of the primes <= y at x and a walk from it;
-    inside a SharedFold block a point the block's fold covers is walked
-    from that fold instead."""
+    One point is a _Fold of the primes <= y at x and a walk from it."""
     x = int(x)
     y = int(y)
     if x < 1:
@@ -492,11 +408,6 @@ def psi_exact(x: int, y: int, pt: PrimeTable) -> int:
         return 1
     _check_envelope(x, y, pt)
     top = int(np.searchsorted(pt.primes, y, side="right"))
-    shared = _SHARED.get()
-    if shared is not None:
-        count = shared.count(x, top)
-        if count is not None:
-            return count
     phase = "fold"
     try:
         fold = _Fold(pt.primes[:top], top, x)

@@ -3,13 +3,14 @@ deviation, the zero-sum model and its prediction of Psi/Lambda, and
 Monte Carlo logarithmic densities.
 """
 
+import dataclasses
 import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from smoothnum import bias, gfactor, specfun
+from smoothnum import bias, gfactor, smoothcount, specfun
 from smoothnum.errors import DomainError, RangeError, ResourceError
 from smoothnum.zetazeros import ZeroList
 
@@ -78,6 +79,24 @@ def test_compute_point_deviation_is_nan_below_one_half(pt100k, rho_table, zeros1
     assert math.isnan(p.model)
     assert p.psi == 3488196
     assert math.isfinite(p.ratio_corrected)
+
+
+def test_compute_point_takes_its_count_from_the_caller(pt100k, rho_table, zeros10k, monkeypatch):
+    # With psi given, compute_point builds the same point from it and
+    # never counts on its own.
+    want = bias.compute_point(800.0, 0.75, pt100k, rho_table, zeros=zeros10k, big_t=1000.0)
+    x = math.exp(bias.x_of_y(800.0, 0.75))
+    [psi] = smoothcount.psi_many([(x, 800.0)], pt100k)
+
+    def refuse(*args):
+        raise AssertionError("psi_exact called")
+
+    monkeypatch.setattr(bias, "psi_exact", refuse)
+    got = bias.compute_point(
+        800.0, 0.75, pt100k, rho_table, zeros=zeros10k, big_t=1000.0, psi=psi
+    )
+    assert dataclasses.astuple(got) == dataclasses.astuple(want)
+    assert got.psi == psi
 
 
 def test_compute_point_x_overflow_is_resource_error(pt100k, rho_table):

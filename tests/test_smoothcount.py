@@ -11,12 +11,13 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracles
 from smoothnum import bias, cli, debruijn, primes, smoothcount, specfun
@@ -416,10 +417,10 @@ def test_psi_exact_frozen_grid_counts(pt100k):
         assert smoothcount.psi_exact(x, y, pt100k) == count
 
 
-# A grid of every kind of point a SharedFold meets.  The largest point,
+# A grid of every kind of point psi_many meets.  The largest point,
 # (10^8, 1000), folds up to 23; its own table, V = 884, has no row for
 # its rough primes from 887 on, so it is also the table of the rough
-# primes up to 3000, and the block builds it alone.
+# primes up to 3000, and psi_many builds it alone.
 _MIXED_GRID = [
     (10**8, 1000),
     (3 * 10**7, 3000),  # rough primes past the largest point's y
@@ -430,9 +431,9 @@ _MIXED_GRID = [
     (2 * 10**12, 100), (10**6, 2 * 10**5),  # past the envelope
 ]
 
-# A grid that reads both tables, in turn: A, the largest point's own,
-# with a row for each of its rough primes 29..97 and V = 7970, and B,
-# on the rough primes up to 3000, V = 884.
+# A grid whose points alternate between the two tables: A, the largest
+# point's own, with a row for each of its rough primes 29..97 and
+# V = 7970, and B, on the rough primes up to 3000, V = 884.
 _TWO_TABLE_GRID = [
     (10**8, 100),  # A
     (3 * 10**7, 3000),  # B
@@ -451,6 +452,15 @@ def _psi_or_error(x, y, pt):
         return str(exc)
 
 
+def _or_alone(points, counts, pt):
+    """psi_many's counts, each point it leaves to psi_exact alone counted
+    so, as a grid command does."""
+    return [
+        _psi_or_error(x, y, pt) if count is None else count
+        for (x, y), count in zip(points, counts)
+    ]
+
+
 def _recording_fold_list(monkeypatch):
     calls = []
     fold_list = smoothcount._fold_list
@@ -463,15 +473,31 @@ def _recording_fold_list(monkeypatch):
     return calls
 
 
-def _recording_leaf_table(monkeypatch, shared=None):
-    """The (largest rough prime, table) of each leaf table built; with a
-    SharedFold, each build asserts that its fold holds no table."""
+def _recording_folds(monkeypatch):
+    """A weak reference to each _Fold made, and its (x, first and last
+    rough prime)."""
+    folds = []
+
+    class Recorded(smoothcount._Fold):
+        def __init__(self, primes, top, x):
+            super().__init__(primes, top, x)
+            rough = (int(self.rough[0]), int(self.rough[-1])) if self.rough.size else ()
+            folds.append((weakref.ref(self), (x, *rough)))
+
+    monkeypatch.setattr(smoothcount, "_Fold", Recorded)
+    return folds
+
+
+def _recording_leaf_table(monkeypatch, folds=None):
+    """The (largest rough prime, table) of each leaf table built; with the
+    folds of _recording_folds, each build asserts that the last fold
+    made holds no table."""
     tables = []
     build = smoothcount._leaf_table
 
     def recorded(smooth, rough, x, max_bytes):
-        if shared is not None and shared.fold is not None:
-            assert shared.fold.table is None
+        if folds:
+            assert folds[-1][0]().table is None
         tables.append((int(rough[-1]), build(smooth, rough, x, max_bytes)))
         return tables[-1][1]
 
@@ -498,44 +524,46 @@ def test_shared_fold_counts_match_psi_exact_alone(pt100k, monkeypatch):
         "psi_exact envelope is x <= 1e+12, y <= 100000; got (2000000000000, 100)",
         "psi_exact envelope is x <= 1e+12, y <= 100000; got (1000000, 200000)",
     ]
+    build = smoothcount._leaf_table
     calls = _recording_fold_list(monkeypatch)
-    with smoothcount.SharedFold(_MIXED_GRID, pt100k) as shared:
-        tables = _recording_leaf_table(monkeypatch, shared)
-        assert shared.fold is None  # built at the first point that may use it
-        got = [_psi_or_error(x, y, pt100k) for x, y in _MIXED_GRID]
-        fold = shared.fold
-        assert (fold.x, int(fold.rough[0]), int(fold.rough[-1])) == (10**8, 29, 2999)
-        assert fold.table.shape == (144, 885)
-        assert not fold.covers(10**6, int(np.searchsorted(pt100k.primes, 13, side="right")))
-    assert got == want
+    folds = _recording_folds(monkeypatch)
+    tables = _recording_leaf_table(monkeypatch, folds)
+    counts = smoothcount.psi_many(_MIXED_GRID, pt100k)
+    # Only the points the fold covers are counted; nothing outlives the call.
+    assert [count is None for count in counts] == [False] * 4 + [True] * 6
+    [(fold, shape)] = folds
+    assert fold() is None and shape == (10**8, 29, 2999)
+    assert _or_alone(_MIXED_GRID, counts, pt100k) == want
     assert calls == [10**8, 10**6]
     # One table, A; B would be the same table.
     assert [top for top, _ in tables] == [997]
-    share = int(smoothcount._LEAF_TABLE_SHARE * fold.smooth.nbytes)
-    every = smoothcount._leaf_table(fold.smooth, fold.rough, 10**8, share)
+    assert tables[0][1].shape == (144, 885)
+    smooth, first = smoothcount._fold_list(pt100k.primes[:168], 10**8)
+    rough = pt100k.primes[first:430].astype(np.int64)
+    share = int(smoothcount._LEAF_TABLE_SHARE * smooth.nbytes)
+    every = build(smooth, rough, 10**8, share)
     assert np.array_equal(every, tables[0][1])
-    assert shared.fold is None and smoothcount._SHARED.get() is None
-    # Outside the block every point folds on its own again.
+    # psi_exact reads no state of psi_many's: every point folds on its own.
     smoothcount.psi_exact(5 * 10**6, 500, pt100k)
     assert calls[-1] == 5 * 10**6
 
 
 def test_shared_fold_reads_the_largest_points_own_table(pt100k, monkeypatch):
     # A point whose rough primes are all the largest point's reads table A,
-    # any other table B; the block drops the table it holds before it
-    # builds the other, so a grid that alternates builds each in turn.
+    # any other table B; psi_many walks every reader of A first and drops
+    # A before it builds B, so a grid that alternates builds each once.
     want = [_psi_or_error(x, y, pt100k) for x, y in _TWO_TABLE_GRID]
     walks = _recording_walks(monkeypatch)
-    with smoothcount.SharedFold(_TWO_TABLE_GRID, pt100k) as shared:
-        tables = _recording_leaf_table(monkeypatch, shared)
-        got = [_psi_or_error(x, y, pt100k) for x, y in _TWO_TABLE_GRID]
-    assert got == want
+    folds = _recording_folds(monkeypatch)
+    tables = _recording_leaf_table(monkeypatch, folds)
+    counts = smoothcount.psi_many(_TWO_TABLE_GRID, pt100k)
+    assert _or_alone(_TWO_TABLE_GRID, counts, pt100k) == want
     # (10^6, 13) folds every prime of its own and builds no table.
-    assert [top for top, _ in tables] == [97, 2999, 97, 2999]
-    assert [t.shape for _, t in tables[:2]] == [(16, 7971), (144, 885)]
+    assert [top for top, _ in tables] == [97, 2999]
+    assert [t.shape for _, t in tables] == [(16, 7971), (144, 885)]
     read = {(x, top): table for x, top, table in walks}
-    assert read[10**8, 97] is tables[0][1] and read[3 * 10**7, 2999] is tables[1][1]
-    assert read[2 * 10**7, 59] is tables[2][1] and read[500, 293] is tables[3][1]
+    assert read[10**8, 97] is tables[0][1] and read[2 * 10**7, 59] is tables[0][1]
+    assert read[3 * 10**7, 2999] is tables[1][1] and read[500, 293] is tables[1][1]
     # Table A is the one psi_exact builds for the largest point alone.
     alone = _recording_leaf_table(monkeypatch)
     assert smoothcount.psi_exact(10**8, 100, pt100k) == want[0]
@@ -543,10 +571,26 @@ def test_shared_fold_reads_the_largest_points_own_table(pt100k, monkeypatch):
     assert np.array_equal(read[10**8, 97], table)
 
 
+@given(st.permutations(_TWO_TABLE_GRID))
+@example(_TWO_TABLE_GRID)
+@example(_TWO_TABLE_GRID[::-1])
+@example([_TWO_TABLE_GRID[i] for i in (1, 3, 4, 0, 2, 5, 6, 7)])  # B's readers first
+@settings(max_examples=4)
+def test_psi_many_builds_two_tables_in_any_order(pt100k, points):
+    # Walked in the order given, _TWO_TABLE_GRID itself would build A, B,
+    # A and B.
+    want = {(x, y): _psi_or_error(x, y, pt100k) for x, y in points}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        tables = _recording_leaf_table(monkeypatch)
+        counts = smoothcount.psi_many(points, pt100k)
+    assert len(tables) <= 2
+    assert _or_alone(points, counts, pt100k) == [want[point] for point in points]
+
+
 @pytest.mark.parametrize("table", ["A", "B"])
 def test_shared_fold_out_of_memory_counts_alone(pt100k, monkeypatch, table):
     # A MemoryError in the first build of table A, or of table B, ends the
-    # sharing: that point and the rest fold on their own.
+    # sharing: that point and the rest get None and fold on their own.
     want = [_psi_or_error(x, y, pt100k) for x, y in _TWO_TABLE_GRID]
     build = smoothcount._leaf_table
     failing = {"A": 97, "B": 2999}[table]
@@ -560,14 +604,16 @@ def test_shared_fold_out_of_memory_counts_alone(pt100k, monkeypatch, table):
 
     monkeypatch.setattr(smoothcount, "_leaf_table", shared_build_fails)
     calls = _recording_fold_list(monkeypatch)
-    with smoothcount.SharedFold(_TWO_TABLE_GRID, pt100k) as shared:
-        got = [_psi_or_error(x, y, pt100k) for x, y in _TWO_TABLE_GRID]
-        assert shared.fold is None
-    assert failed and got == want
-    # The shared fold, then each point from the failed one on with a fold
-    # of its own.
-    alone = [3 * 10**7, 2 * 10**7, 5 * 10**6, 500, 10**6]
-    assert calls == {"A": [10**8, 10**8] + alone, "B": [10**8] + alone}[table]
+    counts = smoothcount.psi_many(_TWO_TABLE_GRID, pt100k)
+    assert failed and _or_alone(_TWO_TABLE_GRID, counts, pt100k) == want
+    # The shared fold, then, in the grid's order, each point that it did
+    # not count with a fold of its own: on A's failure every point, on
+    # B's every point but A's readers (10^8, 100) and (2 10^7, 60).
+    alone = {
+        "A": [10**8, 3 * 10**7, 2 * 10**7, 5 * 10**6, 500, 10**6],
+        "B": [3 * 10**7, 5 * 10**6, 500, 10**6],
+    }
+    assert calls == [10**8] + alone[table]
 
 
 def test_grid_command_folds_its_largest_point_once(monkeypatch, capsys, pt100k):
@@ -586,14 +632,13 @@ def test_grid_command_folds_its_largest_point_once(monkeypatch, capsys, pt100k):
     # A second command pays for its own fold: nothing outlives cli.main.
     assert cli.main(argv) == 0
     assert calls == [largest, largest]
-    assert smoothcount._SHARED.get() is None
     assert counts == [smoothcount.psi_exact(x, y, pt100k) for x, y in points]
 
 
 def test_readme_grid_builds_two_leaf_tables(monkeypatch, capsys, pt100k):
     # The README verify-theorem1 grid: the beta0 = 0.7 points, the largest
-    # (1.29e11, 1341) among them, read table A, then the beta0 = 0.8
-    # points up to y = 1341 still read A and those past it B.
+    # (1.29e11, 1341) among them, read table A, as do the beta0 = 0.8
+    # points up to y = 1341; those past it read B.
     argv = ["verify-theorem1", "--y-min", "500", "--y-max", "5000", "--n-points", "8",
             "--beta0", "0.7,0.8", "--skip-infeasible"]
     tables = _recording_leaf_table(monkeypatch)
@@ -607,11 +652,11 @@ def test_readme_grid_builds_two_leaf_tables(monkeypatch, capsys, pt100k):
     assert smoothcount.psi_exact(x, 1341, pt100k) == 2336757732
     [(_, alone)] = tables
     assert np.array_equal(table, alone)
-    # The other order of beta0 reads A, B and A again, to the same bytes.
+    # The other order of beta0 also reads A, then B, to the same bytes.
     tables.clear()
     assert cli.main(argv[:-2] + ["0.8,0.7", "--skip-infeasible"]) == 0
     assert capsys.readouterr().out == csv_bytes
-    assert [top for top, _ in tables] == [1327, 4999, 1327]
+    assert [top for top, _ in tables] == [1327, 4999]
 
 
 def test_psi_exact_frozen_count_at_large_x(pt100k):
