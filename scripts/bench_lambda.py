@@ -4,11 +4,12 @@ Each revision runs in its own child process: "." is this checkout's
 src/, anything else is a git revision whose src/ is extracted first.
 Per point the child builds the rho table, makes one warm-up call, then
 times REPEATS calls of debruijn.lambda_xy and keeps the median; it also
-counts the rho points that one call interpolates (rho_points): every
-point the array kernel specfun._interp_log_rho takes, plus one per call
-of the single-point route specfun._interp_log_rho_scalar where a
-revision has it.  Every rho, rho' and derivative bound passes through
-one of the two.  At each point it also times
+counts the rho points that one call interpolates (rho_points), one per
+point that reaches the kernel specfun._interp_log_rho: an array counts
+its size and a single float counts one.  Every rho, rho' and derivative
+bound passes through that kernel.  Older revisions send a float through
+specfun._interp_log_rho_scalar instead, counted as one point per call
+where a revision has it.  At each point it also times
 the two routes of the correction factor G at the saddle beta of (x, y),
 gfactor.g_direct and gfactor.g_value, and keeps each one's median.  The
 points are the benchmark's prediction-sweep grid at seed 0.  The FAR_X

@@ -2,11 +2,11 @@
 
 Layers, bottom to top:
 
+- zetazeros: zeta off the critical line, a continuous log branch,
+  zero-table ingestion, and zero sums;
 - specfun: the Dickman function (table + interpolation), its Laplace
   transform, the saddle-point solver, and the zeta-based K factor;
 - primes: sieves, Chebyshev psi, truncated Euler products;
-- zetazeros: zeta off the critical line, a continuous log branch,
-  zero-table ingestion, and zero sums;
 - debruijn: the refined approximation Lambda(x, y) two independent ways;
 - smoothcount: exact Psi(x, y) and the weighted variants;
 - gfactor: the correction factor G = zeta(s,y)/F(s,y) assembled along

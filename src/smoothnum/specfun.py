@@ -20,11 +20,10 @@ underflow.
 
 Values between grid points come from one quintic interpolation kernel
 whose operation order is a contract that pinned values depend on (see
-_interp_log_rho).  A single float takes _interp_log_rho_scalar, which
-repeats the kernel's operations in that order on Python floats and is
-bound by the same contract; it skips numpy's per-call overhead, which
-on one point costs more than the arithmetic.  xi has one solver, on
-Python floats, and an array maps over it entry by entry.
+_interp_log_rho).  It takes an array or a single float: log_rho at a
+float calls it once, on numpy scalars, with no array built around the
+point.  xi has one solver, on Python floats, and an array maps over it
+entry by entry.
 """
 
 import cmath
@@ -337,8 +336,9 @@ def build_rho_table(u_max: float = 64.0, step: float = 1.0 / 512.0) -> RhoTable:
 _LAGRANGE_DENOM = np.array([-120.0, 24.0, -12.0, 12.0, -24.0, 120.0])
 
 
-def _interp_log_rho(table: RhoTable, u: np.ndarray) -> np.ndarray:
-    """Quintic Lagrange on the log-rho grid; u must lie in (1, u_max].
+def _interp_log_rho(table: RhoTable, u):
+    """Quintic Lagrange on the log-rho grid; u, a float64 array or one
+    float, must lie in (1, u_max].
 
     Stencils are clamped inside the unit block containing u so they
     never straddle a kink.  With d_i = t - (j0 + i), t = u/step and j0
@@ -352,8 +352,9 @@ def _interp_log_rho(table: RhoTable, u: np.ndarray) -> np.ndarray:
     contract: every Lambda, rho and CSV byte that tests pin depends on
     it, so another one that rounds differently (a pairwise sum, say)
     moves them.  tests/oracles.py keeps the same operations in (N, 6)
-    form as the check, and _interp_log_rho_scalar repeats them for one
-    float.
+    form as the check.  An array's terms are scaled and summed in place;
+    one float runs the same operations on numpy float64 scalars, which
+    round as the array entries do, and gives a numpy float64.
     """
     m = table.points_per_unit
     t = u * m  # position in grid units
@@ -375,37 +376,11 @@ def _interp_log_rho(table: RhoTable, u: np.ndarray) -> np.ndarray:
     for i, term in enumerate(cardinal):  # fresh arrays, so scaled in place
         term /= _LAGRANGE_DENOM[i]
         term *= table.log_rho[i:][j0]  # log_rho[j0 + i]
+        cardinal[i] = term  # a scalar was rebound, not scaled in place
     total = cardinal[0]
     for term in cardinal[1:]:
         total += term
     return total
-
-
-def _interp_log_rho_scalar(table: RhoTable, u: float) -> float:
-    """_interp_log_rho at one float, by the same operations in the same
-    order on Python floats (the kernel's are +, -, *, /, floor, min, max
-    and table reads, which round alike in both), so bit for bit."""
-    m = table.points_per_unit
-    t = u * m
-    lo = min(float(math.floor(u)), table.u_max - 1.0) * m
-    j0 = min(max(float(math.floor(t)) - 2.0, lo), lo + (m - 5))
-    d0 = t - j0
-    d1, d2, d3, d4, d5 = d0 - 1.0, d0 - 2.0, d0 - 3.0, d0 - 4.0, d0 - 5.0
-    p2 = d0 * d1
-    p3 = p2 * d2
-    p4 = p3 * d3
-    s3 = d5 * d4
-    s2 = s3 * d3
-    s1 = s2 * d2
-    r0, r1, r2, r3, r4, r5 = table.log_rho[int(j0) : int(j0) + 6].tolist()
-    return (
-        s1 * d1 / -120.0 * r0
-        + d0 * s1 / 24.0 * r1
-        + p2 * s2 / -12.0 * r2
-        + p3 * s3 / 12.0 * r3
-        + p4 * d5 / -24.0 * r4
-        + p4 * d4 / 120.0 * r5
-    )
 
 
 def _check_range(table: RhoTable, low: float, high: float) -> None:
@@ -452,13 +427,14 @@ def _log_rho_flat(table: RhoTable, flat: np.ndarray, inside: bool) -> np.ndarray
 
 def log_rho(table: RhoTable, u):
     """log rho(u), interpolated from the table; exactly 0 for u <= 1.
-    A float or int takes _interp_log_rho_scalar, bit for bit the array
-    route."""
+    A float or int skips the array set-up: it is range-checked as a
+    float and, above 1, passed to _interp_log_rho alone, bit for bit the
+    array route."""
     if isinstance(u, (float, int)):
         u = float(u)
         _check_range(table, u, u)
         u = min(u, table.u_max)
-        return _interp_log_rho_scalar(table, u) if u > 1.0 else 0.0
+        return float(_interp_log_rho(table, u)) if u > 1.0 else 0.0
     arr, flat, low, high = _checked_flat(table, u)
     out = _log_rho_flat(table, flat, low > 1.0 and high <= table.u_max)
     if arr.ndim == 0:

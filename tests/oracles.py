@@ -160,11 +160,12 @@ def rho_table_stepwise(u_max: float, step: float) -> np.ndarray:
 # The rho interpolation kernel in (N, 6) form
 # ----------------------------------------------------------------------
 #
-# specfun._interp_log_rho forms the six Lagrange terms as 1-D arrays and
-# adds them left to right.  This is the same arithmetic laid out as
-# (N, 6) prefix, suffix and cardinal arrays, filled a column at a time
-# and summed along each row by numpy.  Its outputs are the reference
-# bits that Lambda, the frozen values and the CSVs were recorded with.
+# specfun._interp_log_rho forms the six Lagrange terms one at a time, as
+# 1-D arrays (numpy scalars at a single float), and adds them left to
+# right.  This is the same arithmetic laid out as (N, 6) prefix, suffix
+# and cardinal arrays, filled a column at a time and summed along each
+# row by numpy.  Its outputs are the reference bits that Lambda, the
+# frozen values and the CSVs were recorded with.
 
 def interp_log_rho_cardinal(table, u: np.ndarray) -> np.ndarray:
     """Quintic Lagrange interpolation of table.log_rho at u in (1, u_max]."""

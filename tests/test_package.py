@@ -1,7 +1,10 @@
-"""Tests for the package surface: every exported name resolves, and only
-the package's own errors escape it."""
+"""Tests for the package surface: every exported name resolves, each
+module imports only the layers below it, and only the package's own
+errors escape it."""
 
+import ast
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,7 +14,10 @@ import smoothnum
 from smoothnum import bias, debruijn, gfactor, primes, specfun
 from smoothnum.errors import SmoothnumError
 
-LAYERS = ("specfun", "primes", "zetazeros", "debruijn", "smoothcount", "gfactor", "bias")
+LAYERS = ("zetazeros", "specfun", "primes", "debruijn", "smoothcount", "gfactor", "bias")
+# Every module of the package, bottom up: each may import only those
+# before it.
+MODULE_ORDER = ("errors", "limits", "quadrature", *LAYERS, "cli")
 
 
 @pytest.mark.parametrize("module", ["smoothnum"] + [f"smoothnum.{m}" for m in LAYERS])
@@ -23,6 +29,18 @@ def test_exported_names_resolve(module):
 
 def test_psiover_rhs_is_reexported_from_bias():
     assert smoothnum.psiover_rhs is bias.psiover_rhs
+
+
+def test_modules_import_only_lower_layers():
+    src = Path(smoothnum.__file__).parent
+    assert sorted(p.stem for p in src.glob("*.py")) == sorted(("__init__", *MODULE_ORDER))
+    for rank, name in enumerate(MODULE_ORDER):
+        for node in ast.walk(ast.parse((src / f"{name}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                # "from .m import x" names m; "from . import m, n" names m and n.
+                targets = [node.module] if node.module else [a.name for a in node.names]
+                for target in targets:
+                    assert target in MODULE_ORDER[:rank], f"{name} imports {target}"
 
 
 # Any float, and floats where u, y and s are usually met, so that both

@@ -453,6 +453,30 @@ def test_log_rho_scalar_route_matches_array_bit_for_bit(rho_table):
             assert got == _same_outcome(fn, rho_table, np.array([v])), v
 
 
+def test_scalar_routes_call_the_one_kernel_once(rho_table, monkeypatch):
+    # One float, int or numpy float64 above 1 is one call of the array
+    # kernel, so there is no second copy of its contract to keep, and
+    # scripts/bench_lambda.py counts such a call as one rho point.
+    kernel = specfun._interp_log_rho
+    calls = []
+
+    def counting(table, u):
+        calls.append(u)
+        return kernel(table, u)
+
+    monkeypatch.setattr(specfun, "_interp_log_rho", counting)
+    for v in (1.5, 2.0, 7.3, 31.999, 63.0, rho_table.u_max):
+        want = float(specfun.log_rho(rho_table, np.array([v]))[0])
+        args = [v, np.float64(v)] + ([int(v)] if v.is_integer() else [])
+        for arg in args:
+            for fn, expect in ((specfun.log_rho, want), (specfun.rho, math.exp(want))):
+                calls.clear()
+                got = fn(rho_table, arg)
+                assert len(calls) == 1, (fn.__name__, arg)
+                assert type(got) is float
+                assert float.hex(got) == float.hex(expect), (fn.__name__, arg)
+
+
 def test_rho_array_routes_keep_shape_and_input(rho_table):
     rng = np.random.default_rng(7)
     base = rng.uniform(0.0, 64.0, (6, 8))
