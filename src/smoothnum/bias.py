@@ -184,9 +184,11 @@ def psiover_rhs(y: float, beta: float, big_t: float, zeros: ZeroList) -> float:
     """
     if beta < 0.55:
         raise DomainError(
-            f"saddle abscissa {beta:.6f} too close to 1/2 (need beta >= 0.55)"
+            f"saddle abscissa {beta:.6f} is below 0.55, where the 1/(2 beta - 1) term "
+            "is not controlled"
         )
-    return 1.0 + y ** (0.5 - beta) * model_rhs(y, beta, big_t, zeros) / math.log(y)
+    model = model_rhs(y, beta, big_t, zeros)  # checks beta and y before y^(1/2 - beta)
+    return 1.0 + y ** (0.5 - beta) * model / math.log(y)
 
 
 def _worker_count(n_blocks: int) -> int:

@@ -1,15 +1,17 @@
 """The continuous analogue Lambda(x, y) of the smooth-counting function.
 
 lambda_y(u) is the Stieltjes integral of rho(u - log t/log y) against
-d(floor(t)/t).  Two independent evaluations are provided:
+d(floor(t)/t).  lambda_xy is the one production route; two evaluations
+of lambda_y(u) stand behind it:
 
 * ``lambda_ibp``      -- integration by parts, leaving rho(u) plus an
   integral against the sawtooth {t}/t^2 and the exact endpoint atom
-  -{y^u} y^{-u} coming from the unit jump of rho at 0.  This is the
-  production route behind ``lambda_xy``; its cost does not grow with x.
+  -{y^u} y^{-u} coming from the unit jump of rho at 0.  ``lambda_xy``
+  always takes this route; its cost does not grow with x.
 * ``lambda_atom_sum`` -- the measure split into unit atoms at integers
   plus the density -floor(t)/t^2 dt.  Its cost is linear in y^u, so it
-  serves as the cross-check of the other route.
+  is refused above y^u = _ATOM_T_MAX and serves only as the cross-check
+  of the other route; no production route calls it.
 
 Both integrals run over one sorted list of piece edges: the integers,
 where floor(t) jumps, the points t = y^(u-k), where rho's argument
@@ -25,8 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, RangeError, ResourceError
-from .limits import env_limit
-from .quadrature import gauss_legendre, panel_sum
+from .quadrature import panel_sum
 from . import specfun
 from .specfun import EULER_GAMMA, RhoTable, big_i, k_factor, saddle
 from .zetazeros import log_zeta_times_s_minus_1
@@ -36,6 +37,7 @@ _EM_START = 1024  # unit pieces of the sawtooth integral below, Euler-Maclaurin 
 _PANELS_PER_UNIT = 2  # Gauss panels per unit of v in the Euler-Maclaurin tail
 _PANEL_NODES = 20
 _PIECE_NODES = 7  # Gauss nodes per unit piece of the sawtooth integral
+_ATOM_T_MAX = 10**7  # the largest y^u the atom sum takes: its cost is linear in y^u
 # ~16/n cuts inside unit n below t = 16, shared by every integral.
 _FINE_CUTS = np.concatenate(
     [np.linspace(n, n + 1.0, math.ceil(16 / n) + 1)[1:-1] for n in range(1, 16)]
@@ -112,17 +114,17 @@ def lambda_atom_sum(u: float, y: float, table: RhoTable, *, _t_max=None) -> Lamb
     sum_{n <= y^u} rho(u - log n/log y)/n
       - integral_1^{y^u} floor(t)/t^2 * rho(u - log t/log y) dt.
     Exact up to quadrature rounding; no truncation, so est_error = 0.
-    y^u above SMOOTHNUM_MAX_LAMBDA_T is a ResourceError.
+    The cross-check of lambda_ibp; y^u above _ATOM_T_MAX is a
+    ResourceError.
     """
     log_y = _validate(u, y)
-    cutoff = env_limit("SMOOTHNUM_MAX_LAMBDA_T")
     # Log space first: y^u leaves float range long before u or y does.
     # The unit margin leaves y^u near the cutoff to the exact test.
-    far = _t_max is None and u * log_y > math.log(cutoff) + 1.0
+    far = _t_max is None and u * log_y > math.log(_ATOM_T_MAX) + 1.0
     t_max = math.inf if far else float(y**u if _t_max is None else _t_max)
-    if t_max > cutoff:
+    if t_max > _ATOM_T_MAX:
         raise ResourceError(
-            f"atom sum needs y^u <= {cutoff:g}; got e^{u * log_y:.6g} (use the ibp route)"
+            f"atom sum needs y^u <= {_ATOM_T_MAX:g}; got e^{u * log_y:.6g} (use the ibp route)"
         )
     n_top = _snap_floor(t_max)
 
@@ -309,32 +311,3 @@ def lambda_asymptotic(x: float, y: float, table: RhoTable) -> float:
     scale = math.exp(math.log(x) + specfun.log_rho(table, sd.u))
     return scale * k_factor(-sd.xi / math.log(y)).real
 
-
-def buchstab_residual_lambda(
-    x: float, y: float, z: float, table: RhoTable, n_panels: int = 64
-) -> float:
-    """Lambda(x,y) - [Lambda(x,z) - integral_y^z Lambda(x/t,t) dt/log t].
-
-    Mathematically zero; what comes back is quadrature error.  The
-    integrand jumps each time x/t crosses an integer, so composite
-    Gauss panels (in log t) converge first order in n_panels -- the
-    residual roughly halves when n_panels doubles.  Where x/t < t (z >
-    sqrt(x)), every n <= x/t is t-smooth and Lambda(x/t, t) = floor(x/t).
-    """
-    if not (2 <= y <= z <= x):
-        raise DomainError("buchstab residual requires 2 <= y <= z <= x")
-    if z == y:
-        return 0.0
-
-    def lam(s, t):
-        return math.floor(s) if s < t else lambda_xy(s, t, table)
-
-    xg, wg = gauss_legendre(6)
-    va, vb = math.log(y), math.log(z)
-    edges = np.linspace(va, vb, n_panels + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        v = a + (b - a) * xg
-        vals = [lam(x / math.exp(vi), math.exp(vi)) * math.exp(vi) / vi for vi in v]
-        total += (b - a) * float(np.dot(wg, vals))
-    return lambda_xy(x, y, table) - lambda_xy(x, z, table) + total

@@ -14,7 +14,6 @@ DEFAULTS = {
     "SMOOTHNUM_MAX_SIEVE": 10**9,
     "SMOOTHNUM_MAX_PSI_X": 10**12,
     "SMOOTHNUM_MAX_PSI_Y": 10**5,
-    "SMOOTHNUM_MAX_LAMBDA_T": 10**7,
     "SMOOTHNUM_MAX_ALPHA_X": 10**7,
 }
 

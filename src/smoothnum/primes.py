@@ -75,9 +75,16 @@ def _segmented_tail(limit: int, base_odd: np.ndarray, start: int) -> list:
     return chunks
 
 
+def _finite_int(value, name: str) -> int:
+    """int(value), or DomainError where value is NaN or an infinity."""
+    if not isinstance(value, int) and not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value}")
+    return int(value)
+
+
 def sieve(limit: int) -> PrimeTable:
     """All primes up to ``limit`` (2 <= limit <= SMOOTHNUM_MAX_SIEVE)."""
-    limit = int(limit)
+    limit = _finite_int(limit, "sieve limit")
     max_limit = env_limit("SMOOTHNUM_MAX_SIEVE")
     if limit < 2 or limit > max_limit:
         raise ResourceError(

@@ -78,7 +78,7 @@ import numpy as np
 
 from .errors import DomainError, RangeError, ResourceError, SmoothnumError
 from .limits import env_limit
-from .primes import PrimeTable, _power_tops
+from .primes import PrimeTable, _finite_int, _power_tops
 
 # The fold list's length cap: a longer list folds more primes and
 # leaves a smaller rough tree, at the cost of its bytes.
@@ -359,10 +359,10 @@ def psi_many(points: list, pt: PrimeTable) -> list[int | None]:
     counts = [None] * len(points)
     todo = []
     for i, (x, y) in enumerate(points):
-        x, y = int(x), int(y)
-        if not 2 <= y < x:
-            continue
         try:
+            x, y = _finite_int(x, "x"), _finite_int(y, "y")
+            if not 2 <= y < x:
+                continue
             _check_envelope(x, y, pt)
         except SmoothnumError:
             continue
@@ -397,9 +397,9 @@ def _check_envelope(x: int, y: int, pt: PrimeTable) -> None:
 def psi_exact(x: int, y: int, pt: PrimeTable) -> int:
     """Number of y-smooth integers in [1, x], exact.
 
-    One point is a _Fold of the primes <= y at x and a walk from it."""
-    x = int(x)
-    y = int(y)
+    One point is a _Fold of the primes <= y at x and a walk from it.
+    A NaN or an infinite x or y is a DomainError."""
+    x, y = _finite_int(x, "x"), _finite_int(y, "y")
     if x < 1:
         return 0
     if y >= x:
@@ -417,17 +417,6 @@ def psi_exact(x: int, y: int, pt: PrimeTable) -> int:
         raise ResourceError(
             f"psi_exact({x}, {y}) ran out of memory in the {phase} phase"
         ) from exc
-
-
-def buchstab_residual_psi(x: int, y: int, z: int, pt: PrimeTable) -> int:
-    """Psi(x,y) - [Psi(x,z) - sum_{y < p <= z} Psi(x/p, p)]; exactly 0."""
-    x, y, z = int(x), int(y), int(z)
-    if not (2 <= y <= z <= x):
-        raise DomainError("buchstab residual requires 2 <= y <= z <= x")
-    lo = int(np.searchsorted(pt.primes, y, side="right"))
-    hi = int(np.searchsorted(pt.primes, z, side="right"))
-    branch = sum(psi_exact(x // int(p), int(p), pt) for p in pt.primes[lo:hi])
-    return psi_exact(x, y, pt) - psi_exact(x, z, pt) + branch
 
 
 def _prime_power_weights(pt: PrimeTable, x: int, y: int):
@@ -449,9 +438,9 @@ def alpha_values(x: int, y: int, pt: PrimeTable) -> np.ndarray:
     obtained by differentiating the defining identity
     sum alpha(n) n^-s = exp(sum_{p^k<=y} p^(-ks)/k).  Blocks [L, 2L)
     only consume values below L, so the whole recurrence vectorizes.
+    A NaN or an infinite x or y is a DomainError.
     """
-    x = int(x)
-    y = int(y)
+    x, y = _finite_int(x, "x"), _finite_int(y, "y")
     if x > env_limit("SMOOTHNUM_MAX_ALPHA_X"):
         raise ResourceError(f"alpha recurrence envelope exceeded at x = {x}")
     if x < 1:

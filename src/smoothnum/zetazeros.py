@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParseError, PoleError, RangeError, SingularityError
+from .errors import DomainError, ParseError, PoleError, RangeError, SingularityError
 
 # B_{2k} / (2k)! for k = 1..10; corrections through B_20, from the
 # exact rationals rather than hand-typed decimals.
@@ -165,7 +165,11 @@ class ZeroList:
 
     def leading_height(self, n: int) -> float:
         """A cutoff T just above the n-th ordinate, so up_to(T) keeps the
-        first n; RangeError unless 1 <= n <= count."""
+        first n; DomainError unless n is a whole number, RangeError
+        unless 1 <= n <= count."""
+        if isinstance(n, float) and not n.is_integer():
+            raise DomainError(f"ordinate count must be a whole number, got {n}")
+        n = int(n)
         if n < 1:
             raise RangeError(f"need at least one ordinate, got {n}")
         if n > self.count:
@@ -264,8 +268,11 @@ def zero_sum(zeros: ZeroList, y: float, s0: float, big_t: float) -> float:
 
     Each pair contributes 2 Re(y^rho/(rho-s0)), so the result is real by
     construction; the pair terms are summed exactly rounded (math.fsum),
-    so the value does not depend on summation order.
+    so the value does not depend on summation order.  A NaN or infinite
+    y or s0 is a DomainError.
     """
+    if not (math.isfinite(y) and math.isfinite(s0)):
+        raise DomainError(f"zero_sum needs finite y and s0, got y={y}, s0={s0}")
     g = zeros.up_to(big_t)
     if y <= 1:
         raise RangeError("zero_sum needs y > 1")

@@ -23,7 +23,12 @@ tautology:
                       logs over prime powers);
 * log zeta(s, y)   -- sum of -log(1 - p^-s) in 40-digit mpmath over
                       the primes of the gpf sieve (the package takes
-                      each term's closed form in float64).
+                      each term's closed form in float64);
+* Buchstab residuals -- the exception: identities evaluated with the
+                      package's own psi_exact and lambda_xy, not
+                      independent routes.  They check that the counts
+                      and Lambda satisfy Buchstab's functional equation,
+                      which no single value can show.
 
 The slow ones are run once and their outputs frozen into the tests; the
 cheap ones are called live.
@@ -33,6 +38,13 @@ import math
 from fractions import Fraction
 
 import numpy as np
+
+from smoothnum.debruijn import lambda_xy
+from smoothnum.errors import DomainError
+from smoothnum.primes import PrimeTable
+from smoothnum.quadrature import gauss_legendre
+from smoothnum.smoothcount import psi_exact
+from smoothnum.specfun import RhoTable
 
 
 # ----------------------------------------------------------------------
@@ -341,3 +353,48 @@ def alpha_rational(n: int, y: int) -> Fraction:
     if m > 1:
         result *= Fraction(1 if m <= y else 0)
     return result
+
+
+# ----------------------------------------------------------------------
+# Buchstab identities, evaluated with the package's own routes
+# ----------------------------------------------------------------------
+
+def buchstab_residual_psi(x: int, y: int, z: int, pt: PrimeTable) -> int:
+    """Psi(x,y) - [Psi(x,z) - sum_{y < p <= z} Psi(x/p, p)]; exactly 0."""
+    x, y, z = int(x), int(y), int(z)
+    if not (2 <= y <= z <= x):
+        raise DomainError("buchstab residual requires 2 <= y <= z <= x")
+    lo = int(np.searchsorted(pt.primes, y, side="right"))
+    hi = int(np.searchsorted(pt.primes, z, side="right"))
+    branch = sum(psi_exact(x // int(p), int(p), pt) for p in pt.primes[lo:hi])
+    return psi_exact(x, y, pt) - psi_exact(x, z, pt) + branch
+
+
+def buchstab_residual_lambda(
+    x: float, y: float, z: float, table: RhoTable, n_panels: int = 64
+) -> float:
+    """Lambda(x,y) - [Lambda(x,z) - integral_y^z Lambda(x/t,t) dt/log t].
+
+    Mathematically zero; what comes back is quadrature error.  The
+    integrand jumps each time x/t crosses an integer, so composite
+    Gauss panels (in log t) converge first order in n_panels -- the
+    residual roughly halves when n_panels doubles.  Where x/t < t (z >
+    sqrt(x)), every n <= x/t is t-smooth and Lambda(x/t, t) = floor(x/t).
+    """
+    if not (2 <= y <= z <= x):
+        raise DomainError("buchstab residual requires 2 <= y <= z <= x")
+    if z == y:
+        return 0.0
+
+    def lam(s, t):
+        return math.floor(s) if s < t else lambda_xy(s, t, table)
+
+    xg, wg = gauss_legendre(6)
+    va, vb = math.log(y), math.log(z)
+    edges = np.linspace(va, vb, n_panels + 1)
+    total = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        v = a + (b - a) * xg
+        vals = [lam(x / math.exp(vi), math.exp(vi)) * math.exp(vi) / vi for vi in v]
+        total += (b - a) * float(np.dot(wg, vals))
+    return lambda_xy(x, y, table) - lambda_xy(x, z, table) + total

@@ -74,7 +74,7 @@ def test_criterion_02_exact_count_suite(pt100k, gpf100k):
         y = int(rng.uniform(2.0, 50.0))
         z = int(rng.uniform(y, 200.0))
         x = max(x, z)
-        if smoothcount.buchstab_residual_psi(x, y, z, pt100k) != 0:
+        if oracles.buchstab_residual_psi(x, y, z, pt100k) != 0:
             nonzero += 1
     elapsed = time.time() - start
 

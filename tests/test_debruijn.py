@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import oracles
 from smoothnum import debruijn, gfactor, primes, specfun
 from smoothnum.errors import DomainError, RangeError, ResourceError, SingularityError
 
@@ -376,11 +377,11 @@ def test_lambda_asymptotic_far_deviation_pinned(rho_table, x, deviation):
 # ----------------------------------------------------------------------
 
 def test_buchstab_residual_zero_at_z_equals_y(rho_table):
-    assert debruijn.buchstab_residual_lambda(1e6, 1e2, 1e2, rho_table) == 0.0
+    assert oracles.buchstab_residual_lambda(1e6, 1e2, 1e2, rho_table) == 0.0
 
 
 def test_buchstab_residual_small(rho_table):
-    resid = debruijn.buchstab_residual_lambda(1e6, 1e2, 1e3, rho_table, n_panels=64)
+    resid = oracles.buchstab_residual_lambda(1e6, 1e2, 1e3, rho_table, n_panels=64)
     lam = debruijn.lambda_xy(1e6, 1e2, rho_table)
     assert abs(resid) / lam <= 1e-4
 
@@ -390,7 +391,7 @@ def test_buchstab_residual_first_order_convergence(rho_table):
     # should drop by roughly half per doubling (measured factors
     # 0.39, 0.58, 0.35 for 8->16->32->64).
     resids = [
-        abs(debruijn.buchstab_residual_lambda(1e6, 1e2, 1e3, rho_table, n_panels=n))
+        abs(oracles.buchstab_residual_lambda(1e6, 1e2, 1e3, rho_table, n_panels=n))
         for n in (8, 16, 32, 64)
     ]
     for coarse, fine in zip(resids, resids[1:]):
@@ -403,14 +404,14 @@ def test_buchstab_residual_beyond_sqrt_x(rho_table):
     # residual is not monotone in n_panels (measured 4.4e-4, 4.1e-4,
     # 1.1e-4, 4.2e-4, 1.5e-6 of Lambda for 8 .. 128), so the bound is
     # the measured 64-panel value with a little room.
-    resid = debruijn.buchstab_residual_lambda(1e6, 1e2, 1e4, rho_table, n_panels=64)
+    resid = oracles.buchstab_residual_lambda(1e6, 1e2, 1e4, rho_table, n_panels=64)
     lam = debruijn.lambda_xy(1e6, 1e2, rho_table)
     assert abs(resid) / lam <= 5e-4
 
 
 def test_buchstab_domain_error(rho_table):
     with pytest.raises(DomainError):
-        debruijn.buchstab_residual_lambda(1e6, 1e3, 1e2, rho_table)
+        oracles.buchstab_residual_lambda(1e6, 1e3, 1e2, rho_table)
 
 
 # ----------------------------------------------------------------------

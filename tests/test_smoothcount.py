@@ -837,9 +837,9 @@ def test_psi_exact_trivial_cases_come_before_the_envelope():
 # ----------------------------------------------------------------------
 
 def test_buchstab_residual_examples(pt100k):
-    assert smoothcount.buchstab_residual_psi(100, 3, 10, pt100k) == 0
-    assert smoothcount.buchstab_residual_psi(10**6, 10**2, 10**3, pt100k) == 0
-    assert smoothcount.buchstab_residual_psi(500, 7, 7, pt100k) == 0
+    assert oracles.buchstab_residual_psi(100, 3, 10, pt100k) == 0
+    assert oracles.buchstab_residual_psi(10**6, 10**2, 10**3, pt100k) == 0
+    assert oracles.buchstab_residual_psi(500, 7, 7, pt100k) == 0
 
 
 def test_buchstab_residual_random_triples(pt100k):
@@ -848,12 +848,12 @@ def test_buchstab_residual_random_triples(pt100k):
         x = int(rng.integers(100, 10**6))
         y = int(rng.integers(2, 50))
         z = int(rng.integers(y, 500))
-        assert smoothcount.buchstab_residual_psi(x, y, z, pt100k) == 0
+        assert oracles.buchstab_residual_psi(x, y, z, pt100k) == 0
 
 
 def test_buchstab_residual_domain_error(pt100k):
     with pytest.raises(DomainError):
-        smoothcount.buchstab_residual_psi(100, 10, 3, pt100k)
+        oracles.buchstab_residual_psi(100, 10, 3, pt100k)
 
 
 # ----------------------------------------------------------------------
