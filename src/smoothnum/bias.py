@@ -12,7 +12,8 @@ oscillation.  This module computes the empirical curve, the zero-sum
 model for it (model_rhs, and psiover_rhs, the same sum as a prediction
 of Psi/Lambda to set beside G(beta, y)), and Monte Carlo logarithmic
 densities under independent uniform phases (the linear-independence
-heuristic).
+heuristic).  The densities also admit beta0 = 1, where the model is the
+classical pi-vs-Li race.
 """
 
 from __future__ import annotations
@@ -44,16 +45,19 @@ __all__ = [
     "li_density",
 ]
 
-def _check_beta0(beta0: float) -> None:
-    """The zero-sum model's 1/(2 beta0 - 1) is derived for beta0 in (1/2, 1)."""
-    if not 0.5 < beta0 < 1.0:
-        raise DomainError(f"beta0 must lie in (1/2, 1), got {beta0!r}")
+def _whole(value, name: str) -> int:
+    """int(value), or DomainError where value is a float that is not a
+    whole number (a fraction, NaN or an infinity)."""
+    if isinstance(value, float) and not value.is_integer():
+        raise DomainError(f"{name} must be a whole number, got {value}")
+    return int(value)
 
 
 @dataclass(frozen=True)
 class BiasConfig:
-    """Parameters of a density run: curve exponent, zero-height cutoff,
-    RNG seed and sample count."""
+    """Parameters of a density run: exponent beta0 in (1/2, 1] (1 is the
+    pi-vs-Li race), zero-height cutoff, RNG seed and sample count; the
+    seed and the count are stored as ints."""
 
     beta0: float
     T: float
@@ -61,7 +65,10 @@ class BiasConfig:
     n_samples: int
 
     def __post_init__(self):
-        _check_beta0(self.beta0)
+        if not 0.5 < self.beta0 <= 1.0:
+            raise DomainError(f"beta0 must lie in (1/2, 1], got {self.beta0!r}")
+        object.__setattr__(self, "n_samples", _whole(self.n_samples, "n_samples"))
+        object.__setattr__(self, "seed", _whole(self.seed, "seed"))
         if self.n_samples < 1000:
             raise RangeError(f"need n_samples >= 1000, got {self.n_samples}")
         if not 0 <= self.seed < 2**64:
@@ -101,10 +108,13 @@ def x_of_y(y: float, beta0: float) -> float:
 
     By construction saddle(x(y), y).beta == beta0 exactly: with
     xi = (1-beta0) log y and u = log x/log y one has 1 + u*xi =
-    y^(1-beta0) = e^xi.  The curve needs 0 < beta0 < 1 (DomainError).
+    y^(1-beta0) = e^xi.  The curve needs 0 < beta0 < 1 and a finite
+    y > 0 (DomainError).
     """
     if not 0.0 < beta0 < 1.0:
         raise DomainError(f"the curve x(y) needs beta0 in (0, 1), got {beta0!r}")
+    if not 0.0 < y < math.inf:
+        raise DomainError(f"the curve x(y) needs a finite y > 0, got {y!r}")
     return (y ** (1.0 - beta0) - 1.0) / (1.0 - beta0)
 
 
@@ -164,9 +174,10 @@ def model_rhs(y: float, beta0: float, big_t: float, zeros: ZeroList) -> float:
     The zero sum is zetazeros.zero_sum at s0 = beta0, real by
     construction with its pair terms exactly rounded; each pair adds
     2 Re(e^(i gamma log y) / (1/2 - beta0 + i gamma)) here.  beta0 must
-    lie in (1/2, 1) (DomainError).
+    lie in (1/2, 1) (DomainError): the curve x(y) needs beta0 < 1.
     """
-    _check_beta0(beta0)
+    if not 0.5 < beta0 < 1.0:
+        raise DomainError(f"beta0 must lie in (1/2, 1), got {beta0!r}")
     return 1.0 / (2.0 * beta0 - 1.0) - zero_sum(zeros, y, beta0, big_t) / math.sqrt(y)
 
 
@@ -300,9 +311,7 @@ def _count_below(
     return count
 
 
-def li_density(
-    cfg: BiasConfig, zeros: ZeroList, calibration: bool = False
-) -> DensityEstimate:
+def li_density(cfg: BiasConfig, zeros: ZeroList) -> DensityEstimate:
     """Monte Carlo logarithmic density of the positivity event under
     independent uniform phases theta_gamma:
 
@@ -323,9 +332,9 @@ def li_density(
     float64 sum.  The few others are summed in float64 by _exact_sums,
     so the count is the same as summing every sample in float64.
 
-    With calibration=True the weights switch to the pi-vs-Li race
-    (2 Re(e^(i theta)/rho), constant term 1), whose known density
-    ~0.999997 pins down the machinery against an external value.
+    At beta0 = 1 this is the pi-vs-Li race (constant 1, weights 2/|rho|),
+    whose known density ~0.999997 pins down the machinery against an
+    external value.
 
     Each term is 2 Re(e^(i theta)/(a + i gamma)) = R cos(theta - phi)
     with R = 2/|a + i gamma|; a uniform theta absorbs the weight's
@@ -340,13 +349,10 @@ def li_density(
     count.  Running out of memory raises ResourceError.
     """
     g = zeros.up_to(cfg.T)
-    if calibration:
-        const, a = 1.0, 0.5
-    else:
-        const, a = 1.0 / (2.0 * cfg.beta0 - 1.0), 0.5 - cfg.beta0
+    const, a = 1.0 / (2.0 * cfg.beta0 - 1.0), 0.5 - cfg.beta0
     m = int(g.size)
     n = cfg.n_samples
-    if m == 0:  # X = const > 0: 1 under calibration, 1/(2 beta0 - 1) > 1 otherwise
+    if m == 0:  # X = const >= 1
         return DensityEstimate(density=1.0, stderr=0.0, n_samples=n, seed=cfg.seed)
     width = 4 * -(-m // 4)
     workers = _worker_count(-(-n // _SCREEN_ROWS))

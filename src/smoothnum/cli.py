@@ -283,8 +283,8 @@ def _cmd_li_density(args) -> int:
 def _cmd_calibrate_pi_li(args) -> int:
     zeros = _load_zeros(args, required=True)
     big_t = zeros.leading_height(args.ordinates)
-    cfg = bias.BiasConfig(beta0=0.75, T=big_t, seed=args.seed, n_samples=args.n_samples)
-    _density_report(bias.li_density(cfg, zeros, calibration=True))
+    cfg = bias.BiasConfig(beta0=1.0, T=big_t, seed=args.seed, n_samples=args.n_samples)
+    _density_report(bias.li_density(cfg, zeros))
     return 0
 
 

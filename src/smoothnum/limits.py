@@ -1,9 +1,9 @@
 """Resource envelopes, overridable through the environment.
 
-Each limit guards an operation whose cost grows with its argument; the
-environment variables let a bigger machine raise them without code
-changes.  They are read at call time so tests can tweak them with
-monkeypatch.
+Each limit guards the sieve or exact counting, whose cost grows with
+its argument; the environment variables let a bigger machine raise
+them without code changes.  They are read at call time so tests can
+tweak them with monkeypatch.
 """
 
 import os
@@ -14,7 +14,6 @@ DEFAULTS = {
     "SMOOTHNUM_MAX_SIEVE": 10**9,
     "SMOOTHNUM_MAX_PSI_X": 10**12,
     "SMOOTHNUM_MAX_PSI_Y": 10**5,
-    "SMOOTHNUM_MAX_ALPHA_X": 10**7,
 }
 
 

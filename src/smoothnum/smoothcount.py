@@ -58,18 +58,18 @@ whose y is at least the last folded prime; each such point is only a
 walk.  A point whose rough primes are all the largest point's reads
 that point's own table, A, the one psi_exact builds for it alone; any
 other reads table B, whose rows run up to the largest y of any point,
-and so a V no larger (B is A when A's V is at most its own last rough
-prime).  The readers of A are walked before those of B, so a grid
-builds at most two tables, one at a time; a grid with one beta0 builds
-only A.  Nothing outlives the call.  A MemoryError in a build or in a
-walk ends the sharing, and the points left are not counted: the caller
-hands each of them to psi_exact, as for the points psi_many passes over.
+and so a V no larger.  The readers of A are walked before those of B,
+so a grid builds at most two tables, one at a time; a grid with one
+beta0 builds only A.  Nothing outlives the call.  A MemoryError in a
+build or in a walk ends the sharing, and the points left are not
+counted: the caller hands each of them to psi_exact, as for the points
+psi_many passes over.
 
 alpha_values tabulates the coefficients alpha_y(n) of
 exp(sum_{p^k <= y} p^(-ks)/k), the multiplicative weights that agree
 with the smooth indicator whenever every prime-power component of n is
 <= y.  They come from a float recurrence in log n, and alpha_summatory
-sums that table.
+sums that table; x above _ALPHA_X_MAX is a ResourceError.
 """
 
 import math
@@ -97,6 +97,7 @@ _NARROW_COLUMN_NODES = 256
 # leaves fewer nodes, and sits beside the list and the node batches.
 _LEAF_TABLE_SHARE = 0.5
 # The measurements behind these settings are in CHANGES.md.
+_ALPHA_X_MAX = 10**7  # the largest x alpha_values takes: its table holds x + 1 floats
 
 
 def _fold_projection(smooth: np.ndarray, p: int, x: int) -> np.ndarray:
@@ -304,8 +305,8 @@ class _Fold:
     Two tables may serve a walk: A, on the rough primes of primes[:top]
     alone, the table of the point (x, primes[top - 1]) itself, and B, on
     every rough prime, whose rows may run further and so leave it a V
-    no larger.  A walk whose rough primes A has reads A, any other B; only
-    one is held at a time, and it is dropped before the other is built.
+    no larger.  A walk whose rough primes A has reads A, any other B; the
+    fold holds the one last read, and drops it before it builds the other.
     """
 
     def __init__(self, primes: np.ndarray, top: int, x: int):
@@ -317,14 +318,9 @@ class _Fold:
         self.table_top = 0
 
     def leaf_table(self, top: int) -> np.ndarray:
-        """The table for a walk on rough[:top - first]: A or B.
-
-        If A has no row for some of its own rough primes, those are >= its
-        V, and so are the primes that B adds: B's rows and V are A's, and
-        A is kept for the walks that B would serve."""
+        """The table for a walk on rough[:top - first]: A or B."""
         want = self.top if top <= self.top else self.first + self.rough.size
-        held = self.table_top
-        if held != want and not (0 < held < want and len(self.table) < held - self.first):
+        if self.table_top != want:
             self.table = None
             share = int(_LEAF_TABLE_SHARE * self.smooth.nbytes)
             self.table = _leaf_table(self.smooth, self.rough[: want - self.first], self.x, share)
@@ -441,7 +437,7 @@ def alpha_values(x: int, y: int, pt: PrimeTable) -> np.ndarray:
     A NaN or an infinite x or y is a DomainError.
     """
     x, y = _finite_int(x, "x"), _finite_int(y, "y")
-    if x > env_limit("SMOOTHNUM_MAX_ALPHA_X"):
+    if x > _ALPHA_X_MAX:
         raise ResourceError(f"alpha recurrence envelope exceeded at x = {x}")
     if x < 1:
         raise DomainError("alpha_values needs x >= 1")

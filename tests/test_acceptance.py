@@ -191,8 +191,8 @@ def test_criterion_07_correction_beats_plain_ratio(rho_table):
 def test_criterion_08_pi_li_calibration(zeros10k):
     start = time.time()
     big_t = float(zeros10k.gammas[999]) * (1 + 1e-12)  # first 1000 ordinates
-    cfg = bias.BiasConfig(beta0=0.75, T=big_t, seed=16, n_samples=10**6)
-    est = bias.li_density(cfg, zeros10k, calibration=True)
+    cfg = bias.BiasConfig(beta0=1.0, T=big_t, seed=16, n_samples=10**6)
+    est = bias.li_density(cfg, zeros10k)
     elapsed = time.time() - start
 
     ok = 0.9998 <= est.density < 1.0 and elapsed < 60

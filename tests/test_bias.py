@@ -193,14 +193,24 @@ def test_psiover_rhs_rejects_beta_near_half(rho_table, zeros10k):
 def test_bias_config_validation():
     with pytest.raises(DomainError):
         bias.BiasConfig(beta0=0.5, T=100.0, seed=1, n_samples=10**4)
-    with pytest.raises(DomainError):
-        bias.BiasConfig(beta0=1.0, T=100.0, seed=1, n_samples=10**4)
+    for beta0 in (1.0 + 2**-52, float("nan")):
+        with pytest.raises(DomainError):
+            bias.BiasConfig(beta0=beta0, T=100.0, seed=1, n_samples=10**4)
+    # beta0 = 1 is the pi-vs-Li race, which the densities admit.
+    assert bias.BiasConfig(beta0=1.0, T=100.0, seed=1, n_samples=10**4).beta0 == 1.0
     with pytest.raises(RangeError):
         bias.BiasConfig(beta0=0.75, T=100.0, seed=1, n_samples=999)
     # Philox takes a 64-bit key, so seeds outside [0, 2^64) would alias.
     for seed in (-1, 2**64):
         with pytest.raises(RangeError):
             bias.BiasConfig(beta0=0.75, T=100.0, seed=seed, n_samples=10**4)
+    # The seed and the count are whole numbers, stored as ints.
+    for seed, n in ((1, 1500.5), (1, math.inf), (1, math.nan), (1.5, 10**4), (math.inf, 10**4)):
+        with pytest.raises(DomainError):
+            bias.BiasConfig(beta0=0.75, T=100.0, seed=seed, n_samples=n)
+    cfg = bias.BiasConfig(beta0=0.75, T=100.0, seed=3.0, n_samples=1e4)
+    assert (cfg.seed, cfg.n_samples) == (3, 10**4)
+    assert type(cfg.seed) is int and type(cfg.n_samples) is int
 
 
 def _sums(seed, j0, count, w):
@@ -436,9 +446,9 @@ def test_li_density_monotone_in_beta0(zeros10k):
 
 def test_li_density_sanity_window(zeros10k):
     g100 = float(zeros10k.gammas[99])
-    for beta0, calibration in ((0.75, False), (0.75, True), (0.6, False)):
+    for beta0 in (0.75, 1.0, 0.6):
         cfg = bias.BiasConfig(beta0=beta0, T=g100, seed=2, n_samples=10**4)
-        est = bias.li_density(cfg, zeros10k, calibration=calibration)
+        est = bias.li_density(cfg, zeros10k)
         assert est.density - 3.0 * est.stderr >= -0.01
         assert est.density + 3.0 * est.stderr <= 1.01
 
@@ -447,9 +457,20 @@ def test_li_density_calibration_smoke(zeros10k):
     # Small calibration run; the full pinned-seed run with 1000
     # ordinates and n=1e6 lives in the acceptance suite.
     g100 = float(zeros10k.gammas[99])
-    cfg = bias.BiasConfig(beta0=0.75, T=g100, seed=16, n_samples=10**5)
-    est = bias.li_density(cfg, zeros10k, calibration=True)
+    cfg = bias.BiasConfig(beta0=1.0, T=g100, seed=16, n_samples=10**5)
+    est = bias.li_density(cfg, zeros10k)
     assert est.density >= 0.999
+
+
+@pytest.mark.parametrize("seed, frozen", [(1, 0.55545), (2, 0.5579), (16, 0.5606)])
+def test_li_density_at_beta0_one_is_the_pi_li_race(seed, frozen):
+    # At beta0 = 1 the constant is 1 and the weights are 2/sqrt(1/4 +
+    # gamma^2): the pi-vs-Li race.  300 small ordinates keep the density
+    # near 1/2, so every sample's sign counts; the pins are the densities
+    # of that race's own weights.
+    zeros = ZeroList(gammas=np.linspace(2.0, 6.0, 300), height=6.0)
+    est = bias.li_density(bias.BiasConfig(1.0, 6.0, seed, 20_000), zeros)
+    assert est.density == frozen
 
 
 def test_li_density_range_error(zeros10k):

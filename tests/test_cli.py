@@ -509,6 +509,16 @@ def test_calibrate_cli(capsys):
     assert rc == 3
 
 
+def test_calibrate_is_li_density_at_beta0_one(capsys):
+    # T = 1419.5 keeps the first 1000 ordinates, as --ordinates 1000 does.
+    common = ["--seed", "16", "--n-samples", "20000", "--zeros", ZEROS]
+    assert main(["li-density", "--beta0", "1", "--T", "1419.5"] + common) == 0
+    li = capsys.readouterr().out
+    assert main(["calibrate-pi-li", "--ordinates", "1000"] + common) == 0
+    assert capsys.readouterr().out == li
+    assert li.startswith("density = ")
+
+
 # ----------------------------------------------------------------------
 # config file precedence
 # ----------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Tests for the package surface: every exported name resolves, the
-names that perfbench reads and README's limit table match the code,
-each module imports only the layers below it, and only the package's
-own errors escape it."""
+names and command lines that perfbench reads and README's limit table
+match the code, each module imports only the layers below it, and only
+the package's own errors escape it."""
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import smoothnum
-from smoothnum import bias, debruijn, gfactor, limits, primes, smoothcount, specfun, zetazeros
+from smoothnum import bias, cli, debruijn, gfactor, limits, primes, smoothcount, specfun, zetazeros
 from smoothnum.errors import DomainError, SmoothnumError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -62,6 +63,18 @@ def test_names_perfbench_reads_resolve():
         if not hasattr(importlib.import_module(f"smoothnum.{module}"), name)
     ]
     assert missing == []
+
+
+def test_perfbench_command_lines_parse():
+    # perfbench runs these command lines through cli.main; an option that
+    # goes away, or changes its type, breaks the benchmark.
+    spec = importlib.util.spec_from_file_location("workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    argvs = [workloads.TheoremGrid(str(ROOT)).argv, *workloads.McDensity(0, str(ROOT)).argvs]
+    assert [argv[0] for argv in argvs] == ["verify-theorem1", "li-density", "calibrate-pi-li"]
+    for argv in argvs:
+        assert cli._parse_args(argv).command == argv[0]
 
 
 def test_readme_limit_table_matches_defaults():
@@ -122,7 +135,7 @@ def test_only_smoothnum_errors_escape(rho_table, a, b):
         mp.setattr(debruijn, "_ATOM_T_MAX", 10_000)
         mp.setenv("SMOOTHNUM_MAX_SIEVE", "10000")
         mp.setenv("SMOOTHNUM_MAX_PSI_X", "1000000")
-        mp.setenv("SMOOTHNUM_MAX_ALPHA_X", "10000")
+        mp.setattr(smoothcount, "_ALPHA_X_MAX", 10_000)
         for call in calls:
             try:
                 call()
@@ -142,6 +155,8 @@ def test_non_finite_arguments_are_domain_errors(bad):
         lambda: zetazeros.zero_sum(_ZEROS, 100.0, bad, 25.0),
         lambda: bias.model_rhs(bad, 0.75, 25.0, _ZEROS),
         lambda: bias.psiover_rhs(bad, 0.75, 25.0, _ZEROS),
+        lambda: bias.x_of_y(bad, 0.75),
+        lambda: bias.x_of_y(-1.0, 0.75),
         lambda: _ZEROS.leading_height(bad),
         lambda: _ZEROS.leading_height(1.5),
     )

@@ -535,8 +535,10 @@ def test_shared_fold_counts_match_psi_exact_alone(pt100k, monkeypatch):
     assert fold() is None and shape == (10**8, 29, 2999)
     assert _or_alone(_MIXED_GRID, counts, pt100k) == want
     assert calls == [10**8, 10**6]
-    # One table, A; B would be the same table.
-    assert [top for top, _ in tables] == [997]
+    # A, then B: A has no row for its own last rough primes, so B is the
+    # same table.
+    assert [top for top, _ in tables] == [997, 2999]
+    assert np.array_equal(tables[1][1], tables[0][1])
     assert tables[0][1].shape == (144, 885)
     smooth, first = smoothcount._fold_list(pt100k.primes[:168], 10**8)
     rough = pt100k.primes[first:430].astype(np.int64)
@@ -906,6 +908,6 @@ def test_alpha_errors(pt100k, monkeypatch):
     small = primes.sieve(100)
     with pytest.raises(RangeError):
         smoothcount.alpha_values(1000, 500, small)
-    monkeypatch.setenv("SMOOTHNUM_MAX_ALPHA_X", "100")
+    monkeypatch.setattr(smoothcount, "_ALPHA_X_MAX", 100)
     with pytest.raises(ResourceError):
         smoothcount.alpha_values(200, 10, pt100k)
