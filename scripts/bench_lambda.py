@@ -77,6 +77,7 @@ def _child(spec: dict) -> dict:
     rows = []
     for x, y in spec["points"]:
         row = measure(x, y)
+        # The table is passed for --rev runs of older revisions, whose saddle requires one.
         beta = row["beta"] = specfun.saddle(x, y, table).beta
         row["g_direct_median_s"] = median(gfactor.g_direct, beta, y, pt)
         row["g_value_median_s"] = median(gfactor.g_value, beta, y, pt)

@@ -140,7 +140,7 @@ def compute_point(
         x = math.exp(log_x)
     except OverflowError:
         raise ResourceError(f"x(y) = exp({log_x:g}) overflows a float") from None
-    sd = saddle(x, y, table)
+    sd = saddle(x, y)
     if psi is None:
         psi = psi_exact(x, y, pt)
     lam = lambda_xy(x, y, table)

@@ -249,11 +249,10 @@ def _cmd_bias_scan(args) -> int:
 
 
 def _cmd_verify_psiover(args) -> int:
-    table = specfun.default_rho_table()
     zeros = _load_zeros(args, required=True)
     pt = primes.sieve(max(4, math.ceil(args.y)))
     big_t = _cutoff(args, zeros)
-    beta = specfun.saddle(args.x, args.y, table).beta
+    beta = specfun.saddle(args.x, args.y).beta
     rhs = bias.psiover_rhs(args.y, beta, big_t, zeros)
     g = gfactor.g_direct(beta, args.y, pt).real
     print(f"psiover_rhs = {_fmt(rhs)}")

@@ -108,7 +108,7 @@ def _validate(u: float, y: float) -> float:
     return math.log(y)
 
 
-def lambda_atom_sum(u: float, y: float, table: RhoTable, *, _t_max=None) -> LambdaResult:
+def lambda_atom_sum(u: float, y: float, table: RhoTable) -> LambdaResult:
     """lambda_y(u) via sum over integer atoms minus the density integral.
 
     sum_{n <= y^u} rho(u - log n/log y)/n
@@ -120,8 +120,8 @@ def lambda_atom_sum(u: float, y: float, table: RhoTable, *, _t_max=None) -> Lamb
     log_y = _validate(u, y)
     # Log space first: y^u leaves float range long before u or y does.
     # The unit margin leaves y^u near the cutoff to the exact test.
-    far = _t_max is None and u * log_y > math.log(_ATOM_T_MAX) + 1.0
-    t_max = math.inf if far else float(y**u if _t_max is None else _t_max)
+    far = u * log_y > math.log(_ATOM_T_MAX) + 1.0
+    t_max = math.inf if far else float(y**u)
     if t_max > _ATOM_T_MAX:
         raise ResourceError(
             f"atom sum needs y^u <= {_ATOM_T_MAX:g}; got e^{u * log_y:.6g} (use the ibp route)"
@@ -307,7 +307,7 @@ def f_transform(s, y: float) -> complex:
 def lambda_asymptotic(x: float, y: float, table: RhoTable) -> float:
     """The first-order saddle form x rho(u) K(-xi(u)/log y) of Lambda(x, y)
     (Saias 1989), for x >= y >= 2."""
-    sd = saddle(x, y, table)
+    sd = saddle(x, y)
     scale = math.exp(math.log(x) + specfun.log_rho(table, sd.u))
     return scale * k_factor(-sd.xi / math.log(y)).real
 

@@ -109,7 +109,7 @@ def corrected_prediction(x: float, y: float, pt: PrimeTable, table: RhoTable) ->
     floor(x) * G(1, x).  x < 2 or y < 2 is a DomainError from saddle.
     """
     y_eff = min(float(y), float(x))
-    sd = saddle(x, y_eff, table)
+    sd = saddle(x, y_eff)
     lam = lambda_xy(x, y_eff, table)
     g = g_direct(sd.beta, y_eff, pt).real
     return lam * g

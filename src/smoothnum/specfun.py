@@ -483,10 +483,10 @@ class SaddleData:
     beta: float
 
 
-def saddle(x: float, y: float, table: RhoTable) -> SaddleData:
+def saddle(x: float, y: float, table: RhoTable | None = None) -> SaddleData:
     """Saddle data for the pair (x, y) with x >= y >= 2, both finite.
 
-    The table is not read; perfbench calls saddle with it.
+    The table is ignored, as u, xi and beta need only x and y; perfbench passes one.
     """
     if not (math.isfinite(x) and math.isfinite(y)):
         raise DomainError(f"saddle requires finite x and y, got x={x}, y={y}")

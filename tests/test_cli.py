@@ -184,6 +184,21 @@ def test_verify_psiover_reports_small_gap(capsys):
     )
 
 
+def test_verify_psiover_builds_no_rho_table(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("verify-psiover built a rho table")
+
+    monkeypatch.setattr(specfun, "default_rho_table", refuse)
+    monkeypatch.setattr(specfun, "build_rho_table", refuse)
+    rc = main(["verify-psiover", "--x", "1e12", "--y", "1e4", "--zeros", ZEROS])
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        "psiover_rhs = 1.0135294339373335\n"
+        "g_beta = 1.0117240807505277\n"
+        "abs_diff = 0.0018053531868058581\n"
+    )
+
+
 def test_verify_psiover_at_u_one_is_domain_error(capsys):
     # x = y puts the saddle at beta = 1, outside the zero-sum model's
     # (1/2, 1).

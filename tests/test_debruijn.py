@@ -240,7 +240,7 @@ def test_lambda_xy_method_consistency_at_crossover(rho_table):
     # takes the Euler-Maclaurin tail beyond; both routes must agree.
     x, y = 1e4 * math.sqrt(10.0), 100.0
     u = math.log(x) / math.log(y)
-    atom = debruijn.lambda_atom_sum(u, y, rho_table, _t_max=x)
+    atom = debruijn.lambda_atom_sum(u, y, rho_table)
     ibp = debruijn.lambda_ibp(u, y, rho_table, _t_hi=x / y, _pow_u=x)
     assert atom.value == pytest.approx(ibp.value, rel=1e-6)
     assert debruijn.lambda_xy(x, y, rho_table) == pytest.approx(x * atom.value, rel=1e-9)

@@ -1,7 +1,7 @@
 """Tests for the package surface: every exported name resolves, the
 names and command lines that perfbench reads and README's limit table
-match the code, each module imports only the layers below it, and only
-the package's own errors escape it."""
+match the code, each module imports only the layers below it, every
+parameter is read, and only the package's own errors escape it."""
 
 import ast
 import importlib
@@ -95,6 +95,33 @@ def test_modules_import_only_lower_layers():
                 targets = [node.module] if node.module else [a.name for a in node.names]
                 for target in targets:
                     assert target in MODULE_ORDER[:rank], f"{name} imports {target}"
+
+
+# (module, function, parameter) that may go unread.  saddle's table
+# leaves once perfbench's check stops passing it (ROADMAP item 6).
+UNREAD_ALLOWED = {("specfun", "saddle", "table")}
+
+
+def test_every_parameter_is_read():
+    src = Path(smoothnum.__file__).parent
+    unread = set()
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = node.args
+            args = (*a.posonlyargs, *a.args, *a.kwonlyargs, a.vararg, a.kwarg)
+            params = [arg.arg for arg in args if arg]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for stmt in body
+                for n in ast.walk(stmt)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            name = getattr(node, "name", "<lambda>")
+            unread |= {(path.stem, name, p) for p in params if p not in read}
+    assert unread == UNREAD_ALLOWED
 
 
 # Any float, and floats where u, y and s are usually met, so that both

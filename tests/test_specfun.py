@@ -653,6 +653,16 @@ def test_saddle_beta_below_one_for_u_above_one(log_y, u):
         assert data.beta < 1.0
 
 
+@pytest.mark.parametrize("x, y", [
+    (1e8, 100.0),
+    (1e30, 1e10),
+    # README verify-theorem1 grid: beta0 = 0.7, y = 965.349
+    (float.fromhex("0x1.fbcd836661869p+32"), float.fromhex("0x1.e2aca7970bc24p+9")),
+])
+def test_saddle_needs_no_table(rho_table, x, y):
+    assert specfun.saddle(x, y) == specfun.saddle(x, y, rho_table)
+
+
 def test_saddle_rejects_bad_arguments(rho_table):
     with pytest.raises(DomainError):
         specfun.saddle(10.0, 100.0, rho_table)
